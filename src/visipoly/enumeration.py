@@ -8,15 +8,35 @@ extends it only with vertices above its maximum, and a child that fails the
 membership test is cut off together with its whole subtree. The pruning is
 sound because the property is hereditary: every subset of a
 mutual-visibility set is one, so no failing set has a passing superset.
+
+The walk runs on an explicit stack and tests each child incrementally:
+
+- Candidate mask. A node carries the vertices above its maximum that
+  passed at its parent. By heredity no other vertex can pass, so a vertex
+  that failed at an ancestor is never tested again (as in Bron-Kerbosch).
+- Interval filter. Adding v to X is accepted when every member sees v and
+  v blocks no pair of members. The first condition is one clear-set
+  propagation per member for all candidates at once, or one test from each
+  candidate when there are fewer candidates than members. For the second,
+  a node keeps, per member u, the union of the interiors of the intervals
+  I(u, w) over the later members w; only a candidate inside that union can
+  block a pair starting at u, so any other candidate needs no test. A vertex
+  alone at its distance from u in I(u, w) lies on every shortest u-w path,
+  so it leaves the candidates of every set holding u and w untested.
+- Closure shortcut. When only the coefficients are wanted and the node's
+  members together with all passed candidates form a mutual-visibility
+  set, every combination of the p candidates is one too: the node adds
+  C(p, j) to coefficient |X| + j and its subtree is not walked.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterator, Tuple
+from math import comb
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import GuardrailError
-from .graph import Graph
+from .graph import Graph, iter_bits
 from .polynomial import Polynomial
 from .visibility import VisibilityContext, _visible_from_source
 
@@ -57,33 +77,164 @@ def polynomial_bruteforce(g: Graph, max_vertices: int = BRUTEFORCE_MAX_VERTICES)
     return Polynomial(tuple(counts))
 
 
-def _walk_mv_sets(ctx: VisibilityContext) -> Iterator[Tuple[Tuple[int, ...], int]]:
+def _clear_targets(
+    adj: Sequence[int], layers: Sequence[int], u: int, x_mask: int, targets: int
+) -> int:
+    """The vertices of ``targets`` that are clear from u when x_mask is in the way.
+
+    A vertex w is clear when some shortest u-w path has no interior vertex in
+    x_mask. ``targets`` must avoid x_mask. This is the propagation of
+    ``_visible_from_source`` run for every target at once.
+    """
+    allowed = ~x_mask
+    frontier = 1 << u
+    clear = 0
+    for d in range(1, len(layers)):
+        layer = layers[d]
+        cleared = 0
+        m = frontier
+        while m:
+            low = m & -m
+            cleared |= adj[low.bit_length() - 1]
+            m ^= low
+        cleared &= layer
+        reached = targets & layer
+        if reached:
+            clear |= reached & cleared
+            targets ^= reached
+            if not targets:
+                break
+        frontier = cleared & allowed
+        if not frontier:
+            break
+    return clear
+
+
+def _walk_mv_sets(
+    ctx: VisibilityContext, counts: Optional[List[int]] = None
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Yield (vertices, diameter) for every nonempty mutual-visibility set.
 
-    Sets are visited once each, in lexicographic order by maximum extension.
-    The diameter is maintained incrementally; members of one set always sit
-    in one component, so the distances involved are finite.
+    Sets come in lexicographic order of their sorted vertex tuples, which is
+    the pre-order of the tree. Members of one set always sit in one
+    component, so the distances involved are finite.
+
+    With ``counts`` (indexed by size), a node whose extensions together with
+    its members form a mutual-visibility set adds the binomial counts of all
+    the sets below it to ``counts`` and those sets are not yielded.
     """
     n = ctx.n
+    adj = ctx.adj
+    layers = ctx.layers
     dist = ctx.distance_rows()
-    is_mv = ctx.is_mv
+    intervals: List[Optional[Tuple[int, int]]] = [None] * (n * n)
 
-    def extend(mask: int, members: Tuple[int, ...], diam: int, last: int):
-        for v in range(last + 1, n):
-            cand_mask = mask | (1 << v)
-            cand = members + (v,)
-            if not is_mv(cand_mask, cand):
-                continue
+    def interval(u: int, v: int) -> Tuple[int, int]:
+        """The interior of the interval I(u, v) and the part of it on every shortest path.
+
+        The interior holds the inner vertices of shortest u-v paths; a
+        vertex alone at its distance from u among them lies on every one.
+        """
+        found = intervals[u * n + v]
+        if found is None:
+            span = dist[u][v]
+            lu = layers[u]
+            lv = layers[v]
+            inner = cuts = 0
+            for d in range(1, span):
+                layer = lu[d] & lv[span - d]
+                inner |= layer
+                if layer & (layer - 1) == 0:
+                    cuts |= layer
+            found = intervals[u * n + v] = intervals[v * n + u] = (inner, cuts)
+        return found
+
+    # A node is (mask, members, diameter, cand, spans). cand holds the
+    # vertices above the maximum that passed at the parent; spans[i] is the
+    # union of the interiors of I(members[i], w) over the later members w.
+    stack = [(0, (), 0, (1 << n) - 1, ())]
+    while stack:
+        mask, members, diam, cand, spans = stack.pop()
+        if members:
+            yield members, diam
+        if not cand:
+            continue
+        passed = cand
+        # 1. Every member must see the candidate.
+        if cand.bit_count() > len(members):
+            for u in members:
+                passed &= _clear_targets(adj, layers[u], u, mask, passed)
+                if not passed:
+                    break
+        else:
+            for v in iter_bits(cand):
+                if not _visible_from_source(adj, layers[v], v, mask | 1 << v):
+                    passed ^= 1 << v
+        # 2. A candidate can only block a pair of members that it lies
+        # between; the test from the pair's first member covers the pair.
+        for u, span in zip(members, spans):
+            for v in iter_bits(passed & span):
+                if not _visible_from_source(adj, layers[u], u, mask | 1 << v):
+                    passed ^= 1 << v
+        if not passed:
+            continue
+
+        if counts is not None and _closes(adj, layers, members, spans, mask, passed):
+            size = len(members)
+            p = passed.bit_count()
+            for j in range(1, p + 1):
+                counts[size + j] += comb(p, j)
+            continue
+
+        children = []
+        for v in iter_bits(passed):
+            vbit = 1 << v
+            rest = passed & ~((vbit << 1) - 1)
             row = dist[v]
-            cand_diam = diam
+            child_diam = diam
             for w in members:
-                dw = row[w]
-                if dw > cand_diam:
-                    cand_diam = dw
-            yield cand, cand_diam
-            yield from extend(cand_mask, cand, cand_diam, v)
+                if row[w] > child_diam:
+                    child_diam = row[w]
+            child_spans: Tuple[int, ...] = ()
+            if rest:
+                # A vertex on every shortest path between two members can
+                # never join them, so it leaves the candidates for good.
+                grown = []
+                for w, span in zip(members, spans):
+                    inner, cuts = interval(w, v)
+                    grown.append(span | inner)
+                    rest &= ~cuts
+                if rest:
+                    child_spans = tuple(grown) + (0,)
+            children.append((mask | vbit, members + (v,), child_diam, rest, child_spans))
+        children.reverse()
+        stack.extend(children)
 
-    yield from extend(0, (), 0, -1)
+
+def _closes(
+    adj: Sequence[int],
+    layers: Sequence[Sequence[int]],
+    members: Sequence[int],
+    spans: Sequence[int],
+    mask: int,
+    passed: int,
+) -> bool:
+    """True when the members plus all passed candidates form a mutual-visibility set.
+
+    The members plus any one candidate are known to pass, so the tests from
+    the candidates cover every new pair, and a pair of members needs a test
+    only when some candidate lies between them.
+    """
+    if passed & (passed - 1) == 0:
+        return True
+    x_mask = mask | passed
+    for u in iter_bits(passed):
+        if not _visible_from_source(adj, layers[u], u, x_mask):
+            return False
+    for u, span in zip(members, spans):
+        if span & passed and not _visible_from_source(adj, layers[u], u, x_mask):
+            return False
+    return True
 
 
 def iter_mv_sets(g: Graph) -> Iterator[Tuple[Tuple[int, ...], int]]:
@@ -108,7 +259,7 @@ def polynomial_pruned(g: Graph) -> Polynomial:
     _check_pruned_guardrail(g.n)
     counts = [0] * (g.n + 1)
     counts[0] = 1
-    for members, _ in _walk_mv_sets(VisibilityContext(g)):
+    for members, _ in _walk_mv_sets(VisibilityContext(g), counts):
         counts[len(members)] += 1
     return Polynomial(tuple(counts))
 

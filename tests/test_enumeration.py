@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import random
+import time
 from math import comb
 
 import pytest
 
+import visipoly.enumeration as enumeration
 from visipoly import (
     GuardrailError,
     Polynomial,
@@ -12,17 +15,23 @@ from visipoly import (
     compute_stats,
     count_by_size_and_diameter,
     cycle_graph,
+    delete_edge,
     diamond_graph,
     disjoint_union,
     empty_graph,
     iter_mv_sets,
+    join,
     path_graph,
+    paw_graph,
+    poly_complete,
+    poly_cycle,
+    poly_path,
     polynomial_bruteforce,
     polynomial_pruned,
     star_graph,
 )
 
-from oracles import oracle_polynomial
+from oracles import oracle_mv_sets, oracle_polynomial, random_graph, shortest_path_lengths
 
 
 def test_bruteforce_examples():
@@ -125,3 +134,75 @@ def test_diameter_table_matches_polynomial():
         poly = polynomial_pruned(g)
         for k in range(1, g.n + 1):
             assert sum(c for (kk, _), c in table.items() if kk == k) == poly.coefficient(k)
+
+
+def oracle_theta(g):
+    """(size, diameter) table of the oracle's mutual-visibility sets, diameters by BFS."""
+    dist = [shortest_path_lengths(g, u) for u in range(g.n)]
+    table = {}
+    for x in oracle_mv_sets(g):
+        if not x:
+            continue
+        diam = max(dist[u][v] for u in x for v in x)
+        table[(len(x), diam)] = table.get((len(x), diam), 0) + 1
+    return table
+
+
+def test_theta_table_matches_oracle(random_small_graphs):
+    for g in random_small_graphs[:80]:
+        expected = oracle_theta(g)
+        assert compute_stats(g).theta == expected, g
+        assert count_by_size_and_diameter(g) == expected, g
+
+
+def test_pruned_equals_bruteforce_on_larger_graphs(monkeypatch):
+    rng = random.Random(20261017)
+    graphs = [
+        random_graph(rng, n, p)
+        for n in range(9, 14)
+        for p in (0.15, 0.2, 0.3, 0.5, 0.6, 0.7, 0.85, 0.95)
+    ]
+    assert any(len(components(g)) > 1 for g in graphs)
+    for g in graphs:
+        assert polynomial_pruned(g) == polynomial_bruteforce(g), g
+
+    # In these graphs some nodes close and others do not.
+    outcomes = []
+    closes = enumeration._closes
+
+    def recording_closes(adj, layers, members, spans, mask, passed):
+        result = closes(adj, layers, members, spans, mask, passed)
+        if passed.bit_count() > 1:
+            outcomes.append(result)
+        return result
+
+    monkeypatch.setattr(enumeration, "_closes", recording_closes)
+    for g in (delete_edge(complete_graph(12), 3, 7), join(paw_graph(), cycle_graph(6))):
+        outcomes.clear()
+        assert polynomial_pruned(g) == polynomial_bruteforce(g), g
+        assert True in outcomes and False in outcomes, g
+
+
+def test_iter_mv_sets_in_lexicographic_order(random_small_graphs):
+    graphs = random_small_graphs[:50] + [cycle_graph(9), join(paw_graph(), cycle_graph(6))]
+    for g in graphs:
+        sets = [members for members, _ in iter_mv_sets(g)]
+        assert all(a < b for a, b in zip(sets, sets[1:])), g
+        assert all(list(members) == sorted(set(members)) for members in sets), g
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (path_graph(64), poly_path(64)),
+        (cycle_graph(40), poly_cycle(40)),
+        (complete_graph(20), poly_complete(20)),
+    ],
+    ids=["P64", "C40", "K20"],
+)
+def test_pruned_matches_closed_forms_on_large_classes(g, expected):
+    start = time.perf_counter()
+    assert polynomial_pruned(g) == expected
+    # Each takes a few hundredths of a second; the bound leaves room for a
+    # loaded host and still fails an engine that visits all 2^20 sets of K_20.
+    assert time.perf_counter() - start < 2.0
