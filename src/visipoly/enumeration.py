@@ -23,22 +23,26 @@ The walk runs on an explicit stack and tests each child incrementally:
   block a pair starting at u, so any other candidate needs no test. A vertex
   alone at its distance from u in I(u, w) lies on every shortest u-w path,
   so it leaves the candidates of every set holding u and w untested.
-- Closure shortcut. When only the coefficients are wanted and the node's
-  members together with all passed candidates form a mutual-visibility
-  set, every combination of the p candidates is one too: the node adds
-  C(p, j) to coefficient |X| + j and its subtree is not walked.
+- Closure shortcut. When the node's members together with all passed
+  candidates form a mutual-visibility set, every combination of the p
+  candidates is one too, so the subtree is counted and not walked. For the
+  polynomial the node adds C(p, j) to coefficient |X| + j. For the
+  (size, diameter) table it counts, for each distinct diameter D in
+  increasing order, the cliques of the graph joining the candidates within
+  distance D of each other and of every member; the cliques new at D are
+  the sets of diameter D.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import GuardrailError
 from .graph import Graph, iter_bits
 from .polynomial import Polynomial
-from .visibility import VisibilityContext, _visible_from_source
+from .visibility import VisibilityContext, _clique_counts, _visible_from_source
 
 BRUTEFORCE_MAX_VERTICES = 25
 PRUNED_MAX_VERTICES = 64
@@ -111,7 +115,8 @@ def _clear_targets(
 
 
 def _walk_mv_sets(
-    ctx: VisibilityContext, counts: Optional[List[int]] = None
+    ctx: VisibilityContext,
+    sink: Union[List[int], Dict[Tuple[int, int], int], None] = None,
 ) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Yield (vertices, diameter) for every nonempty mutual-visibility set.
 
@@ -119,25 +124,38 @@ def _walk_mv_sets(
     the pre-order of the tree. Members of one set always sit in one
     component, so the distances involved are finite.
 
-    With ``counts`` (indexed by size), a node whose extensions together with
-    its members form a mutual-visibility set adds the binomial counts of all
-    the sets below it to ``counts`` and those sets are not yielded.
+    With a sink the walk yields nothing and counts every set into the sink
+    instead: a list is indexed by size, a dict is keyed by (size, diameter).
+    A node whose members together with all its passed candidates form a
+    mutual-visibility set then counts its whole subtree without walking it.
     """
     n = ctx.n
     adj = ctx.adj
     layers = ctx.layers
     dist = ctx.distance_rows()
+    by_size = isinstance(sink, list)
     intervals: List[Optional[Tuple[int, int]]] = [None] * (n * n)
+    balls = [[1 << v for v in range(n)]]
+
+    def ball_row(d: int) -> List[int]:
+        """The mask of the vertices within distance d of each vertex."""
+        while len(balls) <= d:
+            r = len(balls)
+            balls.append([b | lv[r] if r < len(lv) else b for b, lv in zip(balls[-1], layers)])
+        return balls[d]
 
     def interval(u: int, v: int) -> Tuple[int, int]:
         """The interior of the interval I(u, v) and the part of it on every shortest path.
 
         The interior holds the inner vertices of shortest u-v paths; a
         vertex alone at its distance from u among them lies on every one.
+        When no path joins u and v, every vertex counts as a cut.
         """
         found = intervals[u * n + v]
         if found is None:
             span = dist[u][v]
+            if span < 0:
+                return 0, -1
             lu = layers[u]
             lv = layers[v]
             inner = cuts = 0
@@ -156,7 +174,13 @@ def _walk_mv_sets(
     while stack:
         mask, members, diam, cand, spans = stack.pop()
         if members:
-            yield members, diam
+            if sink is None:
+                yield members, diam
+            elif by_size:
+                sink[len(members)] += 1
+            else:
+                key = (len(members), diam)
+                sink[key] = sink.get(key, 0) + 1
         if not cand:
             continue
         passed = cand
@@ -173,17 +197,23 @@ def _walk_mv_sets(
         # 2. A candidate can only block a pair of members that it lies
         # between; the test from the pair's first member covers the pair.
         for u, span in zip(members, spans):
-            for v in iter_bits(passed & span):
-                if not _visible_from_source(adj, layers[u], u, mask | 1 << v):
-                    passed ^= 1 << v
+            inside = passed & span
+            while inside:
+                vbit = inside & -inside
+                inside ^= vbit
+                if not _visible_from_source(adj, layers[u], u, mask | vbit):
+                    passed ^= vbit
         if not passed:
             continue
 
-        if counts is not None and _closes(adj, layers, members, spans, mask, passed):
-            size = len(members)
-            p = passed.bit_count()
-            for j in range(1, p + 1):
-                counts[size + j] += comb(p, j)
+        if sink is not None and _closes(adj, layers, interval, members, spans, mask, passed):
+            if by_size:
+                size = len(members)
+                p = passed.bit_count()
+                for j in range(1, p + 1):
+                    sink[size + j] += comb(p, j)
+            else:
+                _count_closed_theta(sink, dist, ball_row, members, diam, passed)
             continue
 
         children = []
@@ -214,6 +244,7 @@ def _walk_mv_sets(
 def _closes(
     adj: Sequence[int],
     layers: Sequence[Sequence[int]],
+    interval: Callable[[int, int], Tuple[int, int]],
     members: Sequence[int],
     spans: Sequence[int],
     mask: int,
@@ -221,20 +252,119 @@ def _closes(
 ) -> bool:
     """True when the members plus all passed candidates form a mutual-visibility set.
 
-    The members plus any one candidate are known to pass, so the tests from
-    the candidates cover every new pair, and a pair of members needs a test
-    only when some candidate lies between them.
+    The members plus any one candidate are known to pass, so a pair can only
+    fail when the other candidates add a blocker inside its interval. A test
+    from a vertex covers every pair holding it. The other pairs are settled
+    from the intervals: a pair of members can only fail when at least two
+    candidates lie in the first member's span, a member and a candidate
+    when another candidate lies between them, and two candidates when any
+    vertex of the set does. A blocker that cuts its pair fails at once.
     """
     if passed & (passed - 1) == 0:
         return True
     x_mask = mask | passed
-    for u in iter_bits(passed):
+    tested = []
+    untested = []
+    for u, span in zip(members, spans):
+        inside = span & passed
+        if inside & (inside - 1):
+            tested.append(u)
+        else:
+            untested.append(u)
+    seen = []
+    m = passed
+    while m:
+        low = m & -m
+        m ^= low
+        s = low.bit_length() - 1
+        others = passed ^ low
+        for w in untested:
+            inner, cuts = interval(w, s)
+            if cuts & others:
+                return False
+            if inner & others:
+                break
+        else:
+            for t in seen:
+                inner, cuts = interval(t, s)
+                if cuts & x_mask:
+                    return False
+                if inner & x_mask:
+                    break
+            else:
+                seen.append(s)
+                continue
+        if not _visible_from_source(adj, layers[s], s, x_mask):
+            return False
+    for u in tested:
         if not _visible_from_source(adj, layers[u], u, x_mask):
             return False
-    for u, span in zip(members, spans):
-        if span & passed and not _visible_from_source(adj, layers[u], u, x_mask):
-            return False
     return True
+
+
+def _count_closed_theta(
+    table: Dict[Tuple[int, int], int],
+    dist: Sequence[Sequence[int]],
+    ball_row: Callable[[int], Sequence[int]],
+    members: Sequence[int],
+    diam: int,
+    passed: int,
+) -> None:
+    """Add to ``table`` the sets X + S for every nonempty S within ``passed``.
+
+    X (the members, of diameter ``diam``) together with all of ``passed`` must
+    be a mutual-visibility set. The diameter of X + S is the largest of e(s)
+    over s in S, where e(s) is the larger of diam and the farthest member
+    from s, and of d(s, t) over s, t in S. So the sets S of diameter at most
+    D are the cliques of H_D, the graph on the candidates with e(s) <= D
+    whose edges join candidates at distance at most D, and the cliques that
+    H_D adds to the previous threshold's graph are the sets of diameter D.
+    """
+    size = len(members)
+    cands = []
+    ecc = []
+    m = passed
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        row = dist[v]
+        e = diam
+        for w in members:
+            if row[w] > e:
+                e = row[w]
+        cands.append(v)
+        ecc.append(e)
+    p = len(cands)
+    if p == 1:
+        key = (size + 1, ecc[0])
+        table[key] = table.get(key, 0) + 1
+        return
+    first = min(ecc)
+    levels = set(ecc)
+    for i in range(1, p):
+        row = dist[cands[i]]
+        for t in cands[:i]:
+            if row[t] > first:
+                levels.add(row[t])
+    levels = sorted(levels)
+    previous = [1] + [0] * p
+    for d in levels:
+        if d == levels[-1]:
+            # Every candidate and every pair lies within the last level.
+            cliques = [comb(p, j) for j in range(p + 1)]
+        else:
+            vertices = 0
+            for v, e in zip(cands, ecc):
+                if e <= d:
+                    vertices |= 1 << v
+            cliques = _clique_counts(ball_row(d), vertices, p)
+        for j in range(1, p + 1):
+            new = cliques[j] - previous[j]
+            if new:
+                key = (size + j, d)
+                table[key] = table.get(key, 0) + new
+        previous = cliques
 
 
 def iter_mv_sets(g: Graph) -> Iterator[Tuple[Tuple[int, ...], int]]:
@@ -259,8 +389,8 @@ def polynomial_pruned(g: Graph) -> Polynomial:
     _check_pruned_guardrail(g.n)
     counts = [0] * (g.n + 1)
     counts[0] = 1
-    for members, _ in _walk_mv_sets(VisibilityContext(g), counts):
-        counts[len(members)] += 1
+    for _ in _walk_mv_sets(VisibilityContext(g), counts):
+        pass
     return Polynomial(tuple(counts))
 
 
@@ -271,7 +401,6 @@ def count_by_size_and_diameter(g: Graph) -> Dict[Tuple[int, int], int]:
     """
     _check_pruned_guardrail(g.n)
     table: Dict[Tuple[int, int], int] = {}
-    for members, diam in _walk_mv_sets(VisibilityContext(g)):
-        key = (len(members), diam)
-        table[key] = table.get(key, 0) + 1
+    for _ in _walk_mv_sets(VisibilityContext(g), table):
+        pass
     return table

@@ -12,7 +12,8 @@ step is a handful of integer operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from math import comb
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import ParameterError
 from .graph import DistanceMatrix, Graph, bfs_layer_masks, iter_bits
@@ -152,55 +153,62 @@ class VisStats:
 def compute_stats(g: Graph, k_max: int | None = None) -> VisStats:
     """Exact theta and clique tables for sizes up to k_max, plus mu and r_mu.
 
-    mu and r_mu always come from the full enumeration, independent of k_max.
-    One pruned enumeration pass classifies every mutual-visibility set by
-    size and diameter, so the counts are consistent by construction.
+    A view over the (size, diameter) table of ``count_by_size_and_diameter``,
+    so the same pruned walk and the same 64-vertex guardrail apply. mu and
+    r_mu come from the table's per-size sums over all sizes, independent of
+    k_max; theta and cliques stop at k_max.
     """
-    from .enumeration import _walk_mv_sets
+    from .enumeration import count_by_size_and_diameter
 
     n = g.n
     if k_max is None:
         k_max = n
     if not 0 <= k_max <= n:
         raise ParameterError(f"k_max {k_max} out of range for order {n}")
-    ctx = VisibilityContext(g)
-    size_counts = [0] * (n + 1)
-    theta: Dict[Tuple[int, int], int] = {}
-    for members, diam in _walk_mv_sets(ctx):
-        k = len(members)
-        size_counts[k] += 1
-        if k <= k_max:
-            key = (k, diam)
-            theta[key] = theta.get(key, 0) + 1
-    mu = 0
-    for k in range(n, 0, -1):
-        if size_counts[k]:
-            mu = k
-            break
-    r_mu = size_counts[mu] if mu else 1
-    cliques = dict(enumerate(_clique_size_counts(g.adj, g.n, k_max)))
+    table = count_by_size_and_diameter(g)
+    mu = max((k for k, _ in table), default=0)
+    r_mu = sum(c for (k, _), c in table.items() if k == mu) if mu else 1
+    theta = {key: c for key, c in table.items() if key[0] <= k_max}
+    cliques = dict(enumerate(_clique_counts(g.adj, (1 << n) - 1, k_max)))
     return VisStats(mu=mu, r_mu=r_mu, theta=theta, cliques=cliques)
 
 
-def _clique_size_counts(adj: Sequence[int], n: int, k_max: int) -> list[int]:
-    """Counts of k-cliques for k = 0..k_max; the empty set counts as the 0-clique."""
+def _clique_counts(adj: Sequence[int], cand: int, k_max: int) -> list[int]:
+    """Counts of the k-cliques inside the mask cand for k = 0..k_max.
+
+    The empty set counts as the 0-clique. A stack node (cand, size) stands for
+    one clique of that size, and cand holds the vertices above its maximum
+    that are adjacent to all of it. When the p vertices of cand are pairwise
+    adjacent, every j-subset of them extends the clique, so the node adds
+    C(p, j) to size + j and is not expanded. Only the bits of ``adj[v]``
+    inside cand are read.
+    """
     counts = [0] * (k_max + 1)
     counts[0] = 1
     if k_max == 0:
         return counts
-
-    def extend(candidates: int, size: int):
-        m = candidates
+    stack = [(cand, 0)]
+    while stack:
+        cand, size = stack.pop()
+        children = []
+        closed = True
+        m = cand
         while m:
             low = m & -m
-            v = low.bit_length() - 1
             m ^= low
-            counts[size + 1] += 1
+            child = m & adj[low.bit_length() - 1]
+            if child != m:
+                closed = False
+            if child:
+                children.append(child)
+        if closed:
+            p = cand.bit_count()
+            for j in range(1, min(p, k_max - size) + 1):
+                counts[size + j] += comb(p, j)
+        else:
+            counts[size + 1] += cand.bit_count()
             if size + 1 < k_max:
-                # vertices above v adjacent to the whole current clique and v
-                extend(m & adj[v], size + 1)
-
-    extend((1 << n) - 1, 0)
+                stack.extend((child, size + 1) for child in children)
     return counts
 
 
@@ -208,7 +216,7 @@ def clique_count(g: Graph, k: int) -> int:
     """Number of k-subsets inducing complete subgraphs; c_0 = 1 by convention."""
     if not 0 <= k <= g.n:
         raise ParameterError(f"clique size {k} out of range for order {g.n}")
-    return _clique_size_counts(g.adj, g.n, k)[k]
+    return _clique_counts(g.adj, (1 << g.n) - 1, k)[k]
 
 
 def mu_complete_bipartite(m: int, n: int) -> int:

@@ -69,11 +69,20 @@ def oracle_polynomial(g: Graph) -> Polynomial:
 
 
 def oracle_mv_sets(g: Graph) -> set[frozenset[int]]:
-    """All mutual-visibility sets, the empty set included."""
+    """All mutual-visibility sets, the empty set included.
+
+    The same pairwise check as ``oracle_is_mv``, with the shortest paths of
+    each pair listed once per graph instead of once per subset.
+    """
+    paths = {pair: all_shortest_paths(g, *pair) for pair in combinations(range(g.n), 2)}
     out = {frozenset()}
     for k in range(1, g.n + 1):
         for combo in combinations(range(g.n), k):
-            if oracle_is_mv(g, combo):
+            xs = set(combo)
+            if all(
+                any(xs.isdisjoint(path[1:-1]) for path in paths[pair])
+                for pair in combinations(combo, 2)
+            ):
                 out.add(frozenset(combo))
     return out
 

@@ -71,6 +71,17 @@ def test_poly_guardrail_exit_code(capsys):
     assert "pruned" in err
 
 
+def test_stats_guardrail_exit_code(capsys, tmp_path):
+    path = tmp_path / "p65.edges"
+    path.write_text("65 64\n" + "".join(f"{v} {v + 1}\n" for v in range(64)))
+    code, out, err = run_cli(
+        capsys, "stats", "--input", str(path), "--format", "edgelist"
+    )
+    assert code == 4
+    assert out == ""
+    assert "64 vertices" in err
+
+
 def test_poly_closed_form_engine_needs_class(capsys):
     code, _, err = run_cli(capsys, "poly", "--g6", "C~", "--engine", "closed-form")
     assert code == 2

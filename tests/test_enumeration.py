@@ -10,6 +10,7 @@ import visipoly.enumeration as enumeration
 from visipoly import (
     GuardrailError,
     Polynomial,
+    complete_bipartite_graph,
     complete_graph,
     components,
     compute_stats,
@@ -62,6 +63,13 @@ def test_bruteforce_guardrail():
 def test_pruned_guardrail():
     with pytest.raises(GuardrailError):
         polynomial_pruned(empty_graph(65))
+
+
+def test_stats_guardrail():
+    with pytest.raises(GuardrailError):
+        compute_stats(path_graph(65))
+    with pytest.raises(GuardrailError):
+        count_by_size_and_diameter(path_graph(65))
 
 
 def test_engines_agree_with_oracle(random_small_graphs):
@@ -148,11 +156,50 @@ def oracle_theta(g):
     return table
 
 
-def test_theta_table_matches_oracle(random_small_graphs):
-    for g in random_small_graphs[:80]:
+def test_theta_table_matches_oracle(random_small_graphs, monkeypatch):
+    rng = random.Random(20261018)
+    dense = [
+        random_graph(rng, n, p)
+        for n in range(8, 13)
+        for p in (0.7, 0.85, 0.95)
+        for _ in range(3)
+    ]
+    dense += [
+        delete_edge(complete_graph(12), 3, 7),
+        join(paw_graph(), cycle_graph(6)),
+        complete_bipartite_graph(3, 4),
+    ]
+
+    # Closed nodes with three or more candidates whose sets take two or
+    # more diameters, so the threshold cliques decide the table.
+    wide = []
+    count_closed = enumeration._count_closed_theta
+
+    def recording_count_closed(table, *args):
+        before = dict(table)
+        count_closed(table, *args)
+        diameters = {d for (k, d), c in table.items() if c != before.get((k, d))}
+        if args[-1].bit_count() >= 3 and len(diameters) >= 2:  # the passed candidates
+            wide.append(diameters)
+
+    monkeypatch.setattr(enumeration, "_count_closed_theta", recording_count_closed)
+    for g in random_small_graphs[:80] + dense:
         expected = oracle_theta(g)
         assert compute_stats(g).theta == expected, g
         assert count_by_size_and_diameter(g) == expected, g
+    assert wide
+
+
+def test_stats_of_complete_graph_skip_the_walk():
+    start = time.perf_counter()
+    stats = compute_stats(complete_graph(20))
+    elapsed = time.perf_counter() - start
+    assert stats.theta[(1, 0)] == 20
+    assert stats.theta == {(1, 0): 20, **{(k, 1): comb(20, k) for k in range(2, 21)}}
+    assert (stats.mu, stats.r_mu) == (20, 1)
+    assert stats.cliques == {k: comb(20, k) for k in range(21)}
+    # It takes under a millisecond; walking all 2^20 sets took seconds.
+    assert elapsed < 1.0
 
 
 def test_pruned_equals_bruteforce_on_larger_graphs(monkeypatch):
@@ -170,9 +217,9 @@ def test_pruned_equals_bruteforce_on_larger_graphs(monkeypatch):
     outcomes = []
     closes = enumeration._closes
 
-    def recording_closes(adj, layers, members, spans, mask, passed):
-        result = closes(adj, layers, members, spans, mask, passed)
-        if passed.bit_count() > 1:
+    def recording_closes(*args):
+        result = closes(*args)
+        if args[-1].bit_count() > 1:  # the passed candidates
             outcomes.append(result)
         return result
 

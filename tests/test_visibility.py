@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
+import visipoly.visibility as visibility
 from visipoly import (
     ParameterError,
     all_pairs_distances,
@@ -12,6 +14,7 @@ from visipoly import (
     complete_graph,
     compute_stats,
     cycle_graph,
+    delete_edge,
     disjoint_union,
     is_mutual_visibility_set,
     mu_complete_bipartite,
@@ -21,7 +24,7 @@ from visipoly import (
     star_graph,
 )
 
-from oracles import oracle_is_mv, oracle_mv_sets
+from oracles import oracle_is_mv, oracle_mv_sets, random_graph
 
 
 def mv(g, x):
@@ -166,6 +169,14 @@ def test_stats_kmax_bounds():
         compute_stats(g, k_max=9)
 
 
+def test_stats_kmax_when_the_root_closes():
+    # Every set of K_8 is a mutual-visibility set, so the walk stops at the root.
+    stats = compute_stats(complete_graph(8), k_max=2)
+    assert (stats.mu, stats.r_mu) == (8, 1)
+    assert stats.theta == {(1, 0): 8, (2, 1): 28}
+    assert stats.cliques == {0: 1, 1: 8, 2: 28}
+
+
 def test_stats_json_shape():
     payload = compute_stats(paw_graph()).to_json_dict()
     assert set(payload) == {"mu", "r_mu", "theta", "cliques"}
@@ -183,8 +194,20 @@ def test_clique_counts():
         clique_count(paw_graph(), 5)
 
 
-def test_clique_counts_match_bruteforce(random_small_graphs):
-    for g in random_small_graphs[:40]:
+def test_clique_counts_match_bruteforce(random_small_graphs, monkeypatch):
+    rng = random.Random(20261018)
+    dense = [random_graph(rng, n, p) for n in range(8, 13) for p in (0.7, 0.85, 0.95)]
+    dense.append(delete_edge(complete_graph(12), 3, 7))
+
+    # The counter adds binomials C(p, j) when p candidates are pairwise adjacent.
+    closed_sizes = []
+
+    def recording_comb(p, j):
+        closed_sizes.append(p)
+        return comb(p, j)
+
+    monkeypatch.setattr(visibility, "comb", recording_comb)
+    for g in random_small_graphs[:40] + dense:
         for k in range(g.n + 1):
             expected = sum(
                 1
@@ -192,6 +215,7 @@ def test_clique_counts_match_bruteforce(random_small_graphs):
                 if all(g.adjacent(u, v) for u, v in combinations(combo, 2))
             )
             assert clique_count(g, k) == expected
+    assert max(closed_sizes, default=0) >= 3
 
 
 def test_mu_complete_bipartite():
