@@ -42,9 +42,7 @@ from .enumeration import (
 from .errors import FormatError, GuardrailError, ParameterError, VisipolyError
 from .graph import (
     UNREACHABLE,
-    DistanceMatrix,
     Graph,
-    all_pairs_distances,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -54,7 +52,6 @@ from .graph import (
     diamond_graph,
     disjoint_union,
     empty_graph,
-    induced_diameter,
     iter_bits,
     join,
     parse_edge_list,
@@ -71,6 +68,7 @@ from .visibility import (
     VisibilityContext,
     clique_count,
     compute_stats,
+    induced_diameter,
     is_mutual_visibility_set,
     mu_complete_bipartite,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "CompleteBipartite",
     "Cycle",
     "DisjointUnion",
-    "DistanceMatrix",
     "FormatError",
     "Graph",
     "GuardrailError",
@@ -98,7 +95,6 @@ __all__ = [
     "VisStats",
     "VisibilityContext",
     "VisipolyError",
-    "all_pairs_distances",
     "build_class",
     "clique_count",
     "complement",

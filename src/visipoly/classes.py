@@ -32,15 +32,27 @@ from .graph import join as graph_join
 class Path:
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError("path order must be at least 1")
+
 
 @dataclass(frozen=True)
 class Cycle:
     n: int
 
+    def __post_init__(self):
+        if self.n < 3:
+            raise ParameterError("cycle order must be at least 3")
+
 
 @dataclass(frozen=True)
 class Complete:
     n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError("complete graph order must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -49,11 +61,19 @@ class Star:
 
     n: int
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ParameterError("star leaf count must be nonnegative")
+
 
 @dataclass(frozen=True)
 class CompleteBipartite:
     m: int
     n: int
+
+    def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise ParameterError("complete bipartite parts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -68,6 +88,8 @@ class DisjointUnion:
 
     def __init__(self, parts):
         object.__setattr__(self, "parts", tuple(parts))
+        if not self.parts:
+            raise ParameterError("disjoint union needs at least one part")
 
 
 @dataclass(frozen=True)
@@ -78,38 +100,8 @@ class Raw:
 ClassSpec = Union[Path, Cycle, Complete, Star, CompleteBipartite, Join, DisjointUnion, Raw]
 
 
-def validate_spec(spec: ClassSpec) -> None:
-    """Raise ParameterError when a spec's parameters are out of bounds."""
-    if isinstance(spec, Path):
-        if spec.n < 1:
-            raise ParameterError("path order must be at least 1")
-    elif isinstance(spec, Cycle):
-        if spec.n < 3:
-            raise ParameterError("cycle order must be at least 3")
-    elif isinstance(spec, Complete):
-        if spec.n < 1:
-            raise ParameterError("complete graph order must be at least 1")
-    elif isinstance(spec, Star):
-        if spec.n < 0:
-            raise ParameterError("star leaf count must be nonnegative")
-    elif isinstance(spec, CompleteBipartite):
-        if spec.m < 1 or spec.n < 1:
-            raise ParameterError("complete bipartite parts must be at least 1")
-    elif isinstance(spec, Join):
-        validate_spec(spec.left)
-        validate_spec(spec.right)
-    elif isinstance(spec, DisjointUnion):
-        if not spec.parts:
-            raise ParameterError("disjoint union needs at least one part")
-        for part in spec.parts:
-            validate_spec(part)
-    elif not isinstance(spec, Raw):
-        raise ParameterError(f"unknown class spec {spec!r}")
-
-
 def build_class(spec: ClassSpec) -> Graph:
     """Build the canonical labeled graph for a class spec."""
-    validate_spec(spec)
     if isinstance(spec, Path):
         return path_graph(spec.n)
     if isinstance(spec, Cycle):
@@ -124,6 +116,8 @@ def build_class(spec: ClassSpec) -> Graph:
         return graph_join(build_class(spec.left), build_class(spec.right))
     if isinstance(spec, DisjointUnion):
         return disjoint_union([build_class(part) for part in spec.parts])
+    if not isinstance(spec, Raw):
+        raise ParameterError(f"unknown class spec {spec!r}")
     return spec.graph
 
 

@@ -21,7 +21,7 @@ from .closed_forms import poly_for_class, poly_join
 from .enumeration import polynomial_bruteforce, polynomial_pruned
 from .errors import FormatError, GuardrailError, ParameterError
 from .graph import Graph, parse_edge_list
-from .graph6 import parse_graph6
+from .graph6 import iter_graph6_lines, parse_graph6
 from .polynomial import Polynomial
 from .verify import paper_suite, run_verify
 from .visibility import compute_stats
@@ -58,13 +58,11 @@ def _load_graph(args) -> tuple[Graph, Optional[object]]:
         spec = parse_class_spec(args.class_spec)
         return build_class(spec), spec
     with open(args.input, "r", encoding="ascii") as handle:
-        text = handle.read()
-    if args.format == "edgelist":
-        return parse_edge_list(text), None
-    records = [line.strip() for line in text.splitlines() if line.strip()]
-    if not records:
-        raise FormatError(f"no graph6 record in {args.input}")
-    return parse_graph6(records[0]), None
+        if args.format == "edgelist":
+            return parse_edge_list(handle.read()), None
+        for _, record in iter_graph6_lines(handle):
+            return parse_graph6(record), None
+    raise FormatError(f"no graph6 record in {args.input}")
 
 
 def _polynomial_for(graph: Graph, spec, engine: str) -> tuple[Polynomial, str]:
@@ -212,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(func=_cmd_stats)
 
     verify = sub.add_parser("verify", help="closed forms vs enumeration")
-    verify.add_argument("--suite", choices=("paper",), default="paper")
     verify.add_argument(
         "--spec",
         action="append",

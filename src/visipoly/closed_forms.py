@@ -20,7 +20,6 @@ from .classes import (
     Path,
     Star,
     build_class,
-    validate_spec,
 )
 from .enumeration import polynomial_pruned
 from .errors import ParameterError
@@ -183,7 +182,6 @@ def poly_for_class(spec: ClassSpec) -> Polynomial:
     The result is always the true visibility polynomial; formulas are used
     only where their hypotheses hold.
     """
-    validate_spec(spec)
     if isinstance(spec, Path):
         return poly_path(spec.n)
     if isinstance(spec, Cycle):
@@ -203,7 +201,7 @@ def poly_for_class(spec: ClassSpec) -> Polynomial:
         return poly_join(build_class(spec.left), build_class(spec.right))
     if isinstance(spec, DisjointUnion):
         return poly_disconnected([poly_for_class(part) for part in spec.parts])
-    graph = spec.graph
+    graph = build_class(spec)
     if graph.n == 0:
         return Polynomial((1,))
     return polynomial_pruned(graph)

@@ -132,7 +132,7 @@ def _walk_mv_sets(
     n = ctx.n
     adj = ctx.adj
     layers = ctx.layers
-    dist = ctx.distance_rows()
+    dist = ctx.rows
     by_size = isinstance(sink, list)
     intervals: List[Optional[Tuple[int, int]]] = [None] * (n * n)
     balls = [[1 << v for v in range(n)]]

@@ -1,10 +1,14 @@
-"""Immutable bitset-backed simple graphs and unweighted shortest-path machinery.
+"""Immutable bitset-backed simple graphs and their breadth-first search.
 
 Vertices are 0..n-1 and adjacency is one integer bitmask per vertex, so
 membership tests and neighbourhood unions are single integer operations for
 graphs up to machine-word size. Every operation is a pure function over
 immutable values; editors such as ``complement`` and ``delete_edge`` return
 new graphs, which makes everything safe to share between workers.
+
+``bfs`` is the one breadth-first search: a single pass from a source gives
+both its distance layers as bitmasks and its distance row. The per-graph
+table of both, one pass per source, is ``visibility.VisibilityContext``.
 """
 
 from __future__ import annotations
@@ -114,37 +118,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-class DistanceMatrix:
-    """All-pairs unweighted shortest-path distances.
+def bfs(adj: Sequence[int], source: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Breadth-first search from ``source`` in one pass.
 
-    Rows are stored internally with -1 marking unreachable pairs; the public
-    accessor translates that to the UNREACHABLE sentinel.
+    Returns the layers as bitmasks (index = distance) and the distance row,
+    with -1 marking the vertices that ``source`` cannot reach.
     """
-
-    __slots__ = ("n", "_rows")
-
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        self.n = len(rows)
-        self._rows = tuple(tuple(row) for row in rows)
-
-    def dist(self, u: int, v: int) -> Distance:
-        d = self._rows[u][v]
-        return UNREACHABLE if d < 0 else d
-
-    def row(self, u: int) -> tuple[int, ...]:
-        """Raw distance row for vertex u, with -1 for unreachable."""
-        return self._rows[u]
-
-    def __repr__(self) -> str:
-        return f"DistanceMatrix(n={self.n})"
-
-
-def bfs_layer_masks(adj: Sequence[int], source: int) -> list[int]:
-    """Breadth-first layers from ``source`` as bitmasks, index = distance."""
-    seen = 1 << source
-    frontier = seen
+    row = [-1] * len(adj)
+    row[source] = 0
+    seen = frontier = 1 << source
     layers = [frontier]
-    while frontier:
+    while True:
         reach = 0
         m = frontier
         while m:
@@ -152,22 +136,16 @@ def bfs_layer_masks(adj: Sequence[int], source: int) -> list[int]:
             reach |= adj[low.bit_length() - 1]
             m ^= low
         frontier = reach & ~seen
-        if frontier:
-            layers.append(frontier)
-            seen |= frontier
-    return layers
-
-
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Exact distances by one BFS per source; -1 rows mark unreachable pairs."""
-    rows = []
-    for src in range(g.n):
-        row = [-1] * g.n
-        for d, layer in enumerate(bfs_layer_masks(g.adj, src)):
-            for v in iter_bits(layer):
-                row[v] = d
-        rows.append(row)
-    return DistanceMatrix(rows)
+        if not frontier:
+            return tuple(layers), tuple(row)
+        d = len(layers)
+        layers.append(frontier)
+        seen |= frontier
+        m = frontier
+        while m:
+            low = m & -m
+            row[low.bit_length() - 1] = d
+            m ^= low
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
@@ -178,34 +156,11 @@ def components(g: Graph) -> list[tuple[int, ...]]:
         if (seen >> v) & 1:
             continue
         mask = 0
-        for layer in bfs_layer_masks(g.adj, v):
+        for layer in bfs(g.adj, v)[0]:
             mask |= layer
         seen |= mask
         out.append(tuple(iter_bits(mask)))
     return out
-
-
-def induced_diameter(g: Graph, d: DistanceMatrix, x: Iterable[int]) -> Distance:
-    """Maximum pairwise distance within ``x``, measured in the whole graph.
-
-    Returns UNREACHABLE as soon as ``x`` spans two components.
-    """
-    members = sorted(set(x))
-    if not members:
-        raise ParameterError("induced diameter of the empty set is undefined")
-    for v in members:
-        if not 0 <= v < g.n:
-            raise ParameterError(f"vertex {v} out of range for order {g.n}")
-    best = 0
-    for i, u in enumerate(members):
-        row = d.row(u)
-        for v in members[i + 1:]:
-            duv = row[v]
-            if duv < 0:
-                return UNREACHABLE
-            if duv > best:
-                best = duv
-    return best
 
 
 # Constructors for the analysed graph families. Labelings are fixed so that

@@ -8,7 +8,6 @@ Equality and the grouping key are bit-exact by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import FormatError, ParameterError
 
@@ -32,10 +31,6 @@ class Polynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "Polynomial":
-        return cls(tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -123,7 +118,3 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-ZERO = Polynomial()
-ONE = Polynomial((1,))

@@ -7,6 +7,10 @@ distance order: a vertex is clear when some neighbour one layer closer to u
 is clear and is not an element of X other than u itself. The pair (u, v) is
 u-visible exactly when v ends up clear. Layers are bitmasks, so each layer
 step is a handful of integer operations.
+
+``VisibilityContext`` is the one per-graph distance table: a single BFS
+pass per source gives both the layer masks the test runs over and the
+distance rows that diameters and intervals are read from.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from math import comb
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import ParameterError
-from .graph import DistanceMatrix, Graph, bfs_layer_masks, iter_bits
+from .graph import UNREACHABLE, Distance, Graph, bfs
 
 
 def _visible_from_source(adj: Sequence[int], layers: Sequence[int], u: int, x_mask: int) -> bool:
@@ -54,22 +58,29 @@ def _visible_from_source(adj: Sequence[int], layers: Sequence[int], u: int, x_ma
 
 
 class VisibilityContext:
-    """Per-graph BFS tables reused across many membership tests.
+    """The per-graph distance table, reused across many membership tests.
 
-    Building the context costs one BFS per vertex; afterwards each test is a
-    short pass over precomputed layer masks. Instances are immutable and safe
-    to share between workers.
+    Building the context costs one BFS per vertex, which yields both tables:
+    ``layers[u]`` holds the BFS layer masks from u (index = distance) and
+    ``rows[u]`` the distances from u, with -1 marking unreachable vertices.
+    Afterwards each test is a short pass over the precomputed layer masks.
+    Instances are immutable and safe to share between workers.
     """
 
-    __slots__ = ("graph", "n", "adj", "layers")
+    __slots__ = ("graph", "n", "adj", "layers", "rows")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.n = graph.n
         self.adj = graph.adj
-        self.layers = tuple(
-            tuple(bfs_layer_masks(graph.adj, src)) for src in range(graph.n)
-        )
+        tables = [bfs(graph.adj, src) for src in range(graph.n)]
+        self.layers = tuple(layers for layers, _ in tables)
+        self.rows = tuple(row for _, row in tables)
+
+    def dist(self, u: int, v: int) -> Distance:
+        """Distance from u to v, or the UNREACHABLE sentinel."""
+        d = self.rows[u][v]
+        return UNREACHABLE if d < 0 else d
 
     def is_mv(self, x_mask: int, members: Sequence[int]) -> bool:
         """Membership test for the set with bitmask x_mask and vertex list members."""
@@ -80,47 +91,47 @@ class VisibilityContext:
                 return False
         return True
 
-    def distance_rows(self) -> list[list[int]]:
-        """Distance rows derived from the cached layers; -1 marks unreachable."""
-        rows = []
-        for src in range(self.n):
-            row = [-1] * self.n
-            for d, layer in enumerate(self.layers[src]):
-                for v in iter_bits(layer):
-                    row[v] = d
-            rows.append(row)
-        return rows
+
+def _members(ctx: VisibilityContext, x: Iterable[int]) -> list[int]:
+    """The sorted distinct vertices of x, each checked against the graph's order."""
+    members = sorted(set(x))
+    for v in members:
+        if not 0 <= v < ctx.n:
+            raise ParameterError(f"vertex {v} out of range for order {ctx.n}")
+    return members
 
 
-def is_mutual_visibility_set(g: Graph, d: DistanceMatrix, x: Iterable[int]) -> bool:
-    """True iff every pair in x is x-visible in g.
+def is_mutual_visibility_set(ctx: VisibilityContext, x: Iterable[int]) -> bool:
+    """True iff every pair in x is x-visible in the context's graph.
 
     Sets of size 0 or 1 are trivially mutual-visibility sets. Pairs lying in
     different components are never x-visible, so any such x fails.
     """
-    members = sorted(set(x))
-    for v in members:
-        if not 0 <= v < g.n:
-            raise ParameterError(f"vertex {v} out of range for order {g.n}")
-    if len(members) <= 1:
-        return True
+    members = _members(ctx, x)
     x_mask = 0
     for v in members:
         x_mask |= 1 << v
-    for u in members:
-        layers = _layers_from_row(d.row(u))
-        if not _visible_from_source(g.adj, layers, u, x_mask):
-            return False
-    return True
+    return ctx.is_mv(x_mask, members)
 
 
-def _layers_from_row(row: Sequence[int]) -> list[int]:
-    ecc = max(row)
-    layers = [0] * (ecc + 1)
-    for v, dv in enumerate(row):
-        if dv >= 0:
-            layers[dv] |= 1 << v
-    return layers
+def induced_diameter(ctx: VisibilityContext, x: Iterable[int]) -> Distance:
+    """Maximum pairwise distance within ``x``, measured in the whole graph.
+
+    Returns UNREACHABLE as soon as ``x`` spans two components.
+    """
+    members = _members(ctx, x)
+    if not members:
+        raise ParameterError("induced diameter of the empty set is undefined")
+    best = 0
+    for i, u in enumerate(members):
+        row = ctx.rows[u]
+        for v in members[i + 1:]:
+            duv = row[v]
+            if duv < 0:
+                return UNREACHABLE
+            if duv > best:
+                best = duv
+    return best
 
 
 @dataclass(frozen=True, eq=True)

@@ -20,7 +20,7 @@ from visipoly import (
     DisjointUnion,
     Path,
     Star,
-    all_pairs_distances,
+    VisibilityContext,
     build_class,
     complete_graph,
     compute_stats,
@@ -184,10 +184,10 @@ def test_criterion_6_mv_test_oracle_equivalence():
     subsets = 0
     mismatches = 0
     for g in graphs:
-        d = all_pairs_distances(g)
+        d = VisibilityContext(g)
         for _ in range(5):
             x = rng.sample(range(g.n), rng.randint(0, g.n))
-            if is_mutual_visibility_set(g, d, x) != oracle_is_mv(g, x):
+            if is_mutual_visibility_set(d, x) != oracle_is_mv(g, x):
                 mismatches += 1
             subsets += 1
     elapsed = time.perf_counter() - start

@@ -47,6 +47,14 @@ def test_poly_g6_record(capsys):
     assert "[1,4,6,4,1]" in out
 
 
+def test_poly_g6_file_with_header(capsys, tmp_path):
+    path = tmp_path / "k4.g6"
+    path.write_text(">>graph6<<\nC~\n")
+    code, out, _ = run_cli(capsys, "poly", "--input", str(path))
+    assert code == 0
+    assert "[1,4,6,4,1]" in out
+
+
 def test_poly_edgelist_diamond(capsys, tmp_path):
     path = tmp_path / "diamond.edges"
     path.write_text("4 5\n0 1\n1 2\n2 3\n0 3\n1 3\n")

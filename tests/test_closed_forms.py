@@ -16,7 +16,7 @@ from visipoly import (
     Polynomial,
     Raw,
     Star,
-    all_pairs_distances,
+    VisibilityContext,
     build_class,
     complete_bipartite_graph,
     complete_graph,
@@ -235,18 +235,18 @@ def test_join_set_classification_lemma():
     ]
     for g, h in cases:
         joined = join(g, h)
-        d_joined = all_pairs_distances(joined)
-        d_h = all_pairs_distances(h)
+        d_joined = VisibilityContext(joined)
+        d_h = VisibilityContext(h)
         for size in range(h.n + 1):
             for combo in combinations(range(h.n), size):
                 x = list(range(g.n)) + [g.n + b for b in combo]
-                got = is_mutual_visibility_set(joined, d_joined, x)
+                got = is_mutual_visibility_set(d_joined, x)
                 if not combo:
                     expected = True
                 else:
                     clique = all(h.adjacent(u, v) for u, v in combinations(combo, 2))
-                    mv_in_h = is_mutual_visibility_set(h, d_h, combo)
-                    diam = induced_diameter(h, d_h, combo)
+                    mv_in_h = is_mutual_visibility_set(d_h, combo)
+                    diam = induced_diameter(d_h, combo)
                     expected = clique or (mv_in_h and diam == 2)
                 assert got == expected, (g, h, combo)
 
@@ -261,8 +261,8 @@ def test_full_join_vertex_set_mv_only_for_complete_pairs():
     ]
     for g, h, expected in cases:
         joined = join(g, h)
-        d = all_pairs_distances(joined)
-        assert is_mutual_visibility_set(joined, d, range(joined.n)) == expected
+        d = VisibilityContext(joined)
+        assert is_mutual_visibility_set(d, range(joined.n)) == expected
 
 
 def test_bipartite_subset_lemmas():
@@ -271,14 +271,14 @@ def test_bipartite_subset_lemmas():
     for m in range(3, 6):
         for n in range(m, 6):
             g = complete_bipartite_graph(m, n)
-            d = all_pairs_distances(g)
+            d = VisibilityContext(g)
             part_a = set(range(m))
             part_b = set(range(m, m + n))
             for size in range(g.n + 1):
                 for combo in combinations(range(g.n), size):
                     chosen = set(combo)
                     misses_both = part_a - chosen and part_b - chosen
-                    got = is_mutual_visibility_set(g, d, combo)
+                    got = is_mutual_visibility_set(d, combo)
                     if misses_both:
                         assert got
                     if part_a <= chosen:

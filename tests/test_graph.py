@@ -3,11 +3,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+import visipoly
 from visipoly import (
     UNREACHABLE,
     Graph,
     ParameterError,
-    all_pairs_distances,
+    VisibilityContext,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -100,20 +101,26 @@ def test_join_paw_c6_order_and_edges():
 
 
 def test_distances_complete_and_cycle():
-    d4 = all_pairs_distances(complete_graph(4))
+    d4 = VisibilityContext(complete_graph(4))
     assert all(d4.dist(u, v) == 1 for u in range(4) for v in range(4) if u != v)
-    d6 = all_pairs_distances(cycle_graph(6))
+    d6 = VisibilityContext(cycle_graph(6))
     assert d6.dist(0, 3) == 3
     assert d6.dist(0, 0) == 0
 
 
 def test_distances_cross_component_unreachable():
     g = disjoint_union([path_graph(2), path_graph(2)])
-    d = all_pairs_distances(g)
+    d = VisibilityContext(g)
     assert d.dist(0, 2) is UNREACHABLE
     assert d.dist(0, 1) == 1
     with pytest.raises(TypeError):
         d.dist(0, 2) <= 2  # the sentinel must not order like a number
+
+
+def test_package_exports_resolve_once():
+    assert len(set(visipoly.__all__)) == len(visipoly.__all__)
+    for name in visipoly.__all__:
+        assert hasattr(visipoly, name), name
 
 
 def test_components():
@@ -148,33 +155,36 @@ def test_delete_edge():
 
 def test_induced_diameter():
     g = cycle_graph(6)
-    d = all_pairs_distances(g)
-    assert induced_diameter(g, d, [2]) == 0
-    assert induced_diameter(g, d, [0, 2, 4]) == 2
+    d = VisibilityContext(g)
+    assert induced_diameter(d, [2]) == 0
+    assert induced_diameter(d, [0, 2, 4]) == 2
     u = disjoint_union([path_graph(2), path_graph(2)])
-    du = all_pairs_distances(u)
-    assert induced_diameter(u, du, [0, 2]) is UNREACHABLE
+    du = VisibilityContext(u)
+    assert induced_diameter(du, [0, 2]) is UNREACHABLE
     with pytest.raises(ParameterError):
-        induced_diameter(g, d, [])
+        induced_diameter(d, [])
 
 
 @given(small_graphs())
 def test_distance_matrix_agrees_with_adjacency(g):
-    d = all_pairs_distances(g)
+    d = VisibilityContext(g)
     for u in range(g.n):
         assert d.dist(u, u) == 0
         for v in range(g.n):
             assert d.dist(u, v) == d.dist(v, u)
             assert (d.dist(u, v) == 1) == g.adjacent(u, v)
+            assert [k for k, layer in enumerate(d.layers[u]) if (layer >> v) & 1] == (
+                [d.rows[u][v]] if d.rows[u][v] >= 0 else []
+            )
 
 
 @given(small_graphs())
 def test_triangle_inequality_over_reachable_triples(g):
-    d = all_pairs_distances(g)
+    d = VisibilityContext(g)
     for u in range(g.n):
         for v in range(g.n):
             for w in range(g.n):
-                duv, dvw, duw = d.row(u)[v], d.row(v)[w], d.row(u)[w]
+                duv, dvw, duw = d.rows[u][v], d.rows[v][w], d.rows[u][w]
                 if duv >= 0 and dvw >= 0:
                     assert duw >= 0
                     assert duw <= duv + dvw
@@ -184,7 +194,7 @@ def test_triangle_inequality_over_reachable_triples(g):
 def test_join_diameter_at_most_two(g, h):
     if g.n == 0 or h.n == 0:
         return
-    d = all_pairs_distances(join(g, h))
+    d = VisibilityContext(join(g, h))
     finite = [
         d.dist(u, v)
         for u in range(g.n + h.n)

@@ -9,7 +9,7 @@ import pytest
 import visipoly.visibility as visibility
 from visipoly import (
     ParameterError,
-    all_pairs_distances,
+    VisibilityContext,
     clique_count,
     complete_graph,
     compute_stats,
@@ -28,7 +28,7 @@ from oracles import oracle_is_mv, oracle_mv_sets, random_graph
 
 
 def mv(g, x):
-    return is_mutual_visibility_set(g, all_pairs_distances(g), x)
+    return is_mutual_visibility_set(VisibilityContext(g), x)
 
 
 def test_whole_complete_graph_is_mv():
@@ -74,11 +74,11 @@ def test_agrees_with_path_oracle_on_random_graphs(random_small_graphs):
     rng = random.Random(7)
     checked = 0
     for g in random_small_graphs:
-        d = all_pairs_distances(g)
+        d = VisibilityContext(g)
         for _ in range(5):
             k = rng.randint(0, g.n)
             x = rng.sample(range(g.n), k)
-            assert is_mutual_visibility_set(g, d, x) == oracle_is_mv(g, x)
+            assert is_mutual_visibility_set(d, x) == oracle_is_mv(g, x)
             checked += 1
     assert checked >= 500
 
@@ -90,20 +90,20 @@ def test_agrees_with_path_oracle_on_class_graphs():
     graphs += [star_graph(n) for n in range(0, 6)]
     graphs += [paw_graph(), disjoint_union([path_graph(3), cycle_graph(3)])]
     for g in graphs:
-        d = all_pairs_distances(g)
+        d = VisibilityContext(g)
         for k in range(g.n + 1):
             for x in combinations(range(g.n), k):
-                assert is_mutual_visibility_set(g, d, x) == oracle_is_mv(g, x), (g, x)
+                assert is_mutual_visibility_set(d, x) == oracle_is_mv(g, x), (g, x)
 
 
 def test_within_component_pairs_always_mv(random_small_graphs):
     from visipoly import components
 
     for g in random_small_graphs[:80]:
-        d = all_pairs_distances(g)
+        d = VisibilityContext(g)
         for part in components(g):
             for pair in combinations(part, 2):
-                assert is_mutual_visibility_set(g, d, pair)
+                assert is_mutual_visibility_set(d, pair)
 
 
 def test_mv_sets_are_downward_closed(random_small_graphs):
