@@ -1,0 +1,130 @@
+"""Build and load the C counting walk of ``_walk.c``.
+
+The first counting call compiles ``_walk.c`` with the system C compiler
+(``cc -O2 -shared -fPIC``) into the user cache directory
+(``$XDG_CACHE_HOME/visipoly``, by default ``~/.cache/visipoly``) and loads it
+with ``ctypes``. The file name carries a hash of the source, the compiler and
+the platform, so a changed source or compiler gets a fresh build and a warm
+cache costs one ``dlopen``. The build goes to a temporary file that
+``os.replace`` moves into place, so processes that build at the same time
+never load a half-written library.
+
+With no compiler, a failed build or an unwritable cache, ``load`` returns
+None and the callers run the Python walk of ``enumeration``, which gives the
+same counts. Nothing here runs at package import.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+SOURCE = Path(__file__).with_name("_walk.c")
+COUNTER_NAMES = ("nodes", "closed", "propagations")
+
+Counts = Union[List[int], Dict[Tuple[int, int], int]]
+Walk = Callable[[Sequence[int], bool, Optional[dict]], Counts]
+
+_UNSET = object()
+_walk: object = _UNSET
+
+
+def load() -> Optional[Walk]:
+    """The native counting walk, built on first use; None when it cannot be built."""
+    global _walk
+    if _walk is _UNSET:
+        try:
+            _walk = _bind(_library())
+        except (OSError, RuntimeError):
+            _walk = None
+    return _walk
+
+
+def _compiler() -> Optional[str]:
+    from shutil import which
+
+    return which("cc") or which("gcc") or which("clang")
+
+
+def cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "visipoly"
+
+
+def _library() -> Path:
+    """The path of the built library, compiling it when the cache lacks it.
+
+    The key is a CRC-32 and an Adler-32 of the source, the compiler and the
+    platform: zlib is loaded at interpreter start, while hashlib would map
+    OpenSSL into every process that counts (3.6 MB of resident memory).
+    """
+    import platform
+    import zlib
+
+    compiler = _compiler()
+    if compiler is None:
+        raise RuntimeError("no C compiler found")
+    real = os.path.realpath(compiler)
+    info = os.stat(real)
+    key = SOURCE.read_bytes() + (
+        f"{real} {info.st_size} {info.st_mtime_ns} {sys.platform} {platform.machine()} {sys.maxsize}"
+    ).encode()
+    target = cache_dir() / f"walk-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+    if not target.is_file():
+        _build(compiler, target)
+    return target
+
+
+def _build(compiler: str, target: Path) -> None:
+    """Compile into a temporary file that replaces ``target`` in one step."""
+    import subprocess
+    import tempfile
+
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [compiler, "-O2", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        raise RuntimeError(f"building {SOURCE.name} failed") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _bind(path: Path) -> Walk:
+    import ctypes
+
+    lib = ctypes.CDLL(str(path))
+    word = ctypes.c_uint64
+    entry = lib.visipoly_walk
+    entry.argtypes = [ctypes.c_int, ctypes.POINTER(word), ctypes.c_int,
+                      ctypes.POINTER(word), ctypes.POINTER(word)]
+    entry.restype = ctypes.c_int
+
+    def walk(adj: Sequence[int], theta: bool, counters: Optional[dict] = None) -> Counts:
+        """Counts of the nonempty mutual-visibility sets of the graph with masks adj.
+
+        A list indexed by size (entry 0 stays 0), or with ``theta`` a dict
+        keyed by (size, diameter) holding the nonzero counts. ``counters``
+        receives the walk counters of ``enumeration._walk_mv_sets``.
+        """
+        n = len(adj)
+        width = max(n, 1) if theta else 1
+        out = (word * ((n + 1) * width))()
+        tally = (word * len(COUNTER_NAMES))()
+        if entry(n, (word * max(n, 1))(*adj), int(theta), out, tally):
+            raise MemoryError("the native walk could not allocate its tables")
+        if counters is not None:
+            counters.update(zip(COUNTER_NAMES, tally))
+        if not theta:
+            return list(out)
+        return {divmod(i, width): c for i, c in enumerate(out) if c}
+
+    return walk

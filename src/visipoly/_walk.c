@@ -1,0 +1,375 @@
+/*
+ * Counting walk of the pruned set-enumeration tree on uint64_t vertex masks.
+ *
+ * This is enumeration._walk_mv_sets with a sink, ported line for line: the
+ * same candidate masks, interval filter, cut rule and closure shortcut, so it
+ * visits the same nodes in the same order and makes the same membership
+ * tests. The Python walk is the reference; tests compare the two on every
+ * count and on the walk counters.
+ *
+ * One call per graph: visipoly_walk(n, adj, theta, out, counters).
+ *   n         order, 0..64
+ *   adj       n neighbourhood masks
+ *   theta     0: out[k] counts the nonempty sets of size k (k = 0..n);
+ *             1: out[k * n + d] counts those of size k and diameter d
+ *   out       zeroed by the caller, n + 1 or (n + 1) * n entries
+ *   counters  three entries: nodes popped, nodes closed by the shortcut,
+ *             membership propagations (visible() plus clear_targets())
+ * Returns 0, or -1 when n is out of range or memory runs out.
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define MAXN 64
+
+typedef struct {
+    int n;
+    int theta;
+    uint64_t *out;
+    uint64_t nodes, closed, propagations;
+    const uint64_t *adj;
+    int depth[MAXN];               /* number of BFS layers from u */
+    uint64_t layers[MAXN][MAXN];   /* layers[u][d]: vertices at distance d from u */
+    int8_t dist[MAXN][MAXN];       /* -1 when unreachable */
+    uint8_t known[MAXN][MAXN];     /* interval (u, v) memoised */
+    uint64_t inner[MAXN][MAXN];    /* interior of I(u, v) */
+    uint64_t cuts[MAXN][MAXN];     /* vertices of I(u, v) on every shortest path */
+    uint64_t balls[MAXN][MAXN];    /* balls[d][v]: vertices within d of v */
+    uint64_t binom[MAXN + 1][MAXN + 1];
+    int members[MAXN];
+    uint64_t spans[MAXN + 1][MAXN]; /* spans[size][i] of the node on the path */
+} Walk;
+
+#define LOW(m) __builtin_ctzll(m)
+#define COUNT(m) __builtin_popcountll(m)
+
+static uint64_t neighbours(const Walk *w, uint64_t frontier)
+{
+    uint64_t reach = 0;
+    for (; frontier; frontier &= frontier - 1)
+        reach |= w->adj[LOW(frontier)];
+    return reach;
+}
+
+static void bfs(Walk *w, int s)
+{
+    uint64_t seen = 1ULL << s, frontier = seen;
+    int d = 0;
+    memset(w->dist[s], -1, (size_t)w->n);
+    w->dist[s][s] = 0;
+    w->layers[s][0] = frontier;
+    for (;;) {
+        frontier = neighbours(w, frontier) & ~seen;
+        if (!frontier)
+            break;
+        d++;
+        w->layers[s][d] = frontier;
+        seen |= frontier;
+        for (uint64_t m = frontier; m; m &= m - 1)
+            w->dist[s][LOW(m)] = (int8_t)d;
+    }
+    w->depth[s] = d + 1;
+}
+
+/* visibility._visible_from_source: every member of x_mask is clear from u. */
+static int visible(const Walk *w, int u, uint64_t x_mask)
+{
+    uint64_t ubit = 1ULL << u;
+    uint64_t remaining = x_mask & ~ubit;
+    if (!remaining)
+        return 1;
+    uint64_t allowed = ~remaining, frontier = ubit;
+    const uint64_t *layers = w->layers[u];
+    for (int d = 1; d < w->depth[u]; d++) {
+        uint64_t layer = layers[d];
+        uint64_t cleared = neighbours(w, frontier) & layer;
+        uint64_t targets = remaining & layer;
+        if (targets & ~cleared)
+            return 0;
+        remaining &= ~targets;
+        if (!remaining)
+            return 1;
+        if (!cleared)
+            return 0;
+        frontier = cleared & allowed;
+    }
+    return !remaining;
+}
+
+/* enumeration._clear_targets: the targets clear from u past x_mask. */
+static uint64_t clear_targets(const Walk *w, int u, uint64_t x_mask, uint64_t targets)
+{
+    uint64_t allowed = ~x_mask, frontier = 1ULL << u, clear = 0;
+    const uint64_t *layers = w->layers[u];
+    for (int d = 1; d < w->depth[u]; d++) {
+        uint64_t layer = layers[d];
+        uint64_t cleared = neighbours(w, frontier) & layer;
+        uint64_t reached = targets & layer;
+        if (reached) {
+            clear |= reached & cleared;
+            targets ^= reached;
+            if (!targets)
+                break;
+        }
+        frontier = cleared & allowed;
+        if (!frontier)
+            break;
+    }
+    return clear;
+}
+
+/* The interior of I(u, v) and its vertices alone at their distance from u. */
+static void interval(Walk *w, int u, int v, uint64_t *inner, uint64_t *cuts)
+{
+    if (!w->known[u][v]) {
+        int span = w->dist[u][v];
+        if (span < 0) {
+            *inner = 0;
+            *cuts = ~0ULL;
+            return;
+        }
+        uint64_t in = 0, cut = 0;
+        for (int d = 1; d < span; d++) {
+            uint64_t layer = w->layers[u][d] & w->layers[v][span - d];
+            in |= layer;
+            if ((layer & (layer - 1)) == 0)
+                cut |= layer;
+        }
+        w->inner[u][v] = w->inner[v][u] = in;
+        w->cuts[u][v] = w->cuts[v][u] = cut;
+        w->known[u][v] = w->known[v][u] = 1;
+    }
+    *inner = w->inner[u][v];
+    *cuts = w->cuts[u][v];
+}
+
+/* enumeration._closes: the members plus all of passed form a mutual-visibility set. */
+static int closes(Walk *w, int size, uint64_t mask, uint64_t passed)
+{
+    if ((passed & (passed - 1)) == 0)
+        return 1;
+    uint64_t x_mask = mask | passed, inner, cuts;
+    int tested[MAXN], untested[MAXN], seen[MAXN];
+    int nt = 0, nu = 0, ns = 0;
+    for (int i = 0; i < size; i++) {
+        uint64_t inside = w->spans[size][i] & passed;
+        if (inside & (inside - 1))
+            tested[nt++] = w->members[i];
+        else
+            untested[nu++] = w->members[i];
+    }
+    for (uint64_t m = passed; m; m &= m - 1) {
+        int s = LOW(m);
+        uint64_t others = passed & ~(1ULL << s);
+        int test = 0;
+        for (int i = 0; i < nu && !test; i++) {
+            interval(w, untested[i], s, &inner, &cuts);
+            if (cuts & others)
+                return 0;
+            test = (inner & others) != 0;
+        }
+        for (int i = 0; i < ns && !test; i++) {
+            interval(w, seen[i], s, &inner, &cuts);
+            if (cuts & x_mask)
+                return 0;
+            test = (inner & x_mask) != 0;
+        }
+        if (!test) {
+            seen[ns++] = s;
+            continue;
+        }
+        w->propagations++;
+        if (!visible(w, s, x_mask))
+            return 0;
+    }
+    for (int i = 0; i < nt; i++) {
+        w->propagations++;
+        if (!visible(w, tested[i], x_mask))
+            return 0;
+    }
+    return 1;
+}
+
+/* visibility._clique_counts over the masks adj, added into counts[0..k_max]. */
+static void clique_counts(const Walk *w, const uint64_t *adj, uint64_t cand, int size,
+                          int k_max, uint64_t *counts)
+{
+    int closed = 1;
+    for (uint64_t m = cand; m && closed; m &= m - 1) {
+        uint64_t rest = m & (m - 1);
+        closed = (rest & adj[LOW(m)]) == rest;
+    }
+    int p = COUNT(cand);
+    if (closed) {
+        for (int j = 1; j <= p && j <= k_max - size; j++)
+            counts[size + j] += w->binom[p][j];
+        return;
+    }
+    counts[size + 1] += (uint64_t)p;
+    if (size + 1 >= k_max)
+        return;
+    for (uint64_t m = cand; m; m &= m - 1) {
+        uint64_t child = (m & (m - 1)) & adj[LOW(m)];
+        if (child)
+            clique_counts(w, adj, child, size + 1, k_max, counts);
+    }
+}
+
+/* enumeration._count_closed_theta: every set members + S, S a nonempty part of passed. */
+static void count_closed_theta(Walk *w, int size, int diam, uint64_t passed)
+{
+    int cands[MAXN], ecc[MAXN], p = 0, n = w->n;
+    for (uint64_t m = passed; m; m &= m - 1) {
+        int v = LOW(m), e = diam;
+        for (int i = 0; i < size; i++)
+            if (w->dist[v][w->members[i]] > e)
+                e = w->dist[v][w->members[i]];
+        cands[p] = v;
+        ecc[p++] = e;
+    }
+    if (p == 1) {
+        w->out[(size + 1) * n + ecc[0]]++;
+        return;
+    }
+    int first = ecc[0];
+    uint64_t levels = 0;
+    for (int i = 0; i < p; i++) {
+        levels |= 1ULL << ecc[i];
+        if (ecc[i] < first)
+            first = ecc[i];
+    }
+    for (int i = 1; i < p; i++)
+        for (int t = 0; t < i; t++)
+            if (w->dist[cands[i]][cands[t]] > first)
+                levels |= 1ULL << w->dist[cands[i]][cands[t]];
+    int last = 63 - __builtin_clzll(levels);
+    uint64_t previous[MAXN + 1] = {1}, cliques[MAXN + 1];
+    for (; levels; levels &= levels - 1) {
+        int d = LOW(levels);
+        if (d == last) {
+            /* Every candidate and every pair lies within the last level. */
+            memcpy(cliques, w->binom[p], sizeof(uint64_t) * (size_t)(p + 1));
+        } else {
+            uint64_t vertices = 0;
+            for (int i = 0; i < p; i++)
+                if (ecc[i] <= d)
+                    vertices |= 1ULL << cands[i];
+            memset(cliques, 0, sizeof(uint64_t) * (size_t)(p + 1));
+            cliques[0] = 1;
+            clique_counts(w, w->balls[d], vertices, 0, p, cliques);
+        }
+        for (int j = 1; j <= p; j++)
+            w->out[(size + j) * n + d] += cliques[j] - previous[j];
+        memcpy(previous, cliques, sizeof(uint64_t) * (size_t)(p + 1));
+    }
+}
+
+/* One node of the tree: members[0..size) with their spans[size], then its subtree. */
+static void visit(Walk *w, int size, uint64_t mask, int diam, uint64_t cand)
+{
+    w->nodes++;
+    if (size)
+        w->out[w->theta ? size * w->n + diam : size]++;
+    if (!cand)
+        return;
+    const int *members = w->members;
+    const uint64_t *spans = w->spans[size];
+    uint64_t passed = cand;
+    /* 1. Every member must see the candidate. */
+    if (COUNT(cand) > size) {
+        for (int i = 0; i < size && passed; i++) {
+            w->propagations++;
+            passed &= clear_targets(w, members[i], mask, passed);
+        }
+    } else {
+        for (uint64_t m = cand; m; m &= m - 1) {
+            uint64_t vbit = m & -m;
+            w->propagations++;
+            if (!visible(w, LOW(m), mask | vbit))
+                passed ^= vbit;
+        }
+    }
+    /* 2. A candidate can only block a pair of members that it lies between. */
+    for (int i = 0; i < size; i++) {
+        for (uint64_t inside = passed & spans[i]; inside; inside &= inside - 1) {
+            uint64_t vbit = inside & -inside;
+            w->propagations++;
+            if (!visible(w, members[i], mask | vbit))
+                passed ^= vbit;
+        }
+    }
+    if (!passed)
+        return;
+
+    if (closes(w, size, mask, passed)) {
+        w->closed++;
+        if (w->theta) {
+            count_closed_theta(w, size, diam, passed);
+        } else {
+            int p = COUNT(passed);
+            for (int j = 1; j <= p; j++)
+                w->out[size + j] += w->binom[p][j];
+        }
+        return;
+    }
+
+    for (uint64_t m = passed; m; m &= m - 1) {
+        int v = LOW(m);
+        uint64_t vbit = 1ULL << v;
+        uint64_t rest = m & (m - 1);
+        int child_diam = diam;
+        if (w->theta)
+            for (int i = 0; i < size; i++)
+                if (w->dist[v][members[i]] > child_diam)
+                    child_diam = w->dist[v][members[i]];
+        if (rest) {
+            /* A vertex on every shortest path between two members can
+               never join them, so it leaves the candidates for good. */
+            uint64_t *grown = w->spans[size + 1], inner, cuts;
+            for (int i = 0; i < size; i++) {
+                interval(w, members[i], v, &inner, &cuts);
+                grown[i] = spans[i] | inner;
+                rest &= ~cuts;
+            }
+            grown[size] = 0;
+        }
+        w->members[size] = v;
+        visit(w, size + 1, mask | vbit, child_diam, rest);
+    }
+}
+
+int visipoly_walk(int n, const uint64_t *adj, int theta, uint64_t *out, uint64_t *counters)
+{
+    if (n < 0 || n > MAXN)
+        return -1;
+    Walk *w = malloc(sizeof *w);
+    if (!w)
+        return -1;
+    w->n = n;
+    w->theta = theta;
+    w->out = out;
+    w->adj = adj;
+    w->nodes = w->closed = w->propagations = 0;
+    for (int i = 0; i <= n; i++) {
+        w->binom[i][0] = w->binom[i][i] = 1;
+        for (int j = 1; j < i; j++)
+            w->binom[i][j] = w->binom[i - 1][j - 1] + w->binom[i - 1][j];
+    }
+    for (int u = 0; u < n; u++) {
+        bfs(w, u);
+        memset(w->known[u], 0, (size_t)n);
+    }
+    if (theta)
+        for (int d = 0; d < n; d++)
+            for (int v = 0; v < n; v++)
+                w->balls[d][v] = (d ? w->balls[d - 1][v] : 0)
+                                 | (d < w->depth[v] ? w->layers[v][d] : 0);
+    visit(w, 0, 0, 0, n == MAXN ? ~0ULL : (1ULL << n) - 1);
+    counters[0] = w->nodes;
+    counters[1] = w->closed;
+    counters[2] = w->propagations;
+    free(w);
+    return 0;
+}

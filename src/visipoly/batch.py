@@ -70,6 +70,10 @@ def _analysed_records(tasks, workers: int, skip_bad: bool):
     else:
         from multiprocessing import Pool
 
+        from . import _native
+
+        # Built and loaded once here, so the workers inherit the native walk.
+        _native.load()
         # imap keeps input order, so the first malformed record aborts first
         pool = Pool(processes=workers)
         results = pool.imap(_analyse_record, tasks, chunksize=64)

@@ -15,6 +15,7 @@ import sys
 import time
 from typing import Optional
 
+from . import _native
 from .batch import run_batch_file
 from .classes import build_class, parse_class_spec, spec_label
 from .closed_forms import poly_for_class, poly_join
@@ -45,13 +46,14 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
         choices=("graph6", "edgelist"),
-        default="graph6",
         help="file format for --input (default graph6)",
     )
 
 
 def _load_graph(args) -> tuple[Graph, Optional[object]]:
     """Build the requested graph; returns (graph, class spec or None)."""
+    if args.format is not None and args.input is None:
+        raise ParameterError("--format applies only to --input")
     if args.g6 is not None:
         return parse_graph6(args.g6), None
     if args.class_spec is not None:
@@ -60,9 +62,19 @@ def _load_graph(args) -> tuple[Graph, Optional[object]]:
     with open(args.input, "r", encoding="ascii") as handle:
         if args.format == "edgelist":
             return parse_edge_list(handle.read()), None
-        for _, record in iter_graph6_lines(handle):
-            return parse_graph6(record), None
-    raise FormatError(f"no graph6 record in {args.input}")
+        records = list(iter_graph6_lines(handle))
+    if not records:
+        raise FormatError(f"no graph6 record in {args.input}")
+    if len(records) > 1:
+        raise FormatError(
+            f"{args.input} holds more than one graph6 record; use batch for several",
+            line=records[1][0],
+        )
+    lineno, record = records[0]
+    try:
+        return parse_graph6(record), None
+    except FormatError as exc:
+        raise FormatError(str(exc), line=lineno) from exc
 
 
 def _polynomial_for(graph: Graph, spec, engine: str) -> tuple[Polynomial, str]:
@@ -77,6 +89,11 @@ def _polynomial_for(graph: Graph, spec, engine: str) -> tuple[Polynomial, str]:
     if spec is not None:
         return poly_for_class(spec), "closed-form"
     return polynomial_pruned(graph), "pruned"
+
+
+def _walk_name() -> str:
+    """The counting walk the pruned engine runs: "native" (C) or "python"."""
+    return "python" if _native.load() is None else "native"
 
 
 def _cmd_poly(args) -> int:
@@ -97,6 +114,7 @@ def _cmd_poly(args) -> int:
                     "mu": mu,
                     "r_mu": r_mu,
                     "engine": engine,
+                    "walk": _walk_name() if engine == "pruned" else None,
                     "seconds": elapsed,
                 }
             )

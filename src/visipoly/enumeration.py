@@ -31,6 +31,14 @@ The walk runs on an explicit stack and tests each child incrementally:
   increasing order, the cliques of the graph joining the candidates within
   distance D of each other and of every member; the cliques new at D are
   the sets of diameter D.
+
+The counting calls (``polynomial_pruned``, ``count_by_size_and_diameter``)
+run this walk in C: ``_walk.c`` ports it on 64-bit masks, one call per
+graph, and ``_native`` builds it with the system C compiler on first use.
+The native walk visits the same nodes and makes the same tests, so it
+reports the same counters. Without a compiler they run the Python walk
+below, which stays the reference; ``iter_mv_sets`` and brute force always
+run in Python.
 """
 
 from __future__ import annotations
@@ -117,6 +125,7 @@ def _clear_targets(
 def _walk_mv_sets(
     ctx: VisibilityContext,
     sink: Union[List[int], Dict[Tuple[int, int], int], None] = None,
+    counters: Optional[dict] = None,
 ) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Yield (vertices, diameter) for every nonempty mutual-visibility set.
 
@@ -128,6 +137,11 @@ def _walk_mv_sets(
     instead: a list is indexed by size, a dict is keyed by (size, diameter).
     A node whose members together with all its passed candidates form a
     mutual-visibility set then counts its whole subtree without walking it.
+
+    When the walk ends, ``counters`` (if given) receives the nodes popped,
+    the nodes closed by that shortcut and the membership propagations
+    (``_visible_from_source`` and ``_clear_targets`` calls, those of
+    ``_closes`` included). The native walk of ``_walk.c`` reports the same.
     """
     n = ctx.n
     adj = ctx.adj
@@ -170,9 +184,12 @@ def _walk_mv_sets(
     # A node is (mask, members, diameter, cand, spans). cand holds the
     # vertices above the maximum that passed at the parent; spans[i] is the
     # union of the interiors of I(members[i], w) over the later members w.
+    nodes = closed = propagations = 0
+    in_closes = [0]  # the propagations of _closes
     stack = [(0, (), 0, (1 << n) - 1, ())]
     while stack:
         mask, members, diam, cand, spans = stack.pop()
+        nodes += 1
         if members:
             if sink is None:
                 yield members, diam
@@ -187,10 +204,12 @@ def _walk_mv_sets(
         # 1. Every member must see the candidate.
         if cand.bit_count() > len(members):
             for u in members:
+                propagations += 1
                 passed &= _clear_targets(adj, layers[u], u, mask, passed)
                 if not passed:
                     break
         else:
+            propagations += cand.bit_count()
             for v in iter_bits(cand):
                 if not _visible_from_source(adj, layers[v], v, mask | 1 << v):
                     passed ^= 1 << v
@@ -198,6 +217,7 @@ def _walk_mv_sets(
         # between; the test from the pair's first member covers the pair.
         for u, span in zip(members, spans):
             inside = passed & span
+            propagations += inside.bit_count()
             while inside:
                 vbit = inside & -inside
                 inside ^= vbit
@@ -206,7 +226,10 @@ def _walk_mv_sets(
         if not passed:
             continue
 
-        if sink is not None and _closes(adj, layers, interval, members, spans, mask, passed):
+        if sink is not None and _closes(
+            in_closes, adj, layers, interval, members, spans, mask, passed
+        ):
+            closed += 1
             if by_size:
                 size = len(members)
                 p = passed.bit_count()
@@ -239,9 +262,12 @@ def _walk_mv_sets(
             children.append((mask | vbit, members + (v,), child_diam, rest, child_spans))
         children.reverse()
         stack.extend(children)
+    if counters is not None:
+        counters.update(nodes=nodes, closed=closed, propagations=propagations + in_closes[0])
 
 
 def _closes(
+    propagations: List[int],
     adj: Sequence[int],
     layers: Sequence[Sequence[int]],
     interval: Callable[[int, int], Tuple[int, int]],
@@ -259,6 +285,7 @@ def _closes(
     candidates lie in the first member's span, a member and a candidate
     when another candidate lies between them, and two candidates when any
     vertex of the set does. A blocker that cuts its pair fails at once.
+    Each membership propagation it runs is added to ``propagations[0]``.
     """
     if passed & (passed - 1) == 0:
         return True
@@ -294,9 +321,11 @@ def _closes(
             else:
                 seen.append(s)
                 continue
+        propagations[0] += 1
         if not _visible_from_source(adj, layers[s], s, x_mask):
             return False
     for u in tested:
+        propagations[0] += 1
         if not _visible_from_source(adj, layers[u], u, x_mask):
             return False
     return True
@@ -381,16 +410,33 @@ def _check_pruned_guardrail(n: int) -> None:
         )
 
 
+def _count_sets(g: Graph, theta: bool, counters: Optional[dict] = None):
+    """Counts of the nonempty mutual-visibility sets, by size or by (size, diameter).
+
+    A list indexed by size (entry 0 left at 0) or a dict keyed by (size,
+    diameter). The native walk counts them when it can be built; otherwise
+    the Python walk does, over a ``VisibilityContext``. Both give the same
+    counts and the same ``counters``.
+    """
+    from . import _native  # not at package import: it may build the library
+
+    _check_pruned_guardrail(g.n)
+    walk = _native.load()
+    if walk is not None:
+        return walk(g.adj, theta, counters)
+    sink: Union[List[int], Dict[Tuple[int, int], int]] = {} if theta else [0] * (g.n + 1)
+    for _ in _walk_mv_sets(VisibilityContext(g), sink, counters):
+        pass
+    return sink
+
+
 def polynomial_pruned(g: Graph) -> Polynomial:
     """Visibility polynomial via the pruned set-enumeration tree.
 
     Output contract is identical to polynomial_bruteforce.
     """
-    _check_pruned_guardrail(g.n)
-    counts = [0] * (g.n + 1)
+    counts = _count_sets(g, theta=False)
     counts[0] = 1
-    for _ in _walk_mv_sets(VisibilityContext(g), counts):
-        pass
     return Polynomial(tuple(counts))
 
 
@@ -399,8 +445,4 @@ def count_by_size_and_diameter(g: Graph) -> Dict[Tuple[int, int], int]:
 
     Same enumeration as polynomial_pruned; the empty set is not classified.
     """
-    _check_pruned_guardrail(g.n)
-    table: Dict[Tuple[int, int], int] = {}
-    for _ in _walk_mv_sets(VisibilityContext(g), table):
-        pass
-    return table
+    return _count_sets(g, theta=True)

@@ -24,3 +24,10 @@ def random_small_graphs():
         p = rng.choice((0.15, 0.3, 0.5, 0.7, 0.9))
         graphs.append(random_graph(rng, n, p))
     return graphs
+
+
+def pin_python_walk(monkeypatch) -> None:
+    """Make the counting calls run the Python walk, as when no compiler is found."""
+    import visipoly._native as native
+
+    monkeypatch.setattr(native, "load", lambda: None)

@@ -87,6 +87,33 @@ def oracle_mv_sets(g: Graph) -> set[frozenset[int]]:
     return out
 
 
+def oracle_theta(g: Graph) -> dict[tuple[int, int], int]:
+    """(size, diameter) table of the oracle's mutual-visibility sets, diameters by BFS."""
+    dist = [shortest_path_lengths(g, u) for u in range(g.n)]
+    table: dict[tuple[int, int], int] = {}
+    for x in oracle_mv_sets(g):
+        if not x:
+            continue
+        diam = max(dist[u][v] for u in x for v in x)
+        table[(len(x), diam)] = table.get((len(x), diam), 0) + 1
+    return table
+
+
+def golden_line(record: str, poly: Polynomial, table: dict[tuple[int, int], int]) -> str:
+    """One line of tests/golden/: record, canonical polynomial, sorted theta rows."""
+    rows = ",".join(f"[{k},{d},{c}]" for (k, d), c in sorted(table.items()))
+    return f"{record} {poly.to_canonical_string()} [{rows}]"
+
+
+def oracle_golden_line(record: str, g: Graph) -> str:
+    """The golden line of g from the oracle's sets: r_k sums the theta rows of size k."""
+    table = oracle_theta(g)
+    coeffs = [1] + [0] * max((k for k, _ in table), default=0)
+    for (k, _), count in table.items():
+        coeffs[k] += count
+    return golden_line(record, Polynomial(tuple(coeffs)), table)
+
+
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Inverse of delete_edge, for restore round-trips."""
     assert u != v and not g.adjacent(u, v)

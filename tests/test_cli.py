@@ -55,6 +55,33 @@ def test_poly_g6_file_with_header(capsys, tmp_path):
     assert "[1,4,6,4,1]" in out
 
 
+def test_poly_and_stats_refuse_several_records(capsys, tmp_path):
+    path = tmp_path / "two.g6"
+    path.write_text("C~\nBW\n")
+    for command in ("poly", "stats"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 2:" in err and "more than one graph6 record" in err
+
+
+def test_poly_input_format_error_names_the_line(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_text(">>graph6<<\n\n~~\n")
+    code, _, err = run_cli(capsys, "poly", "--input", str(path))
+    assert code == 2
+    assert "line 3: truncated long-form order field" in err
+
+
+def test_format_refused_without_input(capsys):
+    for source in (("--g6", "C~"), ("--class", "cycle:5")):
+        for command in ("poly", "stats"):
+            code, out, err = run_cli(capsys, command, *source, "--format", "edgelist")
+            assert code == 2
+            assert out == ""
+            assert "--format applies only to --input" in err
+
+
 def test_poly_edgelist_diamond(capsys, tmp_path):
     path = tmp_path / "diamond.edges"
     path.write_text("4 5\n0 1\n1 2\n2 3\n0 3\n1 3\n")

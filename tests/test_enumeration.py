@@ -32,7 +32,8 @@ from visipoly import (
     star_graph,
 )
 
-from oracles import oracle_mv_sets, oracle_polynomial, random_graph, shortest_path_lengths
+from conftest import pin_python_walk
+from oracles import oracle_polynomial, oracle_theta, random_graph
 
 
 def test_bruteforce_examples():
@@ -144,18 +145,6 @@ def test_diameter_table_matches_polynomial():
             assert sum(c for (kk, _), c in table.items() if kk == k) == poly.coefficient(k)
 
 
-def oracle_theta(g):
-    """(size, diameter) table of the oracle's mutual-visibility sets, diameters by BFS."""
-    dist = [shortest_path_lengths(g, u) for u in range(g.n)]
-    table = {}
-    for x in oracle_mv_sets(g):
-        if not x:
-            continue
-        diam = max(dist[u][v] for u in x for v in x)
-        table[(len(x), diam)] = table.get((len(x), diam), 0) + 1
-    return table
-
-
 def test_theta_table_matches_oracle(random_small_graphs, monkeypatch):
     rng = random.Random(20261018)
     dense = [
@@ -182,9 +171,15 @@ def test_theta_table_matches_oracle(random_small_graphs, monkeypatch):
         if args[-1].bit_count() >= 3 and len(diameters) >= 2:  # the passed candidates
             wide.append(diameters)
 
+    graphs = random_small_graphs[:80] + dense
+    expected_tables = [oracle_theta(g) for g in graphs]
+    # The native walk when it can be built, then the Python walk, recorded.
+    for g, expected in zip(graphs, expected_tables):
+        assert compute_stats(g).theta == expected, g
+        assert count_by_size_and_diameter(g) == expected, g
+    pin_python_walk(monkeypatch)
     monkeypatch.setattr(enumeration, "_count_closed_theta", recording_count_closed)
-    for g in random_small_graphs[:80] + dense:
-        expected = oracle_theta(g)
+    for g, expected in zip(graphs, expected_tables):
         assert compute_stats(g).theta == expected, g
         assert count_by_size_and_diameter(g) == expected, g
     assert wide
@@ -210,8 +205,14 @@ def test_pruned_equals_bruteforce_on_larger_graphs(monkeypatch):
         for p in (0.15, 0.2, 0.3, 0.5, 0.6, 0.7, 0.85, 0.95)
     ]
     assert any(len(components(g)) > 1 for g in graphs)
-    for g in graphs:
-        assert polynomial_pruned(g) == polynomial_bruteforce(g), g
+    special = (delete_edge(complete_graph(12), 3, 7), join(paw_graph(), cycle_graph(6)))
+    expected_polys = [polynomial_bruteforce(g) for g in graphs + list(special)]
+    # The native walk when it can be built, then the Python walk.
+    for g, expected in zip(graphs + list(special), expected_polys):
+        assert polynomial_pruned(g) == expected, g
+    pin_python_walk(monkeypatch)
+    for g, expected in zip(graphs, expected_polys):
+        assert polynomial_pruned(g) == expected, g
 
     # In these graphs some nodes close and others do not.
     outcomes = []
@@ -224,7 +225,7 @@ def test_pruned_equals_bruteforce_on_larger_graphs(monkeypatch):
         return result
 
     monkeypatch.setattr(enumeration, "_closes", recording_closes)
-    for g in (delete_edge(complete_graph(12), 3, 7), join(paw_graph(), cycle_graph(6))):
+    for g in special:
         outcomes.clear()
         assert polynomial_pruned(g) == polynomial_bruteforce(g), g
         assert True in outcomes and False in outcomes, g

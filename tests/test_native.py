@@ -1,0 +1,193 @@
+"""The native counting walk of _walk.c against the Python walk it ports.
+
+Both walks must give the same polynomials, the same (size, diameter)
+tables and the same walk counters, and the package must give the same
+results when the native walk cannot be built. Tests that need the native
+walk skip only when no C compiler is found.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+import visipoly._native as native
+from visipoly import (
+    Graph,
+    VisibilityContext,
+    complete_graph,
+    components,
+    compute_stats,
+    count_by_size_and_diameter,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    parse_graph6,
+    path_graph,
+    polynomial_pruned,
+)
+from visipoly.cli import main
+from visipoly.enumeration import _count_sets, _walk_mv_sets
+
+from conftest import corpus_path, pin_python_walk
+from oracles import golden_line, oracle_golden_line, random_graph
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "connected_n1-7.txt"
+
+
+@pytest.fixture
+def native_walk():
+    if native._compiler() is None:
+        pytest.skip("no C compiler found")
+    walk = native.load()
+    assert walk is not None, "a C compiler was found but the native walk did not build"
+    return walk
+
+
+def golden_records():
+    lines = GOLDEN.read_text("ascii").splitlines()
+    return [line.split(" ", 1)[0] for line in lines]
+
+
+def engine_golden_text(records):
+    lines = []
+    for record in records:
+        g = parse_graph6(record)
+        lines.append(golden_line(record, polynomial_pruned(g), count_by_size_and_diameter(g)))
+    return "\n".join(lines) + "\n"
+
+
+def test_golden_file_covers_the_corpus():
+    records = []
+    for order in range(1, 8):
+        records += corpus_path(order).read_text("ascii").split()
+    assert golden_records() == records
+    assert len(records) == 996
+
+
+def test_native_walk_reproduces_golden_file(native_walk):
+    assert engine_golden_text(golden_records()) == GOLDEN.read_text("ascii")
+
+
+def test_python_walk_reproduces_golden_file(monkeypatch):
+    pin_python_walk(monkeypatch)
+    assert engine_golden_text(golden_records()) == GOLDEN.read_text("ascii")
+
+
+def test_golden_file_matches_oracle_sample():
+    """All of orders 1..6 and every 10th record of order 7, so the file cannot drift."""
+    lines = GOLDEN.read_text("ascii").splitlines()
+    order7 = [line for line in lines if parse_graph6(line.split(" ", 1)[0]).n == 7]
+    sample = [line for line in lines if line not in order7] + order7[::10]
+    assert len(sample) == 143 + 86
+    for line in sample:
+        record = line.split(" ", 1)[0]
+        assert line == oracle_golden_line(record, parse_graph6(record))
+
+
+def benchmark_graphs(seed):
+    """The six graphs of the single-graph benchmark, relabelled by seed."""
+    rows, cols = 4, 5
+    grid = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    grid += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    cube = [(u, u | 1 << b) for u in range(16) for b in range(4) if not u >> b & 1]
+    rng = random.Random(1)
+    gnp = [(u, v) for u in range(16) for v in range(u + 1, 16) if rng.random() < 0.5]
+    graphs = [
+        Graph.from_edges(rows * cols, grid),
+        Graph.from_edges(16, cube),
+        Graph.from_edges(16, gnp),
+        cycle_graph(40),
+        path_graph(64),
+        complete_graph(16),
+    ]
+    rng = random.Random(seed)
+    out = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        out.append(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    return out
+
+
+def python_counts(g, theta):
+    counters = {}
+    sink = {} if theta else [0] * (g.n + 1)
+    for _ in _walk_mv_sets(VisibilityContext(g), sink, counters):
+        pass
+    return sink, counters
+
+
+def test_walks_agree_on_counts_and_counters(native_walk):
+    rng = random.Random(20261018)
+    graphs = [empty_graph(0), empty_graph(1), path_graph(64), disjoint_union([cycle_graph(5)] * 3)]
+    graphs += [
+        random_graph(rng, rng.randint(2, 14), rng.choice((0.1, 0.2, 0.3, 0.5, 0.7, 0.9)))
+        for _ in range(520)
+    ]
+    graphs += benchmark_graphs(211)
+    assert sum(len(components(g)) > 1 for g in graphs) >= 50
+    for g in graphs:
+        for theta in (False, True):
+            counters = {}
+            counts = native_walk(g.adj, theta, counters)
+            assert (counts, counters) == python_counts(g, theta), (g, theta)
+            assert set(counters) == {"nodes", "closed", "propagations"}
+            assert counters["nodes"] >= 1
+
+
+def test_count_sets_reports_the_same_counters_on_both_walks(native_walk, monkeypatch):
+    g = benchmark_graphs(9002)[0]
+    native_counters, python_counters = {}, {}
+    counts = _count_sets(g, theta=False, counters=native_counters)
+    pin_python_walk(monkeypatch)
+    assert _count_sets(g, theta=False, counters=python_counters) == counts
+    assert native_counters == python_counters
+    assert native_counters["closed"] > 0
+
+
+def poly_json(capsys, *argv):
+    assert main(["poly", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_fallback_without_compiler_gives_identical_results(monkeypatch, capsys):
+    graphs = benchmark_graphs(7)[:3] + [random_graph(random.Random(3), 12, 0.4)]
+    built = [(polynomial_pruned(g), compute_stats(g)) for g in graphs]
+    before = poly_json(capsys, "--g6", "Ch")
+
+    monkeypatch.setattr(native, "_compiler", lambda: None)
+    monkeypatch.setattr(native, "_walk", native._UNSET)
+    assert native.load() is None
+    assert [(polynomial_pruned(g), compute_stats(g)) for g in graphs] == built
+    after = poly_json(capsys, "--g6", "Ch")
+    assert after["walk"] == "python"
+    assert {**after, "seconds": 0} == {**before, "walk": "python", "seconds": 0}
+
+
+def test_unwritable_cache_falls_back(monkeypatch, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(native, "cache_dir", lambda: blocker / "visipoly")
+    monkeypatch.setattr(native, "_walk", native._UNSET)
+    assert native.load() is None
+    assert polynomial_pruned(cycle_graph(7)).coeffs == (1, 7, 21, 14)
+
+
+def test_build_into_empty_cache(native_walk, monkeypatch, tmp_path):
+    monkeypatch.setattr(native, "cache_dir", lambda: tmp_path / "cache")
+    monkeypatch.setattr(native, "_walk", native._UNSET)
+    walk = native.load()
+    assert walk is not None
+    (built,) = (tmp_path / "cache").iterdir()  # the temporary file is gone
+    assert built.name.startswith("walk-") and built.suffix == ".so"
+    assert walk(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+
+
+def test_poly_json_names_the_walk(capsys):
+    payload = poly_json(capsys, "--g6", "Ch")
+    assert payload["walk"] == ("python" if native.load() is None else "native")
+    assert poly_json(capsys, "--class", "cycle:5")["walk"] is None
