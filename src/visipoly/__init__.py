@@ -70,7 +70,6 @@ from .visibility import (
     compute_stats,
     induced_diameter,
     is_mutual_visibility_set,
-    mu_complete_bipartite,
 )
 
 __version__ = "0.1.0"
@@ -115,7 +114,6 @@ __all__ = [
     "iter_mv_sets",
     "join",
     "load_graph6_file",
-    "mu_complete_bipartite",
     "paper_suite",
     "parse_class_spec",
     "parse_edge_list",

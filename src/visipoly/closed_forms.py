@@ -1,14 +1,15 @@
 """Closed-form visibility polynomials and the two composition laws.
 
-Each formula is guarded by the hypotheses it was proved under; outside that
-range the dispatcher falls back to enumeration rather than extrapolating.
-All coefficients are exact integers.
+Each closed form is guarded by the hypotheses it was proved under. The join
+law holds for every pair of operands, complete or not, so the dispatcher
+enumerates a whole graph only for raw specs. All coefficients are exact
+integers.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .classes import (
     ClassSpec,
@@ -23,10 +24,9 @@ from .classes import (
 )
 from .enumeration import polynomial_pruned
 from .errors import ParameterError
-from .graph import Graph
-from .graph import join as graph_join
+from .graph import Graph, empty_graph
 from .polynomial import Polynomial
-from .visibility import VisStats, compute_stats
+from .visibility import compute_stats
 
 
 def poly_path(n: int) -> Polynomial:
@@ -94,7 +94,7 @@ def poly_complete_bipartite(m: int, n: int) -> Polynomial:
     if m < 3:
         raise ParameterError(
             "closed form proven only for parts of size >= 3; "
-            "use the star formula for a part of size 1 or enumeration for size 2"
+            "use the star formula for a part of size 1 or poly_join for size 2"
         )
     coeffs = []
     for i in range(m + n - 1):
@@ -121,66 +121,52 @@ def poly_disconnected(polys: Sequence[Polynomial]) -> Polynomial:
     return acc.subtract_scalar(len(polys) - 1)
 
 
-def _clique_theta(stats: VisStats, k: int) -> int:
-    """c_k plus the count of diameter-2 mutual-visibility sets of size k."""
-    return stats.cliques.get(k, 0) + stats.theta_count(k, 2)
+def _q_vector(g: Graph) -> List[int]:
+    """q_k(G) for k = 0..|G|: k-sets whose nonadjacent pairs share an outside neighbour.
+
+    Such a set is a clique or a mutual-visibility set of diameter 2, so
+    q_k = c_k + Theta(k, 2). A complete graph has q_k = C(|G|, k), with no walk.
+    """
+    if g.is_complete:
+        return [comb(g.n, k) for k in range(g.n + 1)]
+    stats = compute_stats(g, k_max=g.n)
+    return [stats.cliques.get(k, 0) + stats.theta_count(k, 2) for k in range(g.n + 1)]
 
 
-def poly_join(
-    g: Graph,
-    h: Graph,
-    g_stats: Optional[VisStats] = None,
-    h_stats: Optional[VisStats] = None,
-) -> Polynomial:
-    """Visibility polynomial of the join of two graphs.
+def poly_join(g: Graph, h: Graph) -> Polynomial:
+    """Visibility polynomial of the join of two graphs, for every operand pair.
 
-    Both operands complete: the product of their polynomials (the join is
-    again complete). Both non-complete: the four-branch coefficient formula
-    driven by clique counts and diameter-2 set counts of the operands.
-    Exactly one complete: no proven formula, so the join is built and
-    enumerated. Caller-provided stats are trusted as-is; omit them to have
-    the operands analysed here.
+    Take a set A + B with A in G and B in H. Pairs across the join are
+    adjacent, and a nonadjacent pair inside A sees through any vertex of H
+    left out of B. So A is restricted only when B takes all of H, and then
+    A must be a q-set of G; the same holds for B. Summing over the split,
+    r_i(G+H) = sum over k + l = i of
+    (q_k(G) if l = |H| else C(|G|, k)) * (q_l(H) if k = |G| else C(|H|, l)).
+    The joined graph is never built: only non-complete operands are walked,
+    each under the 64-vertex guardrail of ``compute_stats``. A join with the
+    order-0 graph is the other operand itself, which the law does not cover.
     """
     if g.n == 0 or h.n == 0:
         other = h if g.n == 0 else g
         if other.n == 0:
             return Polynomial((1,))
         return poly_complete(other.n) if other.is_complete else polynomial_pruned(other)
-    if g.is_complete and h.is_complete:
-        return poly_complete(g.n).multiply(poly_complete(h.n))
-    if g.is_complete or h.is_complete:
-        return polynomial_pruned(graph_join(g, h))
-
-    # Non-complete operands necessarily have two or more vertices.
-    if g.n > h.n:
-        g, h = h, g
-        g_stats, h_stats = h_stats, g_stats
     m, n = g.n, h.n
-    if g_stats is None:
-        g_stats = compute_stats(g, k_max=m - 1)
-    if h_stats is None:
-        h_stats = compute_stats(h, k_max=n - 1)
-
-    coeffs: List[int] = []
-    for i in range(m + 1):
-        coeffs.append(comb(m + n, i))
-    for i in range(m + 1, n + 1):
-        mixed = sum(comb(m, k) * comb(n, i - k) for k in range(m))
-        coeffs.append(mixed + _clique_theta(h_stats, i - m))
-    for i in range(n + 1, m + n - 1):
-        mixed = sum(comb(m, k) * comb(n, i - k) for k in range(i - n + 1, m))
-        coeffs.append(
-            mixed + _clique_theta(h_stats, i - m) + _clique_theta(g_stats, i - n)
-        )
-    coeffs.append(_clique_theta(h_stats, n - 1) + _clique_theta(g_stats, m - 1))
+    qg, qh = _q_vector(g), _q_vector(h)
+    coeffs = [0] * (m + n + 1)
+    for k in range(m + 1):
+        for l in range(n + 1):
+            coeffs[k + l] += (qg[k] if l == n else comb(m, k)) * (
+                qh[l] if k == m else comb(n, l)
+            )
     return Polynomial(tuple(coeffs))
 
 
 def poly_for_class(spec: ClassSpec) -> Polynomial:
-    """Dispatch a class spec to its closed form, composition law, or enumeration.
+    """Dispatch a class spec to its closed form or composition law.
 
     The result is always the true visibility polynomial; formulas are used
-    only where their hypotheses hold.
+    only where their hypotheses hold. Only ``Raw`` specs are enumerated.
     """
     if isinstance(spec, Path):
         return poly_path(spec.n)
@@ -196,12 +182,9 @@ def poly_for_class(spec: ClassSpec) -> Polynomial:
             return poly_complete_bipartite(m, n)
         if m == 1:
             return poly_star(n)
-        return polynomial_pruned(build_class(spec))
+        return poly_join(empty_graph(2), empty_graph(n))
     if isinstance(spec, Join):
         return poly_join(build_class(spec.left), build_class(spec.right))
     if isinstance(spec, DisjointUnion):
         return poly_disconnected([poly_for_class(part) for part in spec.parts])
-    graph = build_class(spec)
-    if graph.n == 0:
-        return Polynomial((1,))
-    return polynomial_pruned(graph)
+    return polynomial_pruned(build_class(spec))

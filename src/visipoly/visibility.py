@@ -229,9 +229,3 @@ def clique_count(g: Graph, k: int) -> int:
         raise ParameterError(f"clique size {k} out of range for order {g.n}")
     return _clique_counts(g.adj, (1 << g.n) - 1, k)[k]
 
-
-def mu_complete_bipartite(m: int, n: int) -> int:
-    """Largest mutual-visibility set size in K_{m,n}: m + n - 2, for m, n >= 3."""
-    if m < 3 or n < 3:
-        raise ParameterError("the complete bipartite value m + n - 2 needs m, n >= 3")
-    return m + n - 2

@@ -188,6 +188,20 @@ def test_join_with_check(capsys):
     assert "check: PASS" in out
 
 
+def test_join_beyond_the_guardrail(capsys):
+    # 70 vertices: the law walks only the cycle, while --check enumerates the join
+    code, out, _ = run_cli(
+        capsys, "join", "--left", "complete:10", "--right", "cycle:60"
+    )
+    assert code == 0
+    assert "polynomial: [1,70," in out
+    code, _, err = run_cli(
+        capsys, "join", "--left", "complete:10", "--right", "cycle:60", "--check"
+    )
+    assert code == 4
+    assert "64 vertices" in err
+
+
 def test_console_script_installed(tmp_path, monkeypatch):
     """The declared console script launches the CLI from a plain checkout.
 

@@ -18,13 +18,16 @@ from visipoly import (
     Star,
     VisibilityContext,
     build_class,
+    complement,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     diamond_graph,
+    empty_graph,
     induced_diameter,
     is_mutual_visibility_set,
     join,
+    load_graph6_file,
     path_graph,
     paw_graph,
     poly_complete,
@@ -40,6 +43,7 @@ from visipoly import (
     star_graph,
 )
 
+from conftest import corpus_path, pin_python_walk
 from oracles import oracle_polynomial
 
 
@@ -119,6 +123,8 @@ def test_poly_complete_bipartite_values():
     assert poly_complete_bipartite(3, 3) == Polynomial((1, 6, 15, 20, 15))
     assert poly_complete_bipartite(3, 4) == Polynomial((1, 7, 21, 35, 35, 15))
     assert poly_complete_bipartite(3, 3).degree == 4
+    assert poly_complete_bipartite(3, 4).degree == 5
+    assert poly_complete_bipartite(6, 6).degree == 10
     # arguments may come in either order
     assert poly_complete_bipartite(5, 3) == poly_complete_bipartite(3, 5)
     with pytest.raises(ParameterError, match="star"):
@@ -178,7 +184,7 @@ def test_poly_join_complete_inputs_multiply():
     assert poly_join(complete_graph(4), complete_graph(4)) == poly_complete(8)
 
 
-def test_poly_join_one_complete_falls_back_to_enumeration():
+def test_poly_join_one_complete_operand_matches_enumeration():
     for g, h in ((complete_graph(3), cycle_graph(5)), (complete_graph(1), path_graph(4))):
         assert poly_join(g, h) == polynomial_pruned(join(g, h))
 
@@ -208,16 +214,35 @@ def test_poly_join_random_pairs_match_enumeration():
         assert poly_join(g, h) == polynomial_pruned(join(g, h)), (g.edges(), h.edges())
 
 
-def test_poly_join_accepts_precomputed_stats():
-    from visipoly import compute_stats
+def test_poly_join_law_on_all_pairs_up_to_order_five(monkeypatch):
+    # the connected graphs of order 1..5 and their complements, which bring
+    # in disconnected, empty and complete operands
+    operands = []
+    for order in range(1, 6):
+        for g in load_graph6_file(corpus_path(order)):
+            operands += [g, complement(g)]
+    pairs = [(g, h) for g in operands for h in operands]
+    assert len(pairs) == 3844
+    expected = [polynomial_pruned(join(g, h)) for g, h in pairs]
+    # The native walk when it can be built, then the Python walk.
+    for (g, h), poly in zip(pairs, expected):
+        assert poly_join(g, h) == poly, (g.edges(), h.edges())
+    pin_python_walk(monkeypatch)
+    for (g, h), poly in zip(pairs, expected):
+        assert poly_join(g, h) == poly, (g.edges(), h.edges())
 
-    g, h = paw_graph(), cycle_graph(6)
-    g_stats = compute_stats(g, k_max=g.n - 1)
-    h_stats = compute_stats(h, k_max=h.n - 1)
-    via_bypass = poly_join(g, h, g_stats=g_stats, h_stats=h_stats)
-    assert via_bypass == poly_join(g, h)
-    # swapped operand order must swap the stats too
-    assert poly_join(h, g, g_stats=h_stats, h_stats=g_stats) == via_bypass
+
+def test_poly_join_beyond_the_guardrail_matches_closed_forms(monkeypatch):
+    # joins of up to 128 vertices; only the operands are walked
+    for pinned in (False, True):
+        if pinned:
+            pin_python_walk(monkeypatch)
+        assert poly_join(empty_graph(64), empty_graph(64)) == poly_complete_bipartite(
+            64, 64
+        )
+        for n in range(65):
+            assert poly_join(complete_graph(1), empty_graph(n)) == poly_star(n), n
+        assert poly_join(complete_graph(40), complete_graph(40)) == poly_complete(80)
 
 
 def test_poly_join_empty_operand():
@@ -305,10 +330,18 @@ def test_poly_for_class_bipartite_fallbacks():
     expected = polynomial_pruned(complete_bipartite_graph(2, 5))
     assert poly_for_class(CompleteBipartite(2, 5)) == expected
     assert poly_for_class(CompleteBipartite(2, 2)) == Polynomial((1, 4, 6, 4))
+    # K_{2,n} through the join law, past the guardrail too: a set fails only
+    # when it takes both small vertices and two or more of the others
+    for n in (5, 64):
+        expected = [comb(n + 2, i) for i in range(n + 3)]
+        for i in range(4, n + 3):
+            expected[i] -= comb(n, i - 2)
+        assert poly_for_class(CompleteBipartite(2, n)) == Polynomial(tuple(expected))
 
 
 def test_poly_for_class_raw():
     assert poly_for_class(Raw(diamond_graph())) == Polynomial((1, 4, 6, 4))
+    assert poly_for_class(Raw(empty_graph(0))) == Polynomial((1,))
 
 
 def test_class_sweep_matches_enumeration():

@@ -17,7 +17,6 @@ from visipoly import (
     delete_edge,
     disjoint_union,
     is_mutual_visibility_set,
-    mu_complete_bipartite,
     path_graph,
     paw_graph,
     polynomial_pruned,
@@ -217,10 +216,3 @@ def test_clique_counts_match_bruteforce(random_small_graphs, monkeypatch):
             assert clique_count(g, k) == expected
     assert max(closed_sizes, default=0) >= 3
 
-
-def test_mu_complete_bipartite():
-    assert mu_complete_bipartite(3, 3) == 4
-    assert mu_complete_bipartite(3, 4) == 5
-    assert mu_complete_bipartite(6, 6) == 10
-    with pytest.raises(ParameterError):
-        mu_complete_bipartite(2, 5)
