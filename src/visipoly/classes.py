@@ -2,14 +2,16 @@
 
 A class spec names a graph family instance (path, cycle, complete, star,
 complete bipartite) or composes specs by join and disjoint union; ``Raw``
-wraps an explicit graph. Specs drive both graph construction and the
-closed-form dispatch, and have a small textual syntax for the command line
-("cycle:7", "bipartite:3,4", "union:path:3+path:2", "paw").
+wraps an explicit graph. Each family is one row of ``_FAMILIES``, and its
+spec's fields are its arguments, both in the spec syntax and to its builder.
+Specs drive both graph construction and the closed-form dispatch, and have
+a small textual syntax for the command line ("cycle:7", "bipartite:3,4",
+"union:path:3+path:2", "paw").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Union
 
 from .errors import FormatError, ParameterError
@@ -28,52 +30,55 @@ from .graph import (
 from .graph import join as graph_join
 
 
-@dataclass(frozen=True)
-class Path:
-    n: int
+class _Family:
+    """A family spec: every field must reach the least argument of its ``_FAMILIES`` row."""
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("path order must be at least 1")
+        _, _, least, error = _FAMILIES[type(self)]
+        if min(astuple(self)) < least:
+            raise ParameterError(error)
 
 
 @dataclass(frozen=True)
-class Cycle:
+class Path(_Family):
     n: int
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise ParameterError("cycle order must be at least 3")
-
 
 @dataclass(frozen=True)
-class Complete:
+class Cycle(_Family):
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("complete graph order must be at least 1")
+
+@dataclass(frozen=True)
+class Complete(_Family):
+    n: int
 
 
 @dataclass(frozen=True)
-class Star:
+class Star(_Family):
     """Star with n leaves; order n+1, centre at index n."""
 
     n: int
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ParameterError("star leaf count must be nonnegative")
-
 
 @dataclass(frozen=True)
-class CompleteBipartite:
+class CompleteBipartite(_Family):
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ParameterError("complete bipartite parts must be at least 1")
+
+# spec type -> (name in the spec syntax, builder, least legal argument, error text)
+_FAMILIES = {
+    Path: ("path", path_graph, 1, "path order must be at least 1"),
+    Cycle: ("cycle", cycle_graph, 3, "cycle order must be at least 3"),
+    Complete: ("complete", complete_graph, 1, "complete graph order must be at least 1"),
+    Star: ("star", star_graph, 0, "star leaf count must be nonnegative"),
+    CompleteBipartite: (
+        "bipartite", complete_bipartite_graph, 1, "complete bipartite parts must be at least 1"
+    ),
+}
+_FAMILY_BY_NAME = {row[0]: spec_type for spec_type, row in _FAMILIES.items()}
+_FAMILY_BY_NAME["complete_bipartite"] = CompleteBipartite
 
 
 @dataclass(frozen=True)
@@ -102,16 +107,8 @@ ClassSpec = Union[Path, Cycle, Complete, Star, CompleteBipartite, Join, Disjoint
 
 def build_class(spec: ClassSpec) -> Graph:
     """Build the canonical labeled graph for a class spec."""
-    if isinstance(spec, Path):
-        return path_graph(spec.n)
-    if isinstance(spec, Cycle):
-        return cycle_graph(spec.n)
-    if isinstance(spec, Complete):
-        return complete_graph(spec.n)
-    if isinstance(spec, Star):
-        return star_graph(spec.n)
-    if isinstance(spec, CompleteBipartite):
-        return complete_bipartite_graph(spec.m, spec.n)
+    if type(spec) in _FAMILIES:
+        return _FAMILIES[type(spec)][1](*astuple(spec))
     if isinstance(spec, Join):
         return graph_join(build_class(spec.left), build_class(spec.right))
     if isinstance(spec, DisjointUnion):
@@ -123,16 +120,8 @@ def build_class(spec: ClassSpec) -> Graph:
 
 def spec_label(spec: ClassSpec) -> str:
     """Human-readable name used in reports."""
-    if isinstance(spec, Path):
-        return f"path:{spec.n}"
-    if isinstance(spec, Cycle):
-        return f"cycle:{spec.n}"
-    if isinstance(spec, Complete):
-        return f"complete:{spec.n}"
-    if isinstance(spec, Star):
-        return f"star:{spec.n}"
-    if isinstance(spec, CompleteBipartite):
-        return f"bipartite:{spec.m},{spec.n}"
+    if type(spec) in _FAMILIES:
+        return _FAMILIES[type(spec)][0] + ":" + ",".join(map(str, astuple(spec)))
     if isinstance(spec, Join):
         return f"join({spec_label(spec.left)}, {spec_label(spec.right)})"
     if isinstance(spec, DisjointUnion):
@@ -172,20 +161,12 @@ def parse_class_spec(text: str) -> ClassSpec:
         values = [int(a) for a in args.split(",")] if args else []
     except ValueError:
         raise FormatError(f"non-integer argument in class spec {text!r}") from None
-    single = {
-        "path": Path,
-        "cycle": Cycle,
-        "complete": Complete,
-        "star": Star,
-    }
-    if name in single:
-        if len(values) != 1:
-            raise FormatError(f"{name} takes exactly one argument, got {text!r}")
-        return single[name](values[0])
-    if name in ("bipartite", "complete_bipartite"):
-        if len(values) != 2:
-            raise FormatError(f"{name} takes two arguments, got {text!r}")
-        return CompleteBipartite(values[0], values[1])
+    if (spec_type := _FAMILY_BY_NAME.get(name)) is not None:
+        arity = len(fields(spec_type))
+        if len(values) != arity:
+            count = "exactly one argument" if arity == 1 else f"{arity} arguments"
+            raise FormatError(f"{name} takes {count}, got {text!r}")
+        return spec_type(*values)
     if name == "empty":
         if len(values) != 1:
             raise FormatError(f"empty takes exactly one argument, got {text!r}")

@@ -8,6 +8,7 @@ integers.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from math import comb
 from typing import List, Sequence
 
@@ -162,20 +163,18 @@ def poly_join(g: Graph, h: Graph) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
+# closed form of each one-parameter family; K_{m,n} splits on its smaller part below
+_CLOSED_FORMS = {Path: poly_path, Cycle: poly_cycle, Complete: poly_complete, Star: poly_star}
+
+
 def poly_for_class(spec: ClassSpec) -> Polynomial:
     """Dispatch a class spec to its closed form or composition law.
 
     The result is always the true visibility polynomial; formulas are used
     only where their hypotheses hold. Only ``Raw`` specs are enumerated.
     """
-    if isinstance(spec, Path):
-        return poly_path(spec.n)
-    if isinstance(spec, Cycle):
-        return poly_cycle(spec.n)
-    if isinstance(spec, Complete):
-        return poly_complete(spec.n)
-    if isinstance(spec, Star):
-        return poly_star(spec.n)
+    if type(spec) in _CLOSED_FORMS:
+        return _CLOSED_FORMS[type(spec)](*astuple(spec))
     if isinstance(spec, CompleteBipartite):
         m, n = min(spec.m, spec.n), max(spec.m, spec.n)
         if m >= 3:

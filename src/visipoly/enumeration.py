@@ -56,16 +56,16 @@ BRUTEFORCE_MAX_VERTICES = 25
 PRUNED_MAX_VERTICES = 64
 
 
-def polynomial_bruteforce(g: Graph, max_vertices: int = BRUTEFORCE_MAX_VERTICES) -> Polynomial:
+def polynomial_bruteforce(g: Graph) -> Polynomial:
     """Visibility polynomial by testing all subsets, size by size.
 
     Coefficient k is the number of mutual-visibility sets of cardinality k;
     the empty set contributes coefficient 1 at degree 0.
     """
     n = g.n
-    if n > max_vertices:
+    if n > BRUTEFORCE_MAX_VERTICES:
         raise GuardrailError(
-            f"brute force over 2^{n} subsets refused (limit {max_vertices} vertices); "
+            f"brute force over 2^{n} subsets refused (limit {BRUTEFORCE_MAX_VERTICES} vertices); "
             "use polynomial_pruned or a closed form"
         )
     ctx = VisibilityContext(g)

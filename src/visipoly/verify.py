@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .classes import (
     ClassSpec,
@@ -37,7 +37,7 @@ class VerifyResult:
     passed: bool
     closed_form: Polynomial
     pruned: Polynomial
-    bruteforce: Optional[Polynomial]
+    bruteforce: Polynomial
     seconds: float
 
 
@@ -64,7 +64,7 @@ def paper_suite() -> List[ClassSpec]:
     return specs
 
 
-def run_verify(specs: Sequence[ClassSpec], with_bruteforce: bool = True) -> List[VerifyResult]:
+def run_verify(specs: Sequence[ClassSpec]) -> List[VerifyResult]:
     """Compare closed form, pruned, and brute force on each instance."""
     results = []
     for spec in specs:
@@ -72,12 +72,11 @@ def run_verify(specs: Sequence[ClassSpec], with_bruteforce: bool = True) -> List
         closed = poly_for_class(spec)
         graph = build_class(spec)
         pruned = polynomial_pruned(graph)
-        brute = polynomial_bruteforce(graph) if with_bruteforce else None
-        passed = closed == pruned and (brute is None or brute == closed)
+        brute = polynomial_bruteforce(graph)
         results.append(
             VerifyResult(
                 label=spec_label(spec),
-                passed=passed,
+                passed=closed == pruned == brute,
                 closed_form=closed,
                 pruned=pruned,
                 bruteforce=brute,

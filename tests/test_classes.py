@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from visipoly import (
@@ -21,9 +23,13 @@ from visipoly import (
     parse_class_spec,
     path_graph,
     paw_graph,
+    poly_for_class,
+    polynomial_pruned,
     spec_label,
     star_graph,
 )
+from visipoly.classes import _FAMILIES
+from visipoly.closed_forms import _CLOSED_FORMS
 
 
 def test_build_class_basics():
@@ -83,3 +89,37 @@ def test_spec_labels():
     assert spec_label(CompleteBipartite(3, 4)) == "bipartite:3,4"
     assert spec_label(DisjointUnion((Path(3), Path(2)))) == "union:path:3+path:2"
     assert "join(" in spec_label(Join(Complete(2), Cycle(4)))
+
+
+# Each family as the docs state it: syntax name, graph constructor, least argument.
+FAMILIES = {
+    Path: ("path", path_graph, 1),
+    Cycle: ("cycle", cycle_graph, 3),
+    Complete: ("complete", complete_graph, 1),
+    Star: ("star", star_graph, 0),
+    CompleteBipartite: ("bipartite", complete_bipartite_graph, 1),
+}
+
+
+@pytest.mark.parametrize("spec_type", list(_FAMILIES), ids=lambda t: t.__name__)
+def test_family_table_row(spec_type):
+    assert set(_FAMILIES) == set(FAMILIES) == set(_CLOSED_FORMS) | {CompleteBipartite}
+    name, constructor, least = FAMILIES[spec_type]
+    arity = len(fields(spec_type))
+    for offset in range(5):
+        for slot in range(arity):
+            args = [least + 2] * arity
+            args[slot] = least + offset
+            spec = spec_type(*args)
+            label = f"{name}:" + ",".join(map(str, args))
+            assert spec_label(spec) == label
+            assert parse_class_spec(label) == spec
+            if spec_type is CompleteBipartite:
+                assert parse_class_spec("complete_bipartite" + label[len(name):]) == spec
+            assert build_class(spec) == constructor(*args)
+            assert poly_for_class(spec) == polynomial_pruned(build_class(spec)), label
+    for slot in range(arity):
+        args = [least] * arity
+        args[slot] = least - 1
+        with pytest.raises(ParameterError):
+            spec_type(*args)

@@ -195,11 +195,12 @@ def test_join_beyond_the_guardrail(capsys):
     )
     assert code == 0
     assert "polynomial: [1,70," in out
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "join", "--left", "complete:10", "--right", "cycle:60", "--check"
     )
     assert code == 4
     assert "64 vertices" in err
+    assert out == ""  # a refused check prints no result
 
 
 def test_console_script_installed(tmp_path, monkeypatch):

@@ -57,8 +57,7 @@ def test_empty_graph_polynomial_is_one():
 def test_bruteforce_guardrail():
     with pytest.raises(GuardrailError, match="pruned"):
         polynomial_bruteforce(empty_graph(26))
-    # configurable limit
-    assert polynomial_bruteforce(empty_graph(3), max_vertices=3) == Polynomial((1, 3))
+    assert polynomial_bruteforce(empty_graph(3)) == Polynomial((1, 3))
 
 
 def test_pruned_guardrail():
