@@ -25,7 +25,7 @@ SOURCE = Path(__file__).with_name("_walk.c")
 COUNTER_NAMES = ("nodes", "closed", "propagations")
 
 Counts = Union[List[int], Dict[Tuple[int, int], int]]
-Walk = Callable[[Sequence[int], bool, Optional[dict]], Counts]
+Walk = Callable[[Sequence[Sequence[int]], bool, Optional[dict]], List[Counts]]
 
 _UNSET = object()
 _walk: object = _UNSET
@@ -103,28 +103,42 @@ def _bind(path: Path) -> Walk:
 
     lib = ctypes.CDLL(str(path))
     word = ctypes.c_uint64
-    entry = lib.visipoly_walk
-    entry.argtypes = [ctypes.c_int, ctypes.POINTER(word), ctypes.c_int,
-                      ctypes.POINTER(word), ctypes.POINTER(word)]
+    entry = lib.visipoly_walk_many
+    entry.argtypes = [ctypes.c_int, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(word),
+                      ctypes.c_int, ctypes.POINTER(word), ctypes.POINTER(word)]
     entry.restype = ctypes.c_int
 
-    def walk(adj: Sequence[int], theta: bool, counters: Optional[dict] = None) -> Counts:
-        """Counts of the nonempty mutual-visibility sets of the graph with masks adj.
+    def walk(
+        adjs: Sequence[Sequence[int]], theta: bool, counters: Optional[dict] = None
+    ) -> List[Counts]:
+        """Counts of the nonempty mutual-visibility sets of each graph, one C call for all.
 
-        A list indexed by size (entry 0 stays 0), or with ``theta`` a dict
+        ``adjs`` holds one tuple of neighbourhood masks per graph. Per graph,
+        a list indexed by size (entry 0 stays 0), or with ``theta`` a dict
         keyed by (size, diameter) holding the nonzero counts. ``counters``
-        receives the walk counters of ``enumeration._walk_mv_sets``.
+        gains the walk counters of ``enumeration._walk_mv_sets``, summed
+        over the graphs.
         """
-        n = len(adj)
-        width = max(n, 1) if theta else 1
-        out = (word * ((n + 1) * width))()
+        orders = [len(adj) for adj in adjs]
+        masks = [mask for adj in adjs for mask in adj]
+        widths = [(n + 1) * (max(n, 1) if theta else 1) for n in orders]
+        out = (word * max(sum(widths), 1))()
         tally = (word * len(COUNTER_NAMES))()
-        if entry(n, (word * max(n, 1))(*adj), int(theta), out, tally):
+        if entry(len(orders), (ctypes.c_int * max(len(orders), 1))(*orders),
+                 (word * max(len(masks), 1))(*masks), int(theta), out, tally):
             raise MemoryError("the native walk could not allocate its tables")
         if counters is not None:
-            counters.update(zip(COUNTER_NAMES, tally))
-        if not theta:
-            return list(out)
-        return {divmod(i, width): c for i, c in enumerate(out) if c}
+            for name, value in zip(COUNTER_NAMES, tally):
+                counters[name] = counters.get(name, 0) + value
+        flat = out[:]
+        results: List[Counts] = []
+        start = 0
+        for n, width in zip(orders, widths):
+            counts = flat[start:start + width]
+            start += width
+            if theta:
+                counts = {divmod(i, max(n, 1)): c for i, c in enumerate(counts) if c}
+            results.append(counts)
+        return results
 
     return walk

@@ -7,15 +7,22 @@
  * tests. The Python walk is the reference; tests compare the two on every
  * count and on the walk counters.
  *
- * One call per graph: visipoly_walk(n, adj, theta, out, counters).
- *   n         order, 0..64
- *   adj       n neighbourhood masks
- *   theta     0: out[k] counts the nonempty sets of size k (k = 0..n);
- *             1: out[k * n + d] counts those of size k and diameter d
- *   out       zeroed by the caller, n + 1 or (n + 1) * n entries
- *   counters  three entries: nodes popped, nodes closed by the shortcut,
- *             membership propagations (visible() plus clear_targets())
- * Returns 0, or -1 when n is out of range or memory runs out.
+ * One call per batch of graphs:
+ * visipoly_walk_many(count, orders, adj, theta, out, counters).
+ *   count     number of graphs
+ *   orders    their orders, each 0..64
+ *   adj       their neighbourhood masks, packed: orders[0] masks, then
+ *             orders[1] masks, and so on
+ *   theta     0: a graph of order n owns n + 1 entries of out, and entry k
+ *             counts its nonempty sets of size k (k = 0..n);
+ *             1: it owns (n + 1) * max(n, 1) entries, and entry k * n + d
+ *             counts those of size k and diameter d
+ *   out       zeroed by the caller, the graphs' entries packed in turn
+ *   counters  three entries, summed over the graphs: nodes popped, nodes
+ *             closed by the shortcut, membership propagations (visible()
+ *             plus clear_targets())
+ * Returns 0, or -1 when an order is out of range or memory runs out; then
+ * nothing is counted.
  */
 
 #include <stdint.h>
@@ -340,33 +347,50 @@ static void visit(Walk *w, int size, uint64_t mask, int diam, uint64_t cand)
     }
 }
 
-int visipoly_walk(int n, const uint64_t *adj, int theta, uint64_t *out, uint64_t *counters)
+/* Count the sets of one graph into w->out; the caller set the rest of w. */
+static void walk_graph(Walk *w, int n, const uint64_t *adj)
 {
-    if (n < 0 || n > MAXN)
-        return -1;
-    Walk *w = malloc(sizeof *w);
-    if (!w)
-        return -1;
     w->n = n;
-    w->theta = theta;
-    w->out = out;
     w->adj = adj;
-    w->nodes = w->closed = w->propagations = 0;
-    for (int i = 0; i <= n; i++) {
-        w->binom[i][0] = w->binom[i][i] = 1;
-        for (int j = 1; j < i; j++)
-            w->binom[i][j] = w->binom[i - 1][j - 1] + w->binom[i - 1][j];
-    }
     for (int u = 0; u < n; u++) {
         bfs(w, u);
         memset(w->known[u], 0, (size_t)n);
     }
-    if (theta)
+    if (w->theta)
         for (int d = 0; d < n; d++)
             for (int v = 0; v < n; v++)
                 w->balls[d][v] = (d ? w->balls[d - 1][v] : 0)
                                  | (d < w->depth[v] ? w->layers[v][d] : 0);
     visit(w, 0, 0, 0, n == MAXN ? ~0ULL : (1ULL << n) - 1);
+}
+
+int visipoly_walk_many(int count, const int *orders, const uint64_t *adj, int theta,
+                       uint64_t *out, uint64_t *counters)
+{
+    int top = 0;
+    for (int g = 0; g < count; g++) {
+        if (orders[g] < 0 || orders[g] > MAXN)
+            return -1;
+        if (orders[g] > top)
+            top = orders[g];
+    }
+    Walk *w = malloc(sizeof *w);
+    if (!w)
+        return -1;
+    w->theta = theta;
+    w->nodes = w->closed = w->propagations = 0;
+    for (int i = 0; i <= top; i++) {
+        w->binom[i][0] = w->binom[i][i] = 1;
+        for (int j = 1; j < i; j++)
+            w->binom[i][j] = w->binom[i - 1][j - 1] + w->binom[i - 1][j];
+    }
+    for (int g = 0; g < count; g++) {
+        int n = orders[g];
+        w->out = out;
+        walk_graph(w, n, adj);
+        adj += n;
+        out += (size_t)(n + 1) * (theta && n ? n : 1);
+    }
     counters[0] = w->nodes;
     counters[1] = w->closed;
     counters[2] = w->propagations;

@@ -1,6 +1,8 @@
 """Closed-form visibility polynomials and the two composition laws.
 
-Each closed form is guarded by the hypotheses it was proved under. The join
+Each closed form is guarded by the hypotheses it was proved under. A family's
+closed form checks its argument by building the family's spec, so each domain
+and its error text live in one row of ``classes._FAMILIES``. The join
 law holds for every pair of operands, complete or not, so the dispatcher
 enumerates a whole graph only for raw specs. All coefficients are exact
 integers.
@@ -32,15 +34,13 @@ from .visibility import compute_stats
 
 def poly_path(n: int) -> Polynomial:
     """1 + n x + C(n,2) x^2: no mutual-visibility set of a path exceeds two vertices."""
-    if n < 1:
-        raise ParameterError("path order must be at least 1")
+    Path(n)
     return Polynomial((1, n, comb(n, 2)))
 
 
 def poly_complete(n: int) -> Polynomial:
     """(1+x)^n: every subset of a complete graph is a mutual-visibility set."""
-    if n < 1:
-        raise ParameterError("complete graph order must be at least 1")
+    Complete(n)
     return Polynomial(tuple(comb(n, i) for i in range(n + 1)))
 
 
@@ -52,8 +52,7 @@ def poly_star(n: int) -> Polynomial:
     n=0 gives 1+x (a single vertex) and n=1 gives (1+x)^2 (a single edge),
     both confirmed against enumeration.
     """
-    if n < 0:
-        raise ParameterError("star leaf count must be nonnegative")
+    Star(n)
     coeffs = [comb(n, i) for i in range(n + 1)]
     while len(coeffs) < 3:
         coeffs.append(0)
@@ -64,8 +63,7 @@ def poly_star(n: int) -> Polynomial:
 
 def r_mu_cycle(n: int) -> int:
     """Number of maximum mutual-visibility sets (triples) of the n-cycle."""
-    if n < 3:
-        raise ParameterError("cycle order must be at least 3")
+    Cycle(n)
     if n % 2:
         value = n * (n * n - 1)
     else:
@@ -76,8 +74,7 @@ def r_mu_cycle(n: int) -> int:
 
 def poly_cycle(n: int) -> Polynomial:
     """1 + n x + C(n,2) x^2 + r3 x^3 with the parity-dependent triple count."""
-    if n < 3:
-        raise ParameterError("cycle order must be at least 3")
+    Cycle(n)
     return Polynomial((1, n, comb(n, 2), r_mu_cycle(n)))
 
 

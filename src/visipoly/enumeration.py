@@ -32,10 +32,11 @@ The walk runs on an explicit stack and tests each child incrementally:
   distance D of each other and of every member; the cliques new at D are
   the sets of diameter D.
 
-The counting calls (``polynomial_pruned``, ``count_by_size_and_diameter``)
-run this walk in C: ``_walk.c`` ports it on 64-bit masks, one call per
-graph, and ``_native`` builds it with the system C compiler on first use.
-The native walk visits the same nodes and makes the same tests, so it
+The counting calls (``polynomial_pruned``, ``count_by_size_and_diameter``,
+``run_batch``) run this walk in C: ``_walk.c`` ports it on 64-bit masks, one
+call per list of graphs (a chunk of records for ``run_batch``, a list of one
+otherwise), and ``_native`` builds it with the system C compiler on first
+use. The native walk visits the same nodes and makes the same tests, so it
 reports the same counters. Without a compiler they run the Python walk
 below, which stays the reference; ``iter_mv_sets`` and brute force always
 run in Python.
@@ -138,7 +139,7 @@ def _walk_mv_sets(
     A node whose members together with all its passed candidates form a
     mutual-visibility set then counts its whole subtree without walking it.
 
-    When the walk ends, ``counters`` (if given) receives the nodes popped,
+    When the walk ends, ``counters`` (if given) gains the nodes popped,
     the nodes closed by that shortcut and the membership propagations
     (``_visible_from_source`` and ``_clear_targets`` calls, those of
     ``_closes`` included). The native walk of ``_walk.c`` reports the same.
@@ -263,7 +264,9 @@ def _walk_mv_sets(
         children.reverse()
         stack.extend(children)
     if counters is not None:
-        counters.update(nodes=nodes, closed=closed, propagations=propagations + in_closes[0])
+        for name, value in (("nodes", nodes), ("closed", closed),
+                            ("propagations", propagations + in_closes[0])):
+            counters[name] = counters.get(name, 0) + value
 
 
 def _closes(
@@ -410,24 +413,28 @@ def _check_pruned_guardrail(n: int) -> None:
         )
 
 
-def _count_sets(g: Graph, theta: bool, counters: Optional[dict] = None):
-    """Counts of the nonempty mutual-visibility sets, by size or by (size, diameter).
+def _count_sets(graphs: Sequence[Graph], theta: bool, counters: Optional[dict] = None) -> list:
+    """Counts of the nonempty mutual-visibility sets of each graph, by size or by (size, diameter).
 
-    A list indexed by size (entry 0 left at 0) or a dict keyed by (size,
-    diameter). The native walk counts them when it can be built; otherwise
-    the Python walk does, over a ``VisibilityContext``. Both give the same
-    counts and the same ``counters``.
+    Per graph, a list indexed by size (entry 0 left at 0) or a dict keyed by
+    (size, diameter). The native walk counts all the graphs in one call when
+    it can be built; otherwise the Python walk counts them one by one, each
+    over a ``VisibilityContext``. Both give the same counts and add the same
+    ``counters``, summed over the graphs.
     """
     from . import _native  # not at package import: it may build the library
 
-    _check_pruned_guardrail(g.n)
+    for g in graphs:
+        _check_pruned_guardrail(g.n)
     walk = _native.load()
     if walk is not None:
-        return walk(g.adj, theta, counters)
-    sink: Union[List[int], Dict[Tuple[int, int], int]] = {} if theta else [0] * (g.n + 1)
-    for _ in _walk_mv_sets(VisibilityContext(g), sink, counters):
-        pass
-    return sink
+        return walk([g.adj for g in graphs], theta, counters)
+    sinks: List[Union[List[int], Dict[Tuple[int, int], int]]] = []
+    for g in graphs:
+        sinks.append({} if theta else [0] * (g.n + 1))
+        for _ in _walk_mv_sets(VisibilityContext(g), sinks[-1], counters):
+            pass
+    return sinks
 
 
 def polynomial_pruned(g: Graph) -> Polynomial:
@@ -435,7 +442,7 @@ def polynomial_pruned(g: Graph) -> Polynomial:
 
     Output contract is identical to polynomial_bruteforce.
     """
-    counts = _count_sets(g, theta=False)
+    (counts,) = _count_sets([g], theta=False)
     counts[0] = 1
     return Polynomial(tuple(counts))
 
@@ -445,4 +452,5 @@ def count_by_size_and_diameter(g: Graph) -> Dict[Tuple[int, int], int]:
 
     Same enumeration as polynomial_pruned; the empty set is not classified.
     """
-    return _count_sets(g, theta=True)
+    (table,) = _count_sets([g], theta=True)
+    return table

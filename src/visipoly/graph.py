@@ -70,17 +70,21 @@ class Graph:
             raise ParameterError(
                 f"expected {self.n} adjacency masks, got {len(self.adj)}"
             )
+        adj = self.adj
         full = (1 << self.n) - 1
         degree_total = 0
-        for u, mask in enumerate(self.adj):
+        for u, mask in enumerate(adj):
             if mask & ~full:
                 raise ParameterError(f"adjacency mask of vertex {u} is out of range")
             if (mask >> u) & 1:
                 raise ParameterError(f"self-loop at vertex {u}")
             degree_total += mask.bit_count()
-            for v in iter_bits(mask):
-                if not (self.adj[v] >> u) & 1:
+            while mask:
+                low = mask & -mask
+                v = low.bit_length() - 1
+                if not (adj[v] >> u) & 1:
                     raise ParameterError(f"adjacency is not symmetric for ({u}, {v})")
+                mask ^= low
         object.__setattr__(self, "edge_count", degree_total // 2)
 
     @classmethod

@@ -16,6 +16,8 @@ from .graph import Graph
 
 HEADER = ">>graph6<<"
 _MAX_LONG_ORDER = (1 << 18) - 1
+# The six bits of each byte 63..126, last bit first.
+_REVERSED_BITS = [""] * 63 + [format(value, "06b")[::-1] for value in range(64)]
 
 
 def _record_bytes(line) -> bytes:
@@ -34,9 +36,10 @@ def parse_graph6(line) -> Graph:
         data = data[len(HEADER):]
     if not data:
         raise FormatError("empty graph6 record")
-    for pos, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise FormatError(f"byte {byte} outside graph6 range 63..126", offset=pos)
+    if min(data) < 63 or max(data) > 126:
+        for pos, byte in enumerate(data):
+            if not 63 <= byte <= 126:
+                raise FormatError(f"byte {byte} outside graph6 range 63..126", offset=pos)
     if data[0] == 126:
         if len(data) < 4:
             raise FormatError("truncated long-form order field")
@@ -61,21 +64,22 @@ def parse_graph6(line) -> Graph:
         raise FormatError(
             "trailing bytes after adjacency section", offset=header_len + expected
         )
+    # Bit k of ``bits`` is bit k of the adjacency section, so column j, the
+    # bits x(0, j) .. x(j-1, j), is the j-bit slice starting at j(j-1)/2.
+    bits = int("".join(map(_REVERSED_BITS.__getitem__, reversed(body))) or "0", 2)
+    if bits >> bit_count:
+        raise FormatError(
+            "nonzero padding bits in final byte", offset=header_len + expected - 1
+        )
     masks = [0] * n
-    index = 0
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            byte = body[index // 6] - 63
-            if (byte >> (5 - index % 6)) & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            index += 1
-    if expected:
-        pad_bits = expected * 6 - bit_count
-        if pad_bits and (body[-1] - 63) & ((1 << pad_bits) - 1):
-            raise FormatError(
-                "nonzero padding bits in final byte", offset=header_len + expected - 1
-            )
+        column = masks[j] = (bits >> start) & ((1 << j) - 1)
+        start += j
+        while column:
+            low = column & -column
+            masks[low.bit_length() - 1] |= 1 << j
+            column ^= low
     return Graph(n, tuple(masks))
 
 

@@ -8,6 +8,7 @@ import pytest
 from oracles import random_graph
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "connected_n1-7.txt"
 
 
 def corpus_path(order: int) -> Path:

@@ -1,14 +1,46 @@
 from __future__ import annotations
 
+import multiprocessing
 import random
+from collections import Counter
 
 import pytest
 
-from visipoly import FormatError, cycle_graph, diamond_graph, run_batch, run_batch_file
-from visipoly.batch import effective_workers
+import visipoly.batch as batch
+from visipoly import (
+    FormatError,
+    GuardrailError,
+    cycle_graph,
+    diamond_graph,
+    encode_graph6,
+    parse_graph6,
+    path_graph,
+    run_batch,
+    run_batch_file,
+)
+from visipoly.batch import CHUNK_RECORDS, effective_workers
+from visipoly.cli import main
 
-from conftest import corpus_path
+from conftest import GOLDEN, corpus_path, pin_python_walk
 from oracles import are_isomorphic
+
+
+def record_pools(monkeypatch):
+    """The worker counts of the pools run_batch starts from now on."""
+    started = []
+    real_pool = multiprocessing.Pool
+
+    def pool(*args, **kwargs):
+        started.append(kwargs["processes"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    return started
+
+
+def force_pool(monkeypatch):
+    """Let no chunk run in-process when there is more than one worker."""
+    monkeypatch.setattr(batch, "SERIAL_SLICE_S", 0)
 
 
 def report_tuple(report):
@@ -42,13 +74,18 @@ def test_order4_modal_graphs_are_c4_and_diamond():
     assert sum(1 for g in modal if are_isomorphic(g, diamond_graph())) == 1
 
 
-def test_grouping_independent_of_order_and_workers():
+def test_grouping_independent_of_order_and_workers(monkeypatch):
     lines = [l for l in corpus_path(5).read_text().splitlines() if l.strip()]
     shuffled = lines[:]
     random.Random(5).shuffle(shuffled)
+    started = record_pools(monkeypatch)
     base = report_tuple(run_batch(lines, workers=1)[0])
     assert report_tuple(run_batch(shuffled, workers=1)[0]) == base
     assert report_tuple(run_batch(shuffled, workers=2)[0]) == base
+    assert started == []  # 21 records finish inside the slice
+    force_pool(monkeypatch)
+    assert report_tuple(run_batch(shuffled, workers=2)[0]) == base
+    assert started == [2]
 
 
 def test_mixed_orders_reported_separately():
@@ -75,11 +112,14 @@ def test_skip_bad_keeps_going():
     assert sum(r.total_graphs for r in reports) == 2
 
 
-def test_worker_pool_error_handling():
-    with pytest.raises(FormatError):
+def test_worker_pool_error_handling(monkeypatch):
+    started = record_pools(monkeypatch)
+    force_pool(monkeypatch)
+    with pytest.raises(FormatError, match="line 2"):
         run_batch(["A_", "A=", "Bw"], workers=2)
     reports = run_batch(["A_", "A=", "Bw"], workers=2, skip_bad=True)
     assert sum(r.total_graphs for r in reports) == 2
+    assert started == [2, 2]
 
 
 def test_header_line_is_tolerated():
@@ -104,3 +144,83 @@ def test_effective_workers_env_cap(monkeypatch):
         effective_workers(4)
     monkeypatch.delenv("VISIPOLY_THREADS")
     assert effective_workers(3) == 3
+
+
+TOO_LARGE = encode_graph6(path_graph(65))
+
+
+@pytest.mark.parametrize(
+    "lines, error, code",
+    [
+        (["A_", "A=", TOO_LARGE], FormatError, 2),
+        (["A_", TOO_LARGE, "A="], GuardrailError, 4),
+    ],
+)
+def test_first_bad_record_decides_the_error_for_every_worker_count(
+    monkeypatch, capsys, tmp_path, lines, error, code
+):
+    path = tmp_path / "bad.g6"
+    path.write_text("\n".join(lines) + "\n")
+    started = record_pools(monkeypatch)
+    outcomes = []
+    for workers, forced in ((1, False), (2, False), (2, True)):
+        if forced:
+            force_pool(monkeypatch)
+        with pytest.raises(error) as raised:
+            run_batch(lines, workers=workers)
+        assert main(["batch", "--input", str(path), "--workers", str(workers)]) == code
+        outcomes.append((str(raised.value), capsys.readouterr().err))
+    assert started == [2, 2]
+    assert outcomes[0][0].startswith("line 2: ")
+    assert outcomes[0][1] == f"error: {outcomes[0][0]}\n"
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def test_skip_bad_skips_no_guardrail_refusal():
+    with pytest.raises(GuardrailError, match="^line 2: enumeration is limited to 64"):
+        run_batch(["A_", TOO_LARGE, "A="], workers=1, skip_bad=True)
+
+
+def test_input_is_read_one_chunk_at_a_time(monkeypatch):
+    def lines(pulled):
+        for i in range(40 * CHUNK_RECORDS):
+            pulled.append(i)
+            yield "A=" if i == 1 else "A_"
+
+    pulled = []
+    with pytest.raises(FormatError, match="line 2"):
+        run_batch(lines(pulled), workers=1)
+    assert len(pulled) <= CHUNK_RECORDS
+    force_pool(monkeypatch)
+    pulled = []
+    with pytest.raises(FormatError, match="line 2"):
+        run_batch(lines(pulled), workers=2)
+    assert len(pulled) <= (batch.POOL_CHUNKS_PER_WORKER * 2 + 1) * CHUNK_RECORDS
+
+
+def golden_histograms():
+    histograms = {}
+    for line in GOLDEN.read_text("ascii").splitlines():
+        record, poly, _ = line.split(" ")
+        histograms.setdefault(parse_graph6(record).n, Counter())[poly] += 1
+    return histograms
+
+
+@pytest.mark.parametrize("path", ["serial", "pool", "slice then pool", "python walk"])
+def test_run_batch_reproduces_golden_file(monkeypatch, path):
+    records = [line.split(" ", 1)[0] for line in GOLDEN.read_text("ascii").splitlines()]
+    started = record_pools(monkeypatch)
+    if path == "pool":
+        force_pool(monkeypatch)
+    if path == "slice then pool":
+        # A clock that ticks once a read: the first chunk runs in-process, the rest pooled.
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(batch, "perf_counter", lambda: next(ticks))
+        monkeypatch.setattr(batch, "SERIAL_SLICE_S", 1.5)
+    if path == "python walk":
+        pin_python_walk(monkeypatch)
+    pooled = path in ("pool", "slice then pool")
+    reports = run_batch(records, workers=2 if pooled else 1, keep_histogram=True)
+    assert {r.order: r.histogram for r in reports} == golden_histograms()
+    assert sum(r.total_graphs for r in reports) == 996
+    assert started == ([2] if pooled else [])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from visipoly import (
 )
 
 from conftest import corpus_path
+from oracles import random_graph
 
 
 def test_parse_k2():
@@ -60,6 +63,37 @@ def test_parse_errors_carry_offsets():
         parse_graph6("A__")
     with pytest.raises(FormatError, match="padding"):
         parse_graph6("A" + chr(63 + 1))  # nonzero bits below the single pair bit
+
+
+def test_error_texts_and_offsets_in_both_order_forms():
+    long_record = encode_graph6(cycle_graph(65))  # 2080 pair bits, 2 padding bits
+    cases = [
+        ("A=", "byte 61 outside graph6 range 63..126 (byte offset 1)"),
+        ("D~", "truncated adjacency section: expected 2 bytes, got 1"),
+        ("A__", "trailing bytes after adjacency section (byte offset 2)"),
+        ("A" + chr(64), "nonzero padding bits in final byte (byte offset 1)"),
+        (long_record[:-1], "truncated adjacency section: expected 347 bytes, got 346"),
+        (long_record + "?", "trailing bytes after adjacency section (byte offset 351)"),
+        (long_record[:-1] + chr(ord(long_record[-1]) + 1),
+         "nonzero padding bits in final byte (byte offset 350)"),
+        (chr(126) + "??", "truncated long-form order field"),
+    ]
+    for record, message in cases:
+        with pytest.raises(FormatError) as raised:
+            parse_graph6(record)
+        assert str(raised.value) == message, record
+
+
+def test_round_trip_on_seeded_random_graphs_up_to_order_70():
+    rng = random.Random(70)
+    for n in range(71):
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, p)
+            record = encode_graph6(g)
+            assert parse_graph6(record) == g
+            assert parse_graph6(record).adj == g.adj
+            decoded = nx.from_graph6_bytes(record.encode("ascii"))
+            assert {frozenset(e) for e in decoded.edges()} == {frozenset(e) for e in g.edges()}
 
 
 def test_wide_order_rejected():

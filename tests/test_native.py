@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import random
-from pathlib import Path
 
 import pytest
 
 import visipoly._native as native
 from visipoly import (
     Graph,
+    Polynomial,
     VisibilityContext,
     complete_graph,
     components,
@@ -32,10 +32,8 @@ from visipoly import (
 from visipoly.cli import main
 from visipoly.enumeration import _count_sets, _walk_mv_sets
 
-from conftest import corpus_path, pin_python_walk
+from conftest import GOLDEN, corpus_path, pin_python_walk
 from oracles import golden_line, oracle_golden_line, random_graph
-
-GOLDEN = Path(__file__).resolve().parent / "golden" / "connected_n1-7.txt"
 
 
 @pytest.fixture
@@ -133,20 +131,43 @@ def test_walks_agree_on_counts_and_counters(native_walk):
     for g in graphs:
         for theta in (False, True):
             counters = {}
-            counts = native_walk(g.adj, theta, counters)
+            (counts,) = native_walk([g.adj], theta, counters)
             assert (counts, counters) == python_counts(g, theta), (g, theta)
             assert set(counters) == {"nodes", "closed", "propagations"}
             assert counters["nodes"] >= 1
 
 
+def test_many_graph_entry_matches_per_graph_calls(native_walk):
+    """One call over the corpus and orders 0, 1 and 64 against one call per graph."""
+    records = golden_records()
+    corpus = [parse_graph6(record) for record in records]
+    extra = [empty_graph(0), empty_graph(1), path_graph(64), complete_graph(64), empty_graph(0)]
+    graphs = extra[:2] + corpus[:500] + extra[2:4] + corpus[500:] + extra[4:]
+    tables = {}
+    for theta in (False, True):
+        many_counters, one_counters = {}, {}
+        many = native_walk([g.adj for g in graphs], theta, many_counters)
+        assert many == [native_walk([g.adj], theta, one_counters)[0] for g in graphs]
+        assert many_counters == one_counters  # each call adds its counters
+        assert many_counters["nodes"] >= len(graphs)
+        tables[theta] = many[2:502] + many[504:-1]
+    lines = []
+    for record, counts, table in zip(records, tables[False], tables[True]):
+        lines.append(golden_line(record, Polynomial((1, *counts[1:])), table))
+    assert "\n".join(lines) + "\n" == GOLDEN.read_text("ascii")
+
+
 def test_count_sets_reports_the_same_counters_on_both_walks(native_walk, monkeypatch):
-    g = benchmark_graphs(9002)[0]
+    graphs = benchmark_graphs(9002)[:3] + [empty_graph(0)]
     native_counters, python_counters = {}, {}
-    counts = _count_sets(g, theta=False, counters=native_counters)
+    counts = _count_sets(graphs, theta=False, counters=native_counters)
     pin_python_walk(monkeypatch)
-    assert _count_sets(g, theta=False, counters=python_counters) == counts
-    assert native_counters == python_counters
+    assert _count_sets(graphs, theta=False, counters=python_counters) == counts
+    assert native_counters == python_counters  # summed over the graphs on both walks
     assert native_counters["closed"] > 0
+    one = {}
+    _count_sets(graphs[:1], theta=False, counters=one)
+    assert native_counters["nodes"] > one["nodes"]
 
 
 def poly_json(capsys, *argv):
@@ -184,7 +205,7 @@ def test_build_into_empty_cache(native_walk, monkeypatch, tmp_path):
     assert walk is not None
     (built,) = (tmp_path / "cache").iterdir()  # the temporary file is gone
     assert built.name.startswith("walk-") and built.suffix == ".so"
-    assert walk(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+    assert walk([cycle_graph(7).adj], False) == [[0, 7, 21, 14, 0, 0, 0, 0]]
 
 
 def test_poly_json_names_the_walk(capsys):
