@@ -41,7 +41,7 @@ def poly_path(n: int) -> Polynomial:
 def poly_complete(n: int) -> Polynomial:
     """(1+x)^n: every subset of a complete graph is a mutual-visibility set."""
     Complete(n)
-    return Polynomial(tuple(comb(n, i) for i in range(n + 1)))
+    return Polynomial(tuple([comb(n, i) for i in range(n + 1)]))
 
 
 def poly_star(n: int) -> Polynomial:

@@ -2,12 +2,19 @@
 
 Two engines produce the same coefficient vector. The brute-force engine
 tests every subset of every size, exactly the shape whose total cost is
-O(|V| (|V|+|E|) 2^|V|). The pruned engine walks a depth-first
-set-enumeration tree instead: a node holds a mutual-visibility set and
-extends it only with vertices above its maximum, and a child that fails the
-membership test is cut off together with its whole subtree. The pruning is
-sound because the property is hereditary: every subset of a
-mutual-visibility set is one, so no failing set has a passing superset.
+O(|V| (|V|+|E|) 2^|V|). It tests them in bit slices: the 2^14 subsets of
+the low 14 vertices are the bit positions of one integer, each vertex's
+membership and each subset size is a fixed pattern over those bits, and
+one clear-set propagation per source, made of integer ORs and ANDs, tests
+every subset of a block at once; the high vertices are fixed per block.
+It shares only the BFS layers with the walks below.
+
+The pruned engine walks a depth-first set-enumeration tree instead: a node
+holds a mutual-visibility set and extends it only with vertices above its
+maximum, and a child that fails the membership test is cut off together
+with its whole subtree. The pruning is sound because the property is
+hereditary: every subset of a mutual-visibility set is one, so no failing
+set has a passing superset.
 
 The walk runs on an explicit stack and tests each child incrementally:
 
@@ -44,7 +51,6 @@ run in Python.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -54,14 +60,21 @@ from .polynomial import Polynomial
 from .visibility import VisibilityContext, _clique_counts, _visible_from_source
 
 BRUTEFORCE_MAX_VERTICES = 25
+SLICE_VERTICES = 14  # brute force tests the 2^14 subsets of one block at once
 PRUNED_MAX_VERTICES = 64
 
 
 def polynomial_bruteforce(g: Graph) -> Polynomial:
-    """Visibility polynomial by testing all subsets, size by size.
+    """Visibility polynomial by testing all subsets, a block of 2^14 at a time.
 
     Coefficient k is the number of mutual-visibility sets of cardinality k;
-    the empty set contributes coefficient 1 at degree 0.
+    the empty set contributes coefficient 1 at degree 0. The subsets of the
+    low L = min(n, ``SLICE_VERTICES``) vertices are the bit positions of one
+    integer, and each of the 2^(n-L) blocks fixes which high vertices are
+    in the set. Per block, ``_bad_subsets`` runs one clear-set propagation
+    from each vertex for all the block's subsets at once and marks every
+    subset with a pair that does not see each other: still O(n (n+m) 2^n)
+    bit operations, with no heredity and no pruning.
     """
     n = g.n
     if n > BRUTEFORCE_MAX_VERTICES:
@@ -69,25 +82,76 @@ def polynomial_bruteforce(g: Graph) -> Polynomial:
             f"brute force over 2^{n} subsets refused (limit {BRUTEFORCE_MAX_VERTICES} vertices); "
             "use polynomial_pruned or a closed form"
         )
-    ctx = VisibilityContext(g)
-    adj = ctx.adj
-    layers = ctx.layers
+    low = min(n, SLICE_VERTICES)
+    # Bit s of low_member[w] says w is in subset s of the low vertices, and
+    # bit s of size[k] says that subset has k vertices.
+    width = 1
+    low_member: List[int] = []
+    size = [1]
+    for _ in range(low):
+        low_member = [m | m << width for m in low_member]
+        low_member.append(((1 << width) - 1) << width)
+        size = [a | b << width for a, b in zip(size + [0], [0] + size)]
+        width <<= 1
+    full = (1 << width) - 1
+
+    # For each source u, every other vertex w with its BFS predecessors from
+    # u, in BFS order; an unreachable w comes last with none.
+    layers = VisibilityContext(g).layers
+    steps = []
+    for u in range(n):
+        lu = layers[u]
+        order = []
+        reached = 1 << u
+        for d in range(1, len(lu)):
+            reached |= lu[d]
+            for w in iter_bits(lu[d]):
+                order.append((w, list(iter_bits(g.adj[w] & lu[d - 1]))))
+        order += [(w, []) for w in iter_bits(((1 << n) - 1) & ~reached)]
+        steps.append(order)
+
     counts = [0] * (n + 1)
-    counts[0] = 1
-    bit = [1 << v for v in range(n)]
-    for k in range(1, n + 1):
-        total = 0
-        for combo in combinations(range(n), k):
-            x_mask = 0
-            for v in combo:
-                x_mask |= bit[v]
-            for u in combo:
-                if not _visible_from_source(adj, layers[u], u, x_mask):
-                    break
-            else:
-                total += 1
-        counts[k] = total
+    for high in range(1 << (n - low)):
+        member = low_member + [full if high >> j & 1 else 0 for j in range(n - low)]
+        good = full ^ _bad_subsets(member, full, steps)
+        offset = high.bit_count()
+        for k, pattern in enumerate(size):
+            counts[offset + k] += (good & pattern).bit_count()
     return Polynomial(tuple(counts))
+
+
+def _bad_subsets(
+    member: Sequence[int], full: int, steps: Sequence[Sequence[Tuple[int, List[int]]]]
+) -> int:
+    """The subsets of one block that are not mutual-visibility sets, as a bit slice.
+
+    ``member[w]`` has bit s set when vertex w is in subset s, and ``full``
+    has one bit per subset of the block. From each source u, clear[w] holds
+    the subsets with a shortest u-w path whose interior avoids the set: the
+    union, over the BFS predecessors p of w, of clear[p] without the subsets
+    that hold p, where the source itself never blocks. A subset is bad when
+    it holds some u < w with w not clear from u; a source that is in no
+    subset of the block is skipped.
+    """
+    n = len(member)
+    passes = [0] * n
+    bad = 0
+    for u, order in enumerate(steps):
+        mu = member[u]
+        if not mu:
+            continue
+        passes[u] = full
+        missed = 0
+        for w, preds in order:
+            clear = 0
+            for p in preds:
+                clear |= passes[p]
+            mw = member[w]
+            passes[w] = clear & ~mw
+            if w > u:
+                missed |= mw & ~clear
+        bad |= mu & missed
+    return bad
 
 
 def _clear_targets(

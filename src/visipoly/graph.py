@@ -70,22 +70,10 @@ class Graph:
             raise ParameterError(
                 f"expected {self.n} adjacency masks, got {len(self.adj)}"
             )
-        adj = self.adj
-        full = (1 << self.n) - 1
-        degree_total = 0
-        for u, mask in enumerate(adj):
-            if mask & ~full:
-                raise ParameterError(f"adjacency mask of vertex {u} is out of range")
-            if (mask >> u) & 1:
-                raise ParameterError(f"self-loop at vertex {u}")
-            degree_total += mask.bit_count()
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                if not (adj[v] >> u) & 1:
-                    raise ParameterError(f"adjacency is not symmetric for ({u}, {v})")
-                mask ^= low
-        object.__setattr__(self, "edge_count", degree_total // 2)
+        edges = _count_edges_quick(self.adj)
+        if edges < 0:
+            edges = _count_edges_checked(self.adj)
+        object.__setattr__(self, "edge_count", edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -120,6 +108,52 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _count_edges_quick(adj: Sequence[int]) -> int:
+    """The edge count of a valid adjacency, or -1 when it may be invalid.
+
+    Each edge is tested from its lower end only. The upper bits all being
+    mirrored and the total degree being twice their count together make the
+    relation symmetric, since each upper bit then accounts for one lower bit.
+    """
+    full = (1 << len(adj)) - 1
+    degree_total = upper_total = 0
+    for u, mask in enumerate(adj):
+        if mask & ~full or (mask >> u) & 1:
+            return -1
+        degree_total += mask.bit_count()
+        upper = mask >> (u + 1)
+        upper_total += upper.bit_count()
+        while upper:
+            low = upper & -upper
+            if not (adj[u + low.bit_length()] >> u) & 1:
+                return -1
+            upper ^= low
+    return upper_total if degree_total == 2 * upper_total else -1
+
+
+def _count_edges_checked(adj: Sequence[int]) -> int:
+    """The edge count, testing every edge from both ends in vertex order.
+
+    Raises ``ParameterError`` for the first fault: a mask out of range, a
+    self-loop or an asymmetric pair.
+    """
+    full = (1 << len(adj)) - 1
+    degree_total = 0
+    for u, mask in enumerate(adj):
+        if mask & ~full:
+            raise ParameterError(f"adjacency mask of vertex {u} is out of range")
+        if (mask >> u) & 1:
+            raise ParameterError(f"self-loop at vertex {u}")
+        degree_total += mask.bit_count()
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            if not (adj[v] >> u) & 1:
+                raise ParameterError(f"adjacency is not symmetric for ({u}, {v})")
+            mask ^= low
+    return degree_total // 2
 
 
 def bfs(adj: Sequence[int], source: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -196,7 +230,7 @@ def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ParameterError("order must be nonnegative")
     full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << u) for u in range(n)))
+    return Graph(n, tuple([full & ~(1 << u) for u in range(n)]))
 
 
 def star_graph(n: int) -> Graph:
@@ -245,7 +279,7 @@ def disjoint_union(gs: Sequence[Graph]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~(mask | (1 << u)) for u, mask in enumerate(g.adj)))
+    return Graph(g.n, tuple([full & ~(mask | (1 << u)) for u, mask in enumerate(g.adj)]))
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:

@@ -96,7 +96,7 @@ class Polynomial:
         if not inner:
             return cls()
         try:
-            coeffs = tuple(int(tok) for tok in inner.split(","))
+            coeffs = tuple([int(tok) for tok in inner.split(",")])
         except ValueError:
             raise FormatError(f"bad coefficient in {text!r}") from None
         return cls(coeffs)

@@ -74,8 +74,8 @@ class VisibilityContext:
         self.n = graph.n
         self.adj = graph.adj
         tables = [bfs(graph.adj, src) for src in range(graph.n)]
-        self.layers = tuple(layers for layers, _ in tables)
-        self.rows = tuple(row for _, row in tables)
+        self.layers = tuple([layers for layers, _ in tables])
+        self.rows = tuple([row for _, row in tables])
 
     def dist(self, u: int, v: int) -> Distance:
         """Distance from u to v, or the UNREACHABLE sentinel."""

@@ -237,45 +237,50 @@ def test_criterion_8_complete_graph_characterization():
     report("criterion 8 (degree n exactly for complete graphs)", not failures)
 
 
-# Band for the change in time per membership test from K_n to K_(n+2),
-# symmetric on a log scale around 1. Recorded runs on a shared 2-vCPU host
-# gave ratios from 0.83 to 1.20; one K_16 run alone varied from 0.33 s to
-# 0.59 s there (listed in CHANGES.md).
+# Band for the change in time per (subset x vertex pair) from K_n to
+# K_(n+2), symmetric on a log scale around 1. On a shared 2-vCPU host the
+# bit-sliced engine gave ratios from 0.88 to 1.04 over K_18 -> K_22 in ten
+# runs of five rounds, and 0.73 to 1.12 with three rounds (listed in
+# CHANGES.md).
 BAND_LOW, BAND_HIGH = 2 / 3, 3 / 2
 
 
-def membership_tests_on_complete(n):
-    """Brute-force membership tests on K_n.
+def subset_pairs(n):
+    """Brute-force work on an n-vertex graph: every subset against every vertex pair.
 
-    Every subset of K_n is a mutual-visibility set, so each member of each
-    subset is tested once: sum_k k C(n,k) = n 2^(n-1) tests, a growth of
-    4 (n+2)/n per two added vertices.
+    There are 2^n subsets and C(n, 2) pairs, a growth of
+    4 (n+2)(n+1)/(n(n-1)) per two added vertices.
     """
-    return n * 2 ** (n - 1)
+    return 2 ** n * comb(n, 2)
 
 
 def test_criterion_9_bruteforce_scaling_band(monkeypatch):
-    original = enumeration._visible_from_source
-    for n in (12, 14, 16):
-        calls = 0
+    # Exactly 2^n subsets evaluated, also where over 90% of them fail, so no
+    # block is skipped and nothing is pruned.
+    original = enumeration._bad_subsets
+    sparse = random_graph(random.Random(2009), 16, 0.3)
+    for g in (complete_graph(12), complete_graph(14), complete_graph(16), sparse):
+        evaluated = 0
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return original(*args)
+        def counting(member, full, steps):
+            nonlocal evaluated
+            evaluated += full.bit_count()
+            return original(member, full, steps)
 
         with monkeypatch.context() as m:
-            m.setattr(enumeration, "_visible_from_source", counting)
-            polynomial_bruteforce(complete_graph(n))
-        assert calls == membership_tests_on_complete(n), (n, calls)
+            m.setattr(enumeration, "_bad_subsets", counting)
+            poly = polynomial_bruteforce(g)
+        assert evaluated == 2 ** g.n, (g, evaluated)
+        assert poly == polynomial_pruned(g), g
+    assert polynomial_pruned(sparse).evaluate(1) < 2 ** sparse.n // 10
 
-    polynomial_bruteforce(complete_graph(14))  # warm-up
-    sizes = (16, 18, 20)
+    polynomial_bruteforce(complete_graph(16))  # warm-up
+    sizes = (18, 20, 22)
     graphs = {n: complete_graph(n) for n in sizes}
     timings = dict.fromkeys(sizes, float("inf"))
     # Interleaved rounds, minimum per size: a slow spell on a shared host
     # then slows one round of every size instead of all runs of one size.
-    for _ in range(3):
+    for _ in range(5):
         for n in sizes:
             gc.disable()
             start = time.perf_counter()
@@ -284,13 +289,13 @@ def test_criterion_9_bruteforce_scaling_band(monkeypatch):
             gc.enable()
             assert poly.coeffs == tuple(comb(n, i) for i in range(n + 1))
             timings[n] = min(timings[n], elapsed)
-    ratios = (timings[18] / timings[16], timings[20] / timings[18])
-    per_test = {n: timings[n] / membership_tests_on_complete(n) for n in sizes}
-    per_test_ratios = (per_test[18] / per_test[16], per_test[20] / per_test[18])
-    ok = all(BAND_LOW <= r <= BAND_HIGH for r in per_test_ratios)
+    ratios = (timings[20] / timings[18], timings[22] / timings[20])
+    per_unit = {n: timings[n] / subset_pairs(n) for n in sizes}
+    per_unit_ratios = (per_unit[20] / per_unit[18], per_unit[22] / per_unit[20])
+    ok = all(BAND_LOW <= r <= BAND_HIGH for r in per_unit_ratios)
     report(
         "criterion 9 (brute-force growth sanity band)",
         ok,
         f"ratios {ratios[0]:.2f}, {ratios[1]:.2f}; "
-        f"per membership test {per_test_ratios[0]:.2f}, {per_test_ratios[1]:.2f}",
+        f"per subset and pair {per_unit_ratios[0]:.2f}, {per_unit_ratios[1]:.2f}",
     )

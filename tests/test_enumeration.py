@@ -23,8 +23,10 @@ from visipoly import (
     iter_mv_sets,
     join,
     path_graph,
+    parse_graph6,
     paw_graph,
     poly_complete,
+    poly_complete_bipartite,
     poly_cycle,
     poly_path,
     polynomial_bruteforce,
@@ -32,7 +34,7 @@ from visipoly import (
     star_graph,
 )
 
-from conftest import pin_python_walk
+from conftest import GOLDEN, pin_python_walk
 from oracles import oracle_polynomial, oracle_theta, random_graph
 
 
@@ -58,6 +60,45 @@ def test_bruteforce_guardrail():
     with pytest.raises(GuardrailError, match="pruned"):
         polynomial_bruteforce(empty_graph(26))
     assert polynomial_bruteforce(empty_graph(3)) == Polynomial((1, 3))
+
+
+def test_bruteforce_reproduces_golden_polynomials():
+    for line in GOLDEN.read_text("ascii").splitlines():
+        record, poly, _ = line.split(" ")
+        assert polynomial_bruteforce(parse_graph6(record)).to_canonical_string() == poly, record
+
+
+def test_bruteforce_matches_oracle_on_seeded_graphs():
+    rng = random.Random(20261018)
+    graphs = [empty_graph(0), empty_graph(1), empty_graph(2)]
+    graphs += [
+        random_graph(rng, n, p) for n in range(2, 10) for p in (0.1, 0.25, 0.4, 0.6, 0.8, 1.0)
+    ]
+    graphs.append(disjoint_union([cycle_graph(5), path_graph(1), star_graph(2)]))
+    assert sum(len(components(g)) > 1 for g in graphs) > 10
+    for g in graphs:
+        assert polynomial_bruteforce(g) == oracle_polynomial(g), g
+    assert polynomial_bruteforce(empty_graph(1)) == Polynomial((1, 1))
+
+
+def test_bruteforce_across_the_block_boundary(monkeypatch):
+    """Graphs of 14..18 vertices fill one to 16 blocks of 2^14 subsets."""
+    rng = random.Random(20261019)
+    graphs = [random_graph(rng, n, p) for n in range(14, 19) for p in (0.1, 0.3, 0.6, 0.9)]
+    assert any(len(components(g)) > 1 for g in graphs)
+    expected_polys = [polynomial_bruteforce(g) for g in graphs]
+    # The native walk when it can be built, then the Python walk.
+    for g, expected in zip(graphs, expected_polys):
+        assert polynomial_pruned(g) == expected, g
+    pin_python_walk(monkeypatch)
+    for g, expected in zip(graphs, expected_polys):
+        assert polynomial_pruned(g) == expected, g
+
+
+def test_bruteforce_closed_forms_over_many_blocks():
+    assert polynomial_bruteforce(path_graph(20)) == poly_path(20)
+    assert polynomial_bruteforce(cycle_graph(20)) == poly_cycle(20)
+    assert polynomial_bruteforce(complete_bipartite_graph(5, 15)) == poly_complete_bipartite(5, 15)
 
 
 def test_pruned_guardrail():

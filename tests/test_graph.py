@@ -64,6 +64,25 @@ def test_graph_rejects_self_loop_and_bad_range():
         Graph(2, (0b10, 0b00))  # asymmetric
 
 
+def test_graph_validation_names_the_first_fault_in_vertex_order():
+    # 0 -> 1 is not mirrored and vertex 3 has a self-loop: vertex 0 comes first.
+    adj = (0b0010, 0b0000, 0b0000, 0b1000)
+    with pytest.raises(ParameterError, match=r"^adjacency is not symmetric for \(0, 1\)$"):
+        Graph(4, adj)
+    # 1 -> 0 is not mirrored: only a lower bit is wrong, so the edge counts
+    # differ, and vertex 1 still comes before the self-loop at 3.
+    adj = (0b0000, 0b0001, 0b0000, 0b1000)
+    with pytest.raises(ParameterError, match=r"^adjacency is not symmetric for \(1, 0\)$"):
+        Graph(4, adj)
+    with pytest.raises(ParameterError, match=r"^adjacency is not symmetric for \(1, 0\)$"):
+        Graph(2, (0b00, 0b01))
+    with pytest.raises(ParameterError, match=r"^self-loop at vertex 3$"):
+        Graph(4, (0b0010, 0b0001, 0b0000, 0b1000))
+    with pytest.raises(ParameterError, match=r"^adjacency mask of vertex 1 is out of range$"):
+        Graph(2, (0b00, 0b100))
+    assert Graph(4, (0b0110, 0b0101, 0b0011, 0b0000)).edge_count == 3
+
+
 def test_complete_graph_k4():
     g = complete_graph(4)
     assert g.edge_count == 6
