@@ -95,8 +95,9 @@ def polynomial_bruteforce(g: Graph) -> Polynomial:
         width <<= 1
     full = (1 << width) - 1
 
-    # For each source u, every other vertex w with its BFS predecessors from
-    # u, in BFS order; an unreachable w comes last with none.
+    # For each source u: every vertex w it reaches, in BFS order, with w's
+    # predecessors one layer closer to u (the first apart), and the later
+    # vertices it does not reach.
     layers = VisibilityContext(g).layers
     steps = []
     for u in range(n):
@@ -106,9 +107,9 @@ def polynomial_bruteforce(g: Graph) -> Polynomial:
         for d in range(1, len(lu)):
             reached |= lu[d]
             for w in iter_bits(lu[d]):
-                order.append((w, list(iter_bits(g.adj[w] & lu[d - 1]))))
-        order += [(w, []) for w in iter_bits(((1 << n) - 1) & ~reached)]
-        steps.append(order)
+                first, *rest = iter_bits(g.adj[w] & lu[d - 1])
+                order.append((w, first, rest))
+        steps.append((order, list(iter_bits(((1 << n) - 1) & ~reached & ~((2 << u) - 1)))))
 
     counts = [0] * (n + 1)
     for high in range(1 << (n - low)):
@@ -121,7 +122,9 @@ def polynomial_bruteforce(g: Graph) -> Polynomial:
 
 
 def _bad_subsets(
-    member: Sequence[int], full: int, steps: Sequence[Sequence[Tuple[int, List[int]]]]
+    member: Sequence[int],
+    full: int,
+    steps: Sequence[Tuple[List[Tuple[int, int, List[int]]], List[int]]],
 ) -> int:
     """The subsets of one block that are not mutual-visibility sets, as a bit slice.
 
@@ -130,26 +133,32 @@ def _bad_subsets(
     the subsets with a shortest u-w path whose interior avoids the set: the
     union, over the BFS predecessors p of w, of clear[p] without the subsets
     that hold p, where the source itself never blocks. A subset is bad when
-    it holds some u < w with w not clear from u; a source that is in no
-    subset of the block is skipped.
+    it holds some u < w with w not clear from u. A vertex in no subset of
+    the block (a high vertex left out) is neither a source nor a blocker.
     """
     n = len(member)
+    opened = [full ^ m for m in member]
     passes = [0] * n
     bad = 0
-    for u, order in enumerate(steps):
+    for u, (order, unreached) in enumerate(steps):
         mu = member[u]
         if not mu:
             continue
         passes[u] = full
         missed = 0
-        for w, preds in order:
-            clear = 0
-            for p in preds:
+        for w in unreached:
+            missed |= member[w]
+        for w, first, rest in order:
+            clear = passes[first]
+            for p in rest:
                 clear |= passes[p]
             mw = member[w]
-            passes[w] = clear & ~mw
-            if w > u:
-                missed |= mw & ~clear
+            if mw:
+                passes[w] = clear & opened[w]
+                if w > u:
+                    missed |= mw & ~clear
+            else:
+                passes[w] = clear
         bad |= mu & missed
     return bad
 

@@ -238,10 +238,11 @@ def test_criterion_8_complete_graph_characterization():
 
 
 # Band for the change in time per (subset x vertex pair) from K_n to
-# K_(n+2), symmetric on a log scale around 1. On a shared 2-vCPU host the
-# bit-sliced engine gave ratios from 0.88 to 1.04 over K_18 -> K_22 in ten
-# runs of five rounds, and 0.73 to 1.12 with three rounds (listed in
-# CHANGES.md).
+# K_(n+2), symmetric on a log scale around 1. Ratios sit a little below 1
+# because a high vertex outside a block's set is skipped, and from n = 14 on
+# a larger share of the vertices is high. On a shared 2-vCPU host, ten runs
+# with nine rounds gave 0.84 to 0.97 over K_18 -> K_22, where five rounds
+# gave 0.73 to 1.28 (listed in CHANGES.md).
 BAND_LOW, BAND_HIGH = 2 / 3, 3 / 2
 
 
@@ -280,7 +281,7 @@ def test_criterion_9_bruteforce_scaling_band(monkeypatch):
     timings = dict.fromkeys(sizes, float("inf"))
     # Interleaved rounds, minimum per size: a slow spell on a shared host
     # then slows one round of every size instead of all runs of one size.
-    for _ in range(5):
+    for _ in range(9):
         for n in sizes:
             gc.disable()
             start = time.perf_counter()
