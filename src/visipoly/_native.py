@@ -10,8 +10,9 @@ cache costs one ``dlopen``. The build goes to a temporary file that
 never load a half-written library.
 
 With no compiler, a failed build or an unwritable cache, ``load`` returns
-None and the callers run the Python walk of ``enumeration``, which gives the
-same counts. Nothing here runs at package import.
+None and ``enumeration._count_sets`` counts by brute force up to 25
+vertices and by the plain walk of ``iter_mv_sets`` above, with the same
+counts. Nothing here runs at package import.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def _bind(path: Path) -> Walk:
         ``adjs`` holds one tuple of neighbourhood masks per graph. Per graph,
         a list indexed by size (entry 0 stays 0), or with ``theta`` a dict
         keyed by (size, diameter) holding the nonzero counts. ``counters``
-        gains the walk counters of ``enumeration._walk_mv_sets``, summed
-        over the graphs.
+        gains the walk counters (``COUNTER_NAMES``: nodes popped, nodes
+        closed by the shortcut, membership propagations), summed over the
+        graphs.
         """
         orders = [len(adj) for adj in adjs]
         masks = [mask for adj in adjs for mask in adj]

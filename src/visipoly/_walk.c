@@ -1,11 +1,39 @@
 /*
  * Counting walk of the pruned set-enumeration tree on uint64_t vertex masks.
  *
- * This is enumeration._walk_mv_sets with a sink, ported line for line: the
- * same candidate masks, interval filter, cut rule and closure shortcut, so it
- * visits the same nodes in the same order and makes the same membership
- * tests. The Python walk is the reference; tests compare the two on every
- * count and on the walk counters.
+ * This file is the walk's one implementation. A node holds a
+ * mutual-visibility set X (its members, in increasing order) and extends it
+ * only with vertices above its maximum; a child that fails the membership
+ * test is cut off with its whole subtree. The pruning is sound because the
+ * property is hereditary: every subset of a mutual-visibility set is one.
+ * Each child is tested incrementally:
+ *
+ * - Candidate mask. A node carries the vertices above its maximum that
+ *   passed at its parent. By heredity no other vertex can pass, so a vertex
+ *   that failed at an ancestor is never tested again (as in Bron-Kerbosch).
+ * - Interval filter. Adding v to X is accepted when every member sees v and
+ *   v blocks no pair of members. The first condition is one clear-set
+ *   propagation per member for all candidates at once (clear_targets), or
+ *   one test from each candidate when there are fewer candidates than
+ *   members. For the second, a node keeps, per member u, the union of the
+ *   interiors of the intervals I(u, w) over the later members w (its
+ *   spans); only a candidate inside that union can block a pair starting
+ *   at u, so any other candidate needs no test. A vertex alone at its
+ *   distance from u in I(u, w) lies on every shortest u-w path, so it
+ *   leaves the candidates of every set holding u and w untested.
+ * - Closure shortcut (closes). When the members together with all p passed
+ *   candidates form a mutual-visibility set, every combination of the
+ *   candidates is one too, so the subtree is counted and not walked. For
+ *   the polynomial the node adds C(p, j) to entry |X| + j. For the
+ *   (size, diameter) table (count_closed_theta) it counts, for each distinct
+ *   diameter D in increasing order, the cliques of the graph joining the
+ *   candidates within distance D of each other and of every member; the
+ *   cliques new at D are the sets of diameter D.
+ *
+ * Its references in the tests are a golden per-graph file, brute force
+ * (polynomial and (size, diameter) table, up to 25 vertices), the plain
+ * walk of enumeration.iter_mv_sets above that, an all-paths oracle and the
+ * closed forms; the counters are pinned to fixed values on fixed graphs.
  *
  * One call per batch of graphs:
  * visipoly_walk_many(count, orders, adj, theta, out, counters).
@@ -80,7 +108,7 @@ static void bfs(Walk *w, int s)
     w->depth[s] = d + 1;
 }
 
-/* visibility._visible_from_source: every member of x_mask is clear from u. */
+/* Every member of x_mask is clear from u: the layered membership test. */
 static int visible(const Walk *w, int u, uint64_t x_mask)
 {
     uint64_t ubit = 1ULL << u;
@@ -105,7 +133,7 @@ static int visible(const Walk *w, int u, uint64_t x_mask)
     return !remaining;
 }
 
-/* enumeration._clear_targets: the targets clear from u past x_mask. */
+/* The targets clear from u past x_mask. */
 static uint64_t clear_targets(const Walk *w, int u, uint64_t x_mask, uint64_t targets)
 {
     uint64_t allowed = ~x_mask, frontier = 1ULL << u, clear = 0;
@@ -152,7 +180,16 @@ static void interval(Walk *w, int u, int v, uint64_t *inner, uint64_t *cuts)
     *cuts = w->cuts[u][v];
 }
 
-/* enumeration._closes: the members plus all of passed form a mutual-visibility set. */
+/*
+ * The members plus all of passed form a mutual-visibility set. The members
+ * plus any one candidate are known to pass, so a pair can only fail when the
+ * other candidates add a blocker inside its interval. A test from a vertex
+ * covers every pair holding it. The other pairs are settled from the
+ * intervals: a pair of members can only fail when at least two candidates
+ * lie in the first member's span, a member and a candidate when another
+ * candidate lies between them, and two candidates when any vertex of the set
+ * does. A blocker that cuts its pair fails at once.
+ */
 static int closes(Walk *w, int size, uint64_t mask, uint64_t passed)
 {
     if ((passed & (passed - 1)) == 0)
@@ -199,7 +236,7 @@ static int closes(Walk *w, int size, uint64_t mask, uint64_t passed)
     return 1;
 }
 
-/* visibility._clique_counts over the masks adj, added into counts[0..k_max]. */
+/* The k-cliques inside cand over the masks adj, added into counts[0..k_max]. */
 static void clique_counts(const Walk *w, const uint64_t *adj, uint64_t cand, int size,
                           int k_max, uint64_t *counts)
 {
@@ -224,7 +261,14 @@ static void clique_counts(const Walk *w, const uint64_t *adj, uint64_t cand, int
     }
 }
 
-/* enumeration._count_closed_theta: every set members + S, S a nonempty part of passed. */
+/*
+ * Every set members + S, S a nonempty part of passed, counted by (size,
+ * diameter). The diameter of X + S is the largest of e(s) over s in S, where
+ * e(s) is the larger of diam and the farthest member from s, and of d(s, t)
+ * over s, t in S. So the sets S of diameter at most D are the cliques of
+ * H_D, the graph on the candidates with e(s) <= D whose edges join
+ * candidates at distance at most D.
+ */
 static void count_closed_theta(Walk *w, int size, int diam, uint64_t passed)
 {
     int cands[MAXN], ecc[MAXN], p = 0, n = w->n;

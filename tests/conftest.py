@@ -28,7 +28,23 @@ def random_small_graphs():
 
 
 def pin_python_walk(monkeypatch) -> None:
-    """Make the counting calls run the Python walk, as when no compiler is found."""
+    """Make the counting calls run without the native walk, as when no compiler is found.
+
+    They then count graphs of up to 25 vertices by brute force and larger
+    ones with the plain walk of ``iter_mv_sets``.
+    """
     import visipoly._native as native
 
     monkeypatch.setattr(native, "load", lambda: None)
+
+
+def native_counters(g, theta: bool):
+    """The native walk's counters on g, or None when no C compiler is found."""
+    import visipoly._native as native
+
+    walk = native.load()
+    if walk is None:
+        return None
+    counters: dict = {}
+    walk([g.adj], theta, counters)
+    return counters

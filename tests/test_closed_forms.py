@@ -224,7 +224,7 @@ def test_poly_join_law_on_all_pairs_up_to_order_five(monkeypatch):
     pairs = [(g, h) for g in operands for h in operands]
     assert len(pairs) == 3844
     expected = [polynomial_pruned(join(g, h)) for g, h in pairs]
-    # The native walk when it can be built, then the Python walk.
+    # The native walk when it can be built, then brute force.
     for (g, h), poly in zip(pairs, expected):
         assert poly_join(g, h) == poly, (g.edges(), h.edges())
     pin_python_walk(monkeypatch)

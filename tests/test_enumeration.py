@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from math import comb
 
 import pytest
 
-import visipoly.enumeration as enumeration
 from visipoly import (
     GuardrailError,
     Polynomial,
@@ -34,7 +34,7 @@ from visipoly import (
     star_graph,
 )
 
-from conftest import GOLDEN, pin_python_walk
+from conftest import GOLDEN, native_counters, pin_python_walk
 from oracles import oracle_polynomial, oracle_theta, random_graph
 
 
@@ -85,13 +85,14 @@ def test_bruteforce_across_the_block_boundary(monkeypatch):
     rng = random.Random(20261019)
     graphs = [random_graph(rng, n, p) for n in range(14, 19) for p in (0.1, 0.3, 0.6, 0.9)]
     assert any(len(components(g)) > 1 for g in graphs)
-    expected_polys = [polynomial_bruteforce(g) for g in graphs]
-    # The native walk when it can be built, then the Python walk.
-    for g, expected in zip(graphs, expected_polys):
-        assert polynomial_pruned(g) == expected, g
+    # The native walk when it can be built, then brute force for both counts.
+    tables = []
+    for g in graphs:
+        assert polynomial_pruned(g) == polynomial_bruteforce(g), g
+        tables.append(count_by_size_and_diameter(g))
     pin_python_walk(monkeypatch)
-    for g, expected in zip(graphs, expected_polys):
-        assert polynomial_pruned(g) == expected, g
+    for g, table in zip(graphs, tables):
+        assert count_by_size_and_diameter(g) == table, g
 
 
 def test_bruteforce_closed_forms_over_many_blocks():
@@ -197,31 +198,26 @@ def test_theta_table_matches_oracle(random_small_graphs, monkeypatch):
         join(paw_graph(), cycle_graph(6)),
         complete_bipartite_graph(3, 4),
     ]
-
-    # Closed nodes with three or more candidates whose sets take two or
-    # more diameters, so the threshold cliques decide the table.
-    wide = []
-    count_closed = enumeration._count_closed_theta
-
-    def recording_count_closed(table, *args):
-        before = dict(table)
-        count_closed(table, *args)
-        diameters = {d for (k, d), c in table.items() if c != before.get((k, d))}
-        if args[-1].bit_count() >= 3 and len(diameters) >= 2:  # the passed candidates
-            wide.append(diameters)
-
     graphs = random_small_graphs[:80] + dense
     expected_tables = [oracle_theta(g) for g in graphs]
-    # The native walk when it can be built, then the Python walk, recorded.
+    # The native walk when it can be built, then brute force.
     for g, expected in zip(graphs, expected_tables):
         assert compute_stats(g).theta == expected, g
         assert count_by_size_and_diameter(g) == expected, g
+    # A native closure of three or more candidates on a graph with two
+    # diameters at one size of three or more: a closed node with p passed
+    # candidates adds 2^p - 1 sets without popping them, more than 3 only when p >= 3.
+    counters = [native_counters(g, theta=True) for g in dense]
+    if None not in counters:
+        assert any(
+            sum(table.values()) + 1 - c["nodes"] > 3 * c["closed"]
+            and max(Counter(k for k, _ in table if k >= 3).values(), default=0) >= 2
+            for c, table in zip(counters, expected_tables[80:])
+        )
     pin_python_walk(monkeypatch)
-    monkeypatch.setattr(enumeration, "_count_closed_theta", recording_count_closed)
     for g, expected in zip(graphs, expected_tables):
         assert compute_stats(g).theta == expected, g
         assert count_by_size_and_diameter(g) == expected, g
-    assert wide
 
 
 def test_stats_of_complete_graph_skip_the_walk():
@@ -236,7 +232,7 @@ def test_stats_of_complete_graph_skip_the_walk():
     assert elapsed < 1.0
 
 
-def test_pruned_equals_bruteforce_on_larger_graphs(monkeypatch):
+def test_pruned_equals_bruteforce_on_larger_graphs():
     rng = random.Random(20261017)
     graphs = [
         random_graph(rng, n, p)
@@ -246,28 +242,27 @@ def test_pruned_equals_bruteforce_on_larger_graphs(monkeypatch):
     assert any(len(components(g)) > 1 for g in graphs)
     special = (delete_edge(complete_graph(12), 3, 7), join(paw_graph(), cycle_graph(6)))
     expected_polys = [polynomial_bruteforce(g) for g in graphs + list(special)]
-    # The native walk when it can be built, then the Python walk.
+    # The native walk when it can be built, then the plain walk.
     for g, expected in zip(graphs + list(special), expected_polys):
         assert polynomial_pruned(g) == expected, g
-    pin_python_walk(monkeypatch)
     for g, expected in zip(graphs, expected_polys):
-        assert polynomial_pruned(g) == expected, g
+        counts = [1] + [0] * g.n
+        for members, _ in iter_mv_sets(g):
+            counts[len(members)] += 1
+        assert Polynomial(tuple(counts)) == expected, g
 
-    # In these graphs some nodes close and others do not.
-    outcomes = []
-    closes = enumeration._closes
-
-    def recording_closes(*args):
-        result = closes(*args)
-        if args[-1].bit_count() > 1:  # the passed candidates
-            outcomes.append(result)
-        return result
-
-    monkeypatch.setattr(enumeration, "_closes", recording_closes)
-    for g in special:
-        outcomes.clear()
-        assert polynomial_pruned(g) == polynomial_bruteforce(g), g
-        assert True in outcomes and False in outcomes, g
+    # In these graphs the native walk closes some nodes and not others. Each
+    # mutual-visibility set is popped as a node or lies in the subtree of a
+    # closed node with p >= 1 passed candidates, which adds 2^p - 1 sets
+    # unpopped, so fewer than nodes + closed sets means some node closed
+    # with p >= 2; and more than one node means the root, with all n >= 2
+    # vertices as passed candidates, did not close.
+    for g, expected in zip(special, expected_polys[len(graphs):]):
+        counters = native_counters(g, theta=False)
+        if counters is not None:
+            assert counters["closed"] > 0, g
+            assert counters["nodes"] + counters["closed"] < expected.evaluate(1), g
+            assert counters["nodes"] > 1, g
 
 
 def test_iter_mv_sets_in_lexicographic_order(random_small_graphs):
@@ -287,9 +282,12 @@ def test_iter_mv_sets_in_lexicographic_order(random_small_graphs):
     ],
     ids=["P64", "C40", "K20"],
 )
-def test_pruned_matches_closed_forms_on_large_classes(g, expected):
+def test_pruned_matches_closed_forms_on_large_classes(g, expected, monkeypatch):
     start = time.perf_counter()
     assert polynomial_pruned(g) == expected
     # Each takes a few hundredths of a second; the bound leaves room for a
     # loaded host and still fails an engine that visits all 2^20 sets of K_20.
     assert time.perf_counter() - start < 2.0
+    # Without the native walk: brute force for K_20, the plain walk above 25 vertices.
+    pin_python_walk(monkeypatch)
+    assert polynomial_pruned(g) == expected

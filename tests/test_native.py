@@ -1,15 +1,17 @@
-"""The native counting walk of _walk.c against the Python walk it ports.
+"""The native counting walk of _walk.c against brute force, the plain walk and the closed forms.
 
-Both walks must give the same polynomials, the same (size, diameter)
-tables and the same walk counters, and the package must give the same
-results when the native walk cannot be built. Tests that need the native
-walk skip only when no C compiler is found.
+The native walk must give the polynomials and (size, diameter) tables of
+brute force (up to 25 vertices) or of the plain walk of ``iter_mv_sets``
+(above), and fixed walk counters on fixed graphs; the package must give the
+same results when the native walk cannot be built. Tests that need the
+native walk skip only when no C compiler is found.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +19,6 @@ import visipoly._native as native
 from visipoly import (
     Graph,
     Polynomial,
-    VisibilityContext,
     complete_graph,
     components,
     compute_stats,
@@ -25,12 +26,15 @@ from visipoly import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    iter_mv_sets,
     parse_graph6,
     path_graph,
+    poly_cycle,
+    poly_path,
     polynomial_pruned,
 )
 from visipoly.cli import main
-from visipoly.enumeration import _count_sets, _walk_mv_sets
+from visipoly.enumeration import BRUTEFORCE_MAX_VERTICES, _bruteforce_counts
 
 from conftest import GOLDEN, corpus_path, pin_python_walk
 from oracles import golden_line, oracle_golden_line, random_graph
@@ -111,12 +115,27 @@ def benchmark_graphs(seed):
     return out
 
 
-def python_counts(g, theta):
-    counters = {}
-    sink = {} if theta else [0] * (g.n + 1)
-    for _ in _walk_mv_sets(VisibilityContext(g), sink, counters):
-        pass
-    return sink, counters
+# (nodes, closed, propagations) of the native walk on P_64, three copies of
+# C_5 and benchmark_graphs(211), for either sink; recorded when an
+# independent Python port of the walk reported the same values.
+FIXED_COUNTERS = [
+    (2080, 1, 2077), (49, 12, 38),
+    (11059, 3807, 41612), (11746, 3123, 58438), (11425, 4068, 57320),
+    (3757, 104, 2873), (2080, 1, 3468), (1, 1, 0),
+]
+
+
+def reference_counts(g):
+    """Counts by size and by (size, diameter): brute force, or the plain walk past 25 vertices."""
+    if g.n <= BRUTEFORCE_MAX_VERTICES:
+        return _bruteforce_counts(g, False), _bruteforce_counts(g, True)
+    table = dict(Counter((len(members), diam) for members, diam in iter_mv_sets(g)))
+    counts = [0] * (g.n + 1)
+    for (k, _), c in table.items():
+        counts[k] += c
+    closed_form = {g.n - 1: poly_path, g.n: poly_cycle}[g.edge_count](g.n)
+    assert Polynomial((1, *counts[1:])) == closed_form, g
+    return counts, table
 
 
 def test_walks_agree_on_counts_and_counters(native_walk):
@@ -128,13 +147,20 @@ def test_walks_agree_on_counts_and_counters(native_walk):
     ]
     graphs += benchmark_graphs(211)
     assert sum(len(components(g)) > 1 for g in graphs) >= 50
+    assert sum(g.n > BRUTEFORCE_MAX_VERTICES for g in graphs) == 3
     for g in graphs:
+        expected = reference_counts(g)
         for theta in (False, True):
             counters = {}
             (counts,) = native_walk([g.adj], theta, counters)
-            assert (counts, counters) == python_counts(g, theta), (g, theta)
+            assert counts == expected[theta], (g, theta)
             assert set(counters) == {"nodes", "closed", "propagations"}
             assert counters["nodes"] >= 1
+    for g, expected in zip(graphs[2:4] + graphs[-6:], FIXED_COUNTERS):
+        for theta in (False, True):
+            counters = {}
+            native_walk([g.adj], theta, counters)
+            assert (counters["nodes"], counters["closed"], counters["propagations"]) == expected
 
 
 def test_many_graph_entry_matches_per_graph_calls(native_walk):
@@ -155,19 +181,6 @@ def test_many_graph_entry_matches_per_graph_calls(native_walk):
     for record, counts, table in zip(records, tables[False], tables[True]):
         lines.append(golden_line(record, Polynomial((1, *counts[1:])), table))
     assert "\n".join(lines) + "\n" == GOLDEN.read_text("ascii")
-
-
-def test_count_sets_reports_the_same_counters_on_both_walks(native_walk, monkeypatch):
-    graphs = benchmark_graphs(9002)[:3] + [empty_graph(0)]
-    native_counters, python_counters = {}, {}
-    counts = _count_sets(graphs, theta=False, counters=native_counters)
-    pin_python_walk(monkeypatch)
-    assert _count_sets(graphs, theta=False, counters=python_counters) == counts
-    assert native_counters == python_counters  # summed over the graphs on both walks
-    assert native_counters["closed"] > 0
-    one = {}
-    _count_sets(graphs[:1], theta=False, counters=one)
-    assert native_counters["nodes"] > one["nodes"]
 
 
 def poly_json(capsys, *argv):
