@@ -21,14 +21,29 @@
  *   at u, so any other candidate needs no test. A vertex alone at its
  *   distance from u in I(u, w) lies on every shortest u-w path, so it
  *   leaves the candidates of every set holding u and w untested.
- * - Closure shortcut (closes). When the members together with all p passed
- *   candidates form a mutual-visibility set, every combination of the
- *   candidates is one too, so the subtree is counted and not walked. For
- *   the polynomial the node adds C(p, j) to entry |X| + j. For the
- *   (size, diameter) table (count_closed_theta) it counts, for each distinct
- *   diameter D in increasing order, the cliques of the graph joining the
- *   candidates within distance D of each other and of every member; the
- *   cliques new at D are the sets of diameter D.
+ * - Leaf block (leaf_block). A node with 2 <= p <= BLOCK_MAX = 6 passed
+ *   candidates c_0..c_{p-1} evaluates all 2^p sets X + S of its subtree at
+ *   once, as the bits of one uint64_t: bit s stands for the S holding c_i
+ *   when bit i of s is set. A member blocks in every bit, c_i in the bits
+ *   of PATTERNS[i], any other vertex in none. Since X and each X + c_i
+ *   passed, a pair of members needs a test only when two candidates lie in
+ *   its interval, a member and a candidate only when another candidate
+ *   does, and two candidates when any vertex of X + P does; a blocker that
+ *   cuts its pair fails the sets holding all three at once. The other pairs
+ *   take one clear-set propagation per source over their intervals only.
+ *   Each size j then adds popcount(good & SIZES[j]) to entry |X| + j; for
+ *   Theta the good sets are first split by diameter, the largest of diam(X),
+ *   each candidate's farthest member and each candidate pair's distance.
+ *   Smaller blocks (p <= 4 or 5 only) measured slower than the full word.
+ * - Closure shortcut (closes), for nodes with p = 1 or p > BLOCK_MAX. When
+ *   the members together with all p passed candidates form a
+ *   mutual-visibility set, every combination of the candidates is one too,
+ *   so the subtree is counted and not walked. For the polynomial the node
+ *   adds C(p, j) to entry |X| + j. For the (size, diameter) table
+ *   (count_closed_theta) it counts, for each distinct diameter D in
+ *   increasing order, the cliques of the graph joining the candidates within
+ *   distance D of each other and of every member; the cliques new at D are
+ *   the sets of diameter D.
  *
  * Its references in the tests are a golden per-graph file, brute force
  * (polynomial and (size, diameter) table, up to 25 vertices), the plain
@@ -46,9 +61,10 @@
  *             1: it owns (n + 1) * max(n, 1) entries, and entry k * n + d
  *             counts those of size k and diameter d
  *   out       zeroed by the caller, the graphs' entries packed in turn
- *   counters  three entries, summed over the graphs: nodes popped, nodes
- *             closed by the shortcut, membership propagations (visible()
- *             plus clear_targets())
+ *   counters  four entries, summed over the graphs: nodes popped, nodes
+ *             closed by the shortcut, membership propagations (visible(),
+ *             clear_targets() and the blocks' blocked()), leaf blocks
+ *             evaluated; the sets of a block are counted but never popped
  * Returns 0, or -1 when an order is out of range or memory runs out; then
  * nothing is counted.
  */
@@ -58,12 +74,25 @@
 #include <string.h>
 
 #define MAXN 64
+#define BLOCK_MAX 6                /* a leaf block's 2^p sets fit one uint64_t */
+
+/* Bit s of PATTERNS[i] is set when bit i of s is: the sets of a block holding candidate i. */
+static const uint64_t PATTERNS[BLOCK_MAX] = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
+};
+/* Bit s of SIZES[j] is set when s has j bits set. */
+static const uint64_t SIZES[BLOCK_MAX + 1] = {
+    0x0000000000000001ULL, 0x0000000100010116ULL, 0x0001011601161668ULL,
+    0x0116166816686880ULL, 0x1668688068808000ULL, 0x6880800080000000ULL,
+    0x8000000000000000ULL,
+};
 
 typedef struct {
     int n;
     int theta;
     uint64_t *out;
-    uint64_t nodes, closed, propagations;
+    uint64_t nodes, closed, propagations, blocks;
     const uint64_t *adj;
     int depth[MAXN];               /* number of BFS layers from u */
     uint64_t layers[MAXN][MAXN];   /* layers[u][d]: vertices at distance d from u */
@@ -75,6 +104,7 @@ typedef struct {
     uint64_t binom[MAXN + 1][MAXN + 1];
     int members[MAXN];
     uint64_t spans[MAXN + 1][MAXN]; /* spans[size][i] of the node on the path */
+    uint64_t pattern[MAXN];        /* in a leaf block, the sets holding v; else 0 */
 } Walk;
 
 #define LOW(m) __builtin_ctzll(m)
@@ -317,6 +347,171 @@ static void count_closed_theta(Walk *w, int size, int diam, uint64_t passed)
     }
 }
 
+/*
+ * The sets of a leaf block in which some target is not clear from u, as a
+ * bit slice. clear[x] holds the sets with a shortest u-x path whose interior
+ * avoids the set: the union of clear[y] over the predecessors y of x, less
+ * the sets holding y, where the source never blocks. Only the vertices of
+ * region, the targets and their intervals' interiors, lie on those paths, so
+ * no other vertex is visited.
+ */
+static uint64_t blocked(Walk *w, int u, uint64_t targets, uint64_t region, uint64_t full)
+{
+    uint64_t bad = 0, clear[MAXN], previous = 1ULL << u;
+    w->propagations++;
+    clear[u] = full;
+    for (int d = 1; region; d++) {
+        uint64_t layer = w->layers[u][d] & region;
+        region ^= layer;
+        for (uint64_t m = layer; m; m &= m - 1) {
+            int x = LOW(m);
+            uint64_t reach = 0;
+            for (uint64_t q = w->adj[x] & previous; q; q &= q - 1)
+                reach |= clear[LOW(q)];
+            if (targets >> x & 1)
+                bad |= w->pattern[x] & ~reach;
+            clear[x] = reach & ~w->pattern[x];
+        }
+        previous = layer;
+    }
+    return bad & w->pattern[u];
+}
+
+/* Source s of a leaf block must reach v through the interval interior inner. */
+static void aim(uint64_t *targets, uint64_t *regions, int s, int v, uint64_t inner)
+{
+    targets[s] |= 1ULL << v;
+    regions[s] |= inner | 1ULL << v;
+}
+
+/* at[d] gains sets of diameter at least d; levels holds the d whose at[d] is set. */
+static void reaches(uint64_t *at, uint64_t *levels, int d, uint64_t sets)
+{
+    if (!(*levels >> d & 1))
+        at[d] = 0;
+    *levels |= 1ULL << d;
+    at[d] |= sets;
+}
+
+/* Add the block's sets of slice, by size, at diameter d. */
+static void count_slice(Walk *w, int size, int p, int d, uint64_t slice)
+{
+    uint64_t *out = w->theta ? w->out + (size_t)size * w->n + d : w->out + size;
+    size_t stride = w->theta ? (size_t)w->n : 1;
+    for (int j = 1; j <= p; j++)
+        out[j * stride] += (uint64_t)COUNT(slice & SIZES[j]);
+}
+
+/*
+ * Every set members + S, S a nonempty part of passed with 2 <= p <= BLOCK_MAX
+ * candidates, tested at once: bit s of a word stands for the S holding
+ * candidate i when bit i of s is set. The members and each member plus one
+ * candidate are known to pass, so a pair of members can only fail when two
+ * candidates lie between them, a member and a candidate when another
+ * candidate does, and two candidates when any vertex of the set does (or
+ * when they are in different components, at a root of at most BLOCK_MAX
+ * vertices). A blocker that cuts its pair fails the sets holding all three
+ * at once; any other pair is settled by one propagation per source. A set's
+ * diameter is the largest of diam, the farthest member from each of its
+ * candidates and the distances between its candidates.
+ */
+static void leaf_block(Walk *w, int size, uint64_t mask, int diam, uint64_t passed)
+{
+    const int *members = w->members;
+    const uint64_t *spans = w->spans[size];
+    uint64_t *pattern = w->pattern, inner, cuts, bad = 0;
+    uint64_t full = ~0ULL >> (64 - (1 << COUNT(passed))), sets = mask | passed;
+    /* Per source, members first: the vertices it must reach, and their intervals. */
+    uint64_t targets[MAXN + BLOCK_MAX], regions[MAXN + BLOCK_MAX];
+    int cands[BLOCK_MAX], p = 0;
+    for (uint64_t m = passed; m; m &= m - 1) {
+        cands[p] = LOW(m);
+        pattern[cands[p]] = PATTERNS[p] & full;
+        p++;
+    }
+    for (int i = 0; i < size; i++)
+        pattern[members[i]] = full;
+    memset(targets, 0, sizeof(uint64_t) * (size_t)(size + p));
+    memset(regions, 0, sizeof(uint64_t) * (size_t)(size + p));
+
+    for (int i = 0; i < size; i++) {
+        uint64_t inside = spans[i] & passed;
+        if ((inside & (inside - 1)) == 0)
+            continue;
+        for (int j = i + 1; j < size; j++) {
+            interval(w, members[i], members[j], &inner, &cuts);
+            inside = inner & passed;
+            if (inside & (inside - 1))
+                aim(targets, regions, i, members[j], inner);
+        }
+    }
+    for (int i = 0; i < size; i++)
+        for (int k = 0; k < p; k++) {
+            interval(w, members[i], cands[k], &inner, &cuts);
+            uint64_t between = inner & passed;
+            if (!between)
+                continue;
+            for (uint64_t c = between & cuts; c; c &= c - 1)
+                bad |= pattern[cands[k]] & pattern[LOW(c)];
+            if (!(between & ~cuts))
+                continue;
+            /* A member that is a source already takes the pair, else the
+               candidate does: members outnumber candidates. */
+            if (targets[i])
+                aim(targets, regions, i, cands[k], inner);
+            else
+                aim(targets, regions, size + k, members[i], inner);
+        }
+    for (int k = 0; k < p; k++)
+        for (int l = k + 1; l < p; l++) {
+            uint64_t both = pattern[cands[k]] & pattern[cands[l]];
+            if (w->dist[cands[k]][cands[l]] < 0) {
+                bad |= both;
+                continue;
+            }
+            interval(w, cands[k], cands[l], &inner, &cuts);
+            uint64_t between = inner & sets;
+            if (between & cuts & mask)
+                bad |= both;
+            for (uint64_t c = between & cuts & passed; c; c &= c - 1)
+                bad |= both & pattern[LOW(c)];
+            if (between & ~cuts)
+                aim(targets, regions, size + k, cands[l], inner);
+        }
+    for (int i = 0; i < size + p; i++)
+        if (targets[i])
+            bad |= blocked(w, i < size ? members[i] : cands[i - size], targets[i], regions[i],
+                           full);
+
+    uint64_t good = full & ~bad & ~1ULL; /* bit 0, the members alone, is the node */
+    if (w->theta && good) {
+        uint64_t at[MAXN], levels = 0, farther = 0;
+        for (int k = 0; k < p; k++) {
+            int v = cands[k], e = diam;
+            for (int i = 0; i < size; i++)
+                if (w->dist[v][members[i]] > e)
+                    e = w->dist[v][members[i]];
+            if (e > diam)
+                reaches(at, &levels, e, pattern[v]);
+            for (int l = 0; l < k; l++)
+                if (w->dist[v][cands[l]] > diam)
+                    reaches(at, &levels, w->dist[v][cands[l]], pattern[v] & pattern[cands[l]]);
+        }
+        while (levels) {
+            int d = 63 - __builtin_clzll(levels);
+            levels ^= 1ULL << d;
+            count_slice(w, size, p, d, good & at[d] & ~farther);
+            farther |= at[d];
+        }
+        good &= ~farther;
+    }
+    count_slice(w, size, p, diam, good);
+    for (int i = 0; i < size; i++)
+        pattern[members[i]] = 0;
+    for (int k = 0; k < p; k++)
+        pattern[cands[k]] = 0;
+}
+
 /* One node of the tree: members[0..size) with their spans[size], then its subtree. */
 static void visit(Walk *w, int size, uint64_t mask, int diam, uint64_t cand)
 {
@@ -353,13 +548,18 @@ static void visit(Walk *w, int size, uint64_t mask, int diam, uint64_t cand)
     }
     if (!passed)
         return;
+    int p = COUNT(passed);
+    if (p >= 2 && p <= BLOCK_MAX) {
+        w->blocks++;
+        leaf_block(w, size, mask, diam, passed);
+        return;
+    }
 
     if (closes(w, size, mask, passed)) {
         w->closed++;
         if (w->theta) {
             count_closed_theta(w, size, diam, passed);
         } else {
-            int p = COUNT(passed);
             for (int j = 1; j <= p; j++)
                 w->out[size + j] += w->binom[p][j];
         }
@@ -422,7 +622,8 @@ int visipoly_walk_many(int count, const int *orders, const uint64_t *adj, int th
     if (!w)
         return -1;
     w->theta = theta;
-    w->nodes = w->closed = w->propagations = 0;
+    w->nodes = w->closed = w->propagations = w->blocks = 0;
+    memset(w->pattern, 0, sizeof w->pattern);
     for (int i = 0; i <= top; i++) {
         w->binom[i][0] = w->binom[i][i] = 1;
         for (int j = 1; j < i; j++)
@@ -438,6 +639,7 @@ int visipoly_walk_many(int count, const int *orders, const uint64_t *adj, int th
     counters[0] = w->nodes;
     counters[1] = w->closed;
     counters[2] = w->propagations;
+    counters[3] = w->blocks;
     free(w);
     return 0;
 }

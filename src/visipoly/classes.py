@@ -11,7 +11,7 @@ a small textual syntax for the command line ("cycle:7", "bipartite:3,4",
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .errors import FormatError, ParameterError
@@ -35,8 +35,16 @@ class _Family:
 
     def __post_init__(self):
         _, _, least, error = _FAMILIES[type(self)]
-        if min(astuple(self)) < least:
+        if min(family_args(self)) < least:
             raise ParameterError(error)
+
+
+def family_args(spec: _Family) -> tuple:
+    """The fields of a family spec in order: its builder's and closed form's arguments.
+
+    A shallow ``dataclasses.astuple``, which would deep-copy every field.
+    """
+    return tuple(getattr(spec, field.name) for field in fields(spec))
 
 
 @dataclass(frozen=True)
@@ -108,7 +116,7 @@ ClassSpec = Union[Path, Cycle, Complete, Star, CompleteBipartite, Join, Disjoint
 def build_class(spec: ClassSpec) -> Graph:
     """Build the canonical labeled graph for a class spec."""
     if type(spec) in _FAMILIES:
-        return _FAMILIES[type(spec)][1](*astuple(spec))
+        return _FAMILIES[type(spec)][1](*family_args(spec))
     if isinstance(spec, Join):
         return graph_join(build_class(spec.left), build_class(spec.right))
     if isinstance(spec, DisjointUnion):
@@ -121,7 +129,7 @@ def build_class(spec: ClassSpec) -> Graph:
 def spec_label(spec: ClassSpec) -> str:
     """Human-readable name used in reports."""
     if type(spec) in _FAMILIES:
-        return _FAMILIES[type(spec)][0] + ":" + ",".join(map(str, astuple(spec)))
+        return _FAMILIES[type(spec)][0] + ":" + ",".join(map(str, family_args(spec)))
     if isinstance(spec, Join):
         return f"join({spec_label(spec.left)}, {spec_label(spec.right)})"
     if isinstance(spec, DisjointUnion):

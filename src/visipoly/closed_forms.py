@@ -10,7 +10,6 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import astuple
 from math import comb
 from typing import List, Sequence
 
@@ -24,6 +23,7 @@ from .classes import (
     Path,
     Star,
     build_class,
+    family_args,
 )
 from .enumeration import polynomial_pruned
 from .errors import ParameterError
@@ -171,7 +171,7 @@ def poly_for_class(spec: ClassSpec) -> Polynomial:
     only where their hypotheses hold. Only ``Raw`` specs are enumerated.
     """
     if type(spec) in _CLOSED_FORMS:
-        return _CLOSED_FORMS[type(spec)](*astuple(spec))
+        return _CLOSED_FORMS[type(spec)](*family_args(spec))
     if isinstance(spec, CompleteBipartite):
         m, n = min(spec.m, spec.n), max(spec.m, spec.n)
         if m >= 3:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from math import comb
 
 import pytest
@@ -193,10 +192,12 @@ def test_theta_table_matches_oracle(random_small_graphs, monkeypatch):
         for p in (0.7, 0.85, 0.95)
         for _ in range(3)
     ]
+    k9_minus_edge = delete_edge(complete_graph(9), 1, 8)
     dense += [
         delete_edge(complete_graph(12), 3, 7),
         join(paw_graph(), cycle_graph(6)),
         complete_bipartite_graph(3, 4),
+        k9_minus_edge,
     ]
     graphs = random_small_graphs[:80] + dense
     expected_tables = [oracle_theta(g) for g in graphs]
@@ -204,16 +205,22 @@ def test_theta_table_matches_oracle(random_small_graphs, monkeypatch):
     for g, expected in zip(graphs, expected_tables):
         assert compute_stats(g).theta == expected, g
         assert count_by_size_and_diameter(g) == expected, g
-    # A native closure of three or more candidates on a graph with two
-    # diameters at one size of three or more: a closed node with p passed
-    # candidates adds 2^p - 1 sets without popping them, more than 3 only when p >= 3.
-    counters = [native_counters(g, theta=True) for g in dense]
-    if None not in counters:
-        assert any(
-            sum(table.values()) + 1 - c["nodes"] > 3 * c["closed"]
-            and max(Counter(k for k, _ in table if k >= 3).values(), default=0) >= 2
-            for c, table in zip(counters, expected_tables[80:])
-        )
+    # A native closure of p >= 7 candidates whose sets take two diameters. In
+    # K_9 less the edge 1-8, only the whole vertex set fails, and a set of two
+    # or more vertices has diameter 2 when it holds 1 and 8, else 1. The walk
+    # pops 25 nodes: the root, its 9 children, the 8 of {0} and the 7 of
+    # {0, 1}. A node whose largest member v is 2..6 has the p = 8 - v
+    # candidates above v and is a leaf block (15 blocks); v = 7 closes with
+    # p = 1 and v = 8 is a leaf. The root, {0} and {0, 1} with their
+    # candidates hold the whole set and are walked. {1} closes with its 7
+    # candidates 2..8 (0 stays out, a common neighbour of 1 and 8), so
+    # count_closed_theta counts its sets at diameters 1 and 2: 4 closures in
+    # all. Walking {1} would pop its 7 children.
+    # Every set holding 1 and 8 but the whole vertex set has diameter 2.
+    assert sum(c for (_, d), c in expected_tables[-1].items() if d == 2) == 2**7 - 1
+    counters = native_counters(k9_minus_edge, theta=True)
+    if counters is not None:
+        assert (counters["nodes"], counters["closed"], counters["blocks"]) == (25, 4, 15)
     pin_python_walk(monkeypatch)
     for g, expected in zip(graphs, expected_tables):
         assert compute_stats(g).theta == expected, g
@@ -251,18 +258,23 @@ def test_pruned_equals_bruteforce_on_larger_graphs():
             counts[len(members)] += 1
         assert Polynomial(tuple(counts)) == expected, g
 
-    # In these graphs the native walk closes some nodes and not others. Each
-    # mutual-visibility set is popped as a node or lies in the subtree of a
-    # closed node with p >= 1 passed candidates, which adds 2^p - 1 sets
-    # unpopped, so fewer than nodes + closed sets means some node closed
-    # with p >= 2; and more than one node means the root, with all n >= 2
-    # vertices as passed candidates, did not close.
-    for g, expected in zip(special, expected_polys[len(graphs):]):
+    # In these graphs the native walk closes some nodes and not others: more
+    # than one node means the root, with all n > 6 vertices as passed
+    # candidates, did not close. Each mutual-visibility set (and the empty
+    # root) is popped as a node, counted in a leaf block of 2 <= p <= 6 passed
+    # candidates (at most 2^6 - 1 sets besides the block's node) or lies in
+    # the subtree of a closed node, which adds 2^p - 1 sets unpopped. The
+    # shortcut runs only for p = 1 and p >= 7, so more than nodes + closed +
+    # 63 blocks sets on K_12 - e means some node closed with p >= 7.
+    for g in special:
         counters = native_counters(g, theta=False)
         if counters is not None:
             assert counters["closed"] > 0, g
-            assert counters["nodes"] + counters["closed"] < expected.evaluate(1), g
             assert counters["nodes"] > 1, g
+    counters = native_counters(special[0], theta=False)
+    if counters is not None:
+        unpopped = expected_polys[len(graphs)].evaluate(1) - counters["nodes"] - counters["closed"]
+        assert unpopped > 63 * counters["blocks"]
 
 
 def test_iter_mv_sets_in_lexicographic_order(random_small_graphs):

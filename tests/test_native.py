@@ -10,7 +10,10 @@ native walk skip only when no C compiler is found.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -29,6 +32,7 @@ from visipoly import (
     iter_mv_sets,
     parse_graph6,
     path_graph,
+    poly_complete,
     poly_cycle,
     poly_path,
     polynomial_pruned,
@@ -115,13 +119,12 @@ def benchmark_graphs(seed):
     return out
 
 
-# (nodes, closed, propagations) of the native walk on P_64, three copies of
-# C_5 and benchmark_graphs(211), for either sink; recorded when an
-# independent Python port of the walk reported the same values.
+# (nodes, closed, propagations, blocks) of the native walk on P_64, three
+# copies of C_5 and benchmark_graphs(211), for either sink.
 FIXED_COUNTERS = [
-    (2080, 1, 2077), (49, 12, 38),
-    (11059, 3807, 41612), (11746, 3123, 58438), (11425, 4068, 57320),
-    (3757, 104, 2873), (2080, 1, 3468), (1, 1, 0),
+    (2060, 1, 2058, 5), (16, 3, 14, 9),
+    (3207, 657, 25156, 1675), (2188, 262, 23040, 1346), (2329, 287, 20956, 1433),
+    (2641, 104, 2739, 307), (2060, 1, 3453, 5), (1, 1, 0, 0),
 ]
 
 
@@ -154,29 +157,83 @@ def test_walks_agree_on_counts_and_counters(native_walk):
             counters = {}
             (counts,) = native_walk([g.adj], theta, counters)
             assert counts == expected[theta], (g, theta)
-            assert set(counters) == {"nodes", "closed", "propagations"}
+            assert set(counters) == {"nodes", "closed", "propagations", "blocks"}
             assert counters["nodes"] >= 1
     for g, expected in zip(graphs[2:4] + graphs[-6:], FIXED_COUNTERS):
         for theta in (False, True):
             counters = {}
             native_walk([g.adj], theta, counters)
-            assert (counters["nodes"], counters["closed"], counters["propagations"]) == expected
+            assert tuple(counters[name] for name in native.COUNTER_NAMES) == expected
+
+
+def test_native_walk_equals_bruteforce_on_16_to_25_vertices(native_walk):
+    """Leaf blocks deep in larger trees, both sinks, against brute force (about 5 s)."""
+    rng = random.Random(20261019)
+    densities = (0.15, 0.3, 0.5, 0.7, 0.9)
+    graphs = [random_graph(rng, n, densities[n % 5]) for n in range(16, 26)]
+    graphs += [random_graph(rng, n, densities[(n + 2) % 5]) for n in range(16, 22)]
+    blocks = 0
+    for g in graphs:
+        table = _bruteforce_counts(g, True)
+        counts = [0] * (g.n + 1)
+        for (k, _), c in table.items():
+            counts[k] += c
+        counters = {}
+        assert native_walk([g.adj], False, counters) == [counts], g
+        assert native_walk([g.adj], True) == [table], g
+        blocks += counters["blocks"]
+    assert blocks > 1000
+
+
+@pytest.mark.parametrize(
+    "g, propagations",
+    [
+        (complete_graph(6), 0),
+        (cycle_graph(6), 3),
+        (empty_graph(6), 0),
+        (disjoint_union([complete_graph(3)] * 2), 0),
+        (disjoint_union([complete_graph(1), path_graph(5)]), 0),
+        (disjoint_union([complete_graph(1), complete_graph(1)]), 0),
+    ],
+    ids=["K6", "C6", "empty6", "2K3", "K1+P5", "2K1"],
+)
+def test_root_block(native_walk, g, propagations):
+    """A graph of 2..6 vertices is one leaf block at the root; 6 vertices fill the word.
+
+    The root's candidates are all n vertices, so the walk pops the root only.
+    Pairs in different components, and pairs whose interval has a cut
+    vertex, fail without a propagation; only the three antipodal pairs of
+    C_6 need one each.
+    """
+    expected = reference_counts(g)
+    for theta in (False, True):
+        counters = {}
+        assert native_walk([g.adj], theta, counters) == [expected[theta]], theta
+        assert counters == {"nodes": 1, "closed": 0, "propagations": propagations, "blocks": 1}
 
 
 def test_many_graph_entry_matches_per_graph_calls(native_walk):
     """One call over the corpus and orders 0, 1 and 64 against one call per graph."""
     records = golden_records()
     corpus = [parse_graph6(record) for record in records]
-    extra = [empty_graph(0), empty_graph(1), path_graph(64), complete_graph(64), empty_graph(0)]
-    graphs = extra[:2] + corpus[:500] + extra[2:4] + corpus[500:] + extra[4:]
-    tables = {}
+    order64 = [path_graph(64), complete_graph(64), cycle_graph(64), benchmark_graphs(5)[4]]
+    graphs = [empty_graph(0), empty_graph(1), *corpus[:500], *order64, *corpus[500:], empty_graph(0)]
+    tables, big = {}, {}
     for theta in (False, True):
         many_counters, one_counters = {}, {}
         many = native_walk([g.adj for g in graphs], theta, many_counters)
         assert many == [native_walk([g.adj], theta, one_counters)[0] for g in graphs]
         assert many_counters == one_counters  # each call adds its counters
         assert many_counters["nodes"] >= len(graphs)
-        tables[theta] = many[2:502] + many[504:-1]
+        tables[theta] = many[2:502] + many[506:-1]
+        big[theta] = many[502:506]
+    closed_forms = [poly_path(64), poly_complete(64), poly_cycle(64), poly_path(64)]
+    assert [Polynomial((1, *counts[1:])) for counts in big[False]] == closed_forms
+    for counts, table in zip(big[False], big[True]):
+        assert counts == [sum(c for (k, _), c in table.items() if k == j) for j in range(65)]
+    counters = {}
+    native_walk([g.adj for g in order64], False, counters)
+    assert counters["blocks"] > 0  # C_64 and the two P_64
     lines = []
     for record, counts, table in zip(records, tables[False], tables[True]):
         lines.append(golden_line(record, Polynomial((1, *counts[1:])), table))
@@ -209,6 +266,58 @@ def test_unwritable_cache_falls_back(monkeypatch, tmp_path):
     monkeypatch.setattr(native, "_walk", native._UNSET)
     assert native.load() is None
     assert polynomial_pruned(cycle_graph(7)).coeffs == (1, 7, 21, 14)
+
+
+SANITIZE = ["-Wall", "-Wextra", "-Werror", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+
+# Runs in a child process: count the graphs read from stdin with the library
+# named by argv[1], writing the counts by size and the (size, diameter) tables.
+UBSAN_CHILD = """
+import json, sys
+from pathlib import Path
+from visipoly._native import _bind
+walk = _bind(Path(sys.argv[1]))
+adjs = json.load(sys.stdin)
+tables = [sorted(table.items()) for table in walk(adjs, True)]
+json.dump([walk(adjs, False), tables], sys.stdout)
+"""
+
+
+def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
+    """_walk.c with warnings as errors and UBSan on, reproducing the golden file.
+
+    The build aborts at its first undefined behaviour, such as a shift by 64
+    in a full-word leaf block. It is loaded in a child process, so an abort
+    fails this test alone.
+    """
+    compiler = native._compiler()
+    probe = tmp_path / "probe.c"
+    probe.write_text("int probe(int x) { return x + 1; }\n")
+    build = [compiler, "-O2", "-shared", "-fPIC"]
+    if subprocess.run([*build, "-fsanitize=undefined", "-o", str(tmp_path / "probe.so"), str(probe)],
+                      capture_output=True, timeout=120).returncode:
+        pytest.skip("the compiler cannot link UBSan")
+    library = tmp_path / "walk-ubsan.so"
+    result = subprocess.run([*build, *SANITIZE, "-o", str(library), str(native.SOURCE)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+    records = golden_records()
+    graphs = [parse_graph6(record) for record in records] + benchmark_graphs(211)
+    graphs += [empty_graph(6), complete_graph(6), complete_graph(64), empty_graph(0)]
+    env = {**os.environ, "PYTHONPATH": str(native.SOURCE.parent.parent)}
+    child = subprocess.run([sys.executable, "-c", UBSAN_CHILD, str(library)], env=env,
+                           input=json.dumps([list(g.adj) for g in graphs]),
+                           capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    counts, tables = json.loads(child.stdout)
+    tables = [{tuple(key): c for key, c in table} for table in tables]
+    lines = [golden_line(record, Polynomial((1, *c[1:])), table)
+             for record, c, table in zip(records, counts, tables)]
+    assert "\n".join(lines) + "\n" == GOLDEN.read_text("ascii")
+    rest = graphs[len(records):]
+    assert counts[len(records):] == native_walk([g.adj for g in rest], False)
+    assert tables[len(records):] == native_walk([g.adj for g in rest], True)
 
 
 def test_build_into_empty_cache(native_walk, monkeypatch, tmp_path):
