@@ -453,14 +453,8 @@ static void leaf_block(Walk *w, int size, uint64_t mask, int diam, uint64_t pass
                 continue;
             for (uint64_t c = between & cuts; c; c &= c - 1)
                 bad |= pattern[cands[k]] & pattern[LOW(c)];
-            if (!(between & ~cuts))
-                continue;
-            /* A member that is a source already takes the pair, else the
-               candidate does: members outnumber candidates. */
-            if (targets[i])
+            if (between & ~cuts)
                 aim(targets, regions, i, cands[k], inner);
-            else
-                aim(targets, regions, size + k, members[i], inner);
         }
     for (int k = 0; k < p; k++)
         for (int l = k + 1; l < p; l++) {

@@ -123,7 +123,7 @@ def benchmark_graphs(seed):
 # copies of C_5 and benchmark_graphs(211), for either sink.
 FIXED_COUNTERS = [
     (2060, 1, 2058, 5), (16, 3, 14, 9),
-    (3207, 657, 25156, 1675), (2188, 262, 23040, 1346), (2329, 287, 20956, 1433),
+    (3207, 657, 27762, 1675), (2188, 262, 24656, 1346), (2329, 287, 22540, 1433),
     (2641, 104, 2739, 307), (2060, 1, 3453, 5), (1, 1, 0, 0),
 ]
 
