@@ -118,8 +118,8 @@ def _bind(path: Path) -> Walk:
         a list indexed by size (entry 0 stays 0), or with ``theta`` a dict
         keyed by (size, diameter) holding the nonzero counts. ``counters``
         gains the walk counters (``COUNTER_NAMES``: nodes popped, nodes
-        closed by the shortcut, membership propagations, leaf blocks
-        evaluated), summed over the graphs.
+        closed by the shortcut, membership propagations, leaf blocks of
+        2..9 candidates evaluated), summed over the graphs.
         """
         orders = [len(adj) for adj in adjs]
         masks = [mask for adj in adjs for mask in adj]

@@ -21,20 +21,31 @@
  *   at u, so any other candidate needs no test. A vertex alone at its
  *   distance from u in I(u, w) lies on every shortest u-w path, so it
  *   leaves the candidates of every set holding u and w untested.
- * - Leaf block (leaf_block). A node with 2 <= p <= BLOCK_MAX = 6 passed
+ * - Leaf block (leaf_block). A node with 2 <= p <= BLOCK_MAX = 9 passed
  *   candidates c_0..c_{p-1} evaluates all 2^p sets X + S of its subtree at
- *   once, as the bits of one uint64_t: bit s stands for the S holding c_i
- *   when bit i of s is set. A member blocks in every bit, c_i in the bits
- *   of PATTERNS[i], any other vertex in none. Since X and each X + c_i
- *   passed, a pair of members needs a test only when two candidates lie in
- *   its interval, a member and a candidate only when another candidate
- *   does, and two candidates when any vertex of X + P does; a blocker that
- *   cuts its pair fails the sets holding all three at once. The other pairs
- *   take one clear-set propagation per source over their intervals only.
- *   Each size j then adds popcount(good & SIZES[j]) to entry |X| + j; for
+ *   once, as the bits of W = 2^(p - 6) uint64_t words (one word for p <= 6):
+ *   bit s of word k stands for the S holding c_i, i < 6, when bit i of s is
+ *   set and c_i, i >= 6, when bit i - 6 of k is. A member blocks in every
+ *   bit; c_i, i < 6, in the bits of PATTERNS[i] of every word; c_i, i >= 6,
+ *   in all of word k when bit i - 6 of k is set and in none of the others;
+ *   any other vertex blocks in none. Since X and each X + c_i passed, a pair
+ *   of members needs a test only when two candidates lie in its interval, a
+ *   member and a candidate only when another candidate does, and two
+ *   candidates when any vertex of X + P does. A blocker that cuts its pair
+ *   fails the sets holding all three: the block marks that smallest failing
+ *   set (one bit) and adds all its supersets in one pass per candidate at the
+ *   end. The other pairs take one clear-set propagation per source over
+ *   their intervals only, each vertex visited carrying W words. Set s of
+ *   word k holds popcount(k) + popcount(s) candidates, so each word k and
+ *   size j add popcount(good & SIZES[j]) to entry |X| + popcount(k) + j; for
  *   Theta the good sets are first split by diameter, the largest of diam(X),
  *   each candidate's farthest member and each candidate pair's distance.
- *   Smaller blocks (p <= 4 or 5 only) measured slower than the full word.
+ *   The body is written once and specialised for each W. Measured per walk
+ *   on the 4x5 grid, Q_4 and G(16, .5), blocks of p <= 8 only and of
+ *   p <= 10 were both slower than p <= 9 (by 6-46%); long cycles pay for the
+ *   wide blocks (C_24 about 1.3x slower than with p <= 6), since their
+ *   antipodal pairs propagate around the whole cycle in W words and most of
+ *   a wide block's sets fail.
  * - Closure shortcut (closes), for nodes with p = 1 or p > BLOCK_MAX. When
  *   the members together with all p passed candidates form a
  *   mutual-visibility set, every combination of the candidates is one too,
@@ -63,8 +74,9 @@
  *   out       zeroed by the caller, the graphs' entries packed in turn
  *   counters  four entries, summed over the graphs: nodes popped, nodes
  *             closed by the shortcut, membership propagations (visible(),
- *             clear_targets() and the blocks' blocked()), leaf blocks
- *             evaluated; the sets of a block are counted but never popped
+ *             clear_targets() and the blocks' blocked()), leaf blocks of 2..9
+ *             candidates evaluated; the sets of a block are counted but
+ *             never popped
  * Returns 0, or -1 when an order is out of range or memory runs out; then
  * nothing is counted.
  */
@@ -74,15 +86,16 @@
 #include <string.h>
 
 #define MAXN 64
-#define BLOCK_MAX 6                /* a leaf block's 2^p sets fit one uint64_t */
+#define BLOCK_MAX 9                /* a leaf block's 2^p sets fit WORDS_MAX uint64_t */
+#define WORDS_MAX (1 << (BLOCK_MAX - 6))
 
 /* Bit s of PATTERNS[i] is set when bit i of s is: the sets of a block holding candidate i. */
-static const uint64_t PATTERNS[BLOCK_MAX] = {
+static const uint64_t PATTERNS[6] = {
     0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
     0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
 };
 /* Bit s of SIZES[j] is set when s has j bits set. */
-static const uint64_t SIZES[BLOCK_MAX + 1] = {
+static const uint64_t SIZES[7] = {
     0x0000000000000001ULL, 0x0000000100010116ULL, 0x0001011601161668ULL,
     0x0116166816686880ULL, 0x1668688068808000ULL, 0x6880800080000000ULL,
     0x8000000000000000ULL,
@@ -104,7 +117,8 @@ typedef struct {
     uint64_t binom[MAXN + 1][MAXN + 1];
     int members[MAXN];
     uint64_t spans[MAXN + 1][MAXN]; /* spans[size][i] of the node on the path */
-    uint64_t pattern[MAXN];        /* in a leaf block, the sets holding v; else 0 */
+    uint64_t pattern[MAXN * WORDS_MAX]; /* in a leaf block of W words, words v * W.. hold
+                                           the sets holding v; else 0 */
 } Walk;
 
 #define LOW(m) __builtin_ctzll(m)
@@ -186,7 +200,7 @@ static uint64_t clear_targets(const Walk *w, int u, uint64_t x_mask, uint64_t ta
 }
 
 /* The interior of I(u, v) and its vertices alone at their distance from u. */
-static void interval(Walk *w, int u, int v, uint64_t *inner, uint64_t *cuts)
+static inline void interval(Walk *w, int u, int v, uint64_t *inner, uint64_t *cuts)
 {
     if (!w->known[u][v]) {
         int span = w->dist[u][v];
@@ -348,33 +362,40 @@ static void count_closed_theta(Walk *w, int size, int diam, uint64_t passed)
 }
 
 /*
- * The sets of a leaf block in which some target is not clear from u, as a
- * bit slice. clear[x] holds the sets with a shortest u-x path whose interior
- * avoids the set: the union of clear[y] over the predecessors y of x, less
- * the sets holding y, where the source never blocks. Only the vertices of
- * region, the targets and their intervals' interiors, lie on those paths, so
- * no other vertex is visited.
+ * The sets of a leaf block in which some target is not clear from u, ORed
+ * into bad, as a bit slice of W words. clear[x] holds the sets with a
+ * shortest u-x path whose interior avoids the set: the union of clear[y] over
+ * the predecessors y of x, less the sets holding y, where the source never
+ * blocks. Only the vertices of region, the targets and their intervals'
+ * interiors, lie on those paths, so no other vertex is visited.
  */
-static uint64_t blocked(Walk *w, int u, uint64_t targets, uint64_t region, uint64_t full)
+static inline __attribute__((always_inline)) void
+blocked(Walk *w, int u, uint64_t targets, uint64_t region, uint64_t *bad, const int W)
 {
-    uint64_t bad = 0, clear[MAXN], previous = 1ULL << u;
+    uint64_t hit[WORDS_MAX] = {0}, clear[MAXN * WORDS_MAX], previous = 1ULL << u;
+    const uint64_t *pattern = w->pattern;
     w->propagations++;
-    clear[u] = full;
+    for (int q = 0; q < W; q++)
+        clear[u * W + q] = ~0ULL;
     for (int d = 1; region; d++) {
         uint64_t layer = w->layers[u][d] & region;
         region ^= layer;
         for (uint64_t m = layer; m; m &= m - 1) {
             int x = LOW(m);
-            uint64_t reach = 0;
-            for (uint64_t q = w->adj[x] & previous; q; q &= q - 1)
-                reach |= clear[LOW(q)];
-            if (targets >> x & 1)
-                bad |= w->pattern[x] & ~reach;
-            clear[x] = reach & ~w->pattern[x];
+            uint64_t reach[WORDS_MAX] = {0};
+            for (uint64_t y = w->adj[x] & previous; y; y &= y - 1)
+                for (int q = 0; q < W; q++)
+                    reach[q] |= clear[LOW(y) * W + q];
+            uint64_t aimed = -(targets >> x & 1);
+            for (int q = 0; q < W; q++) {
+                hit[q] |= pattern[x * W + q] & ~reach[q] & aimed;
+                clear[x * W + q] = reach[q] & ~pattern[x * W + q];
+            }
         }
         previous = layer;
     }
-    return bad & w->pattern[u];
+    for (int q = 0; q < W; q++)
+        bad[q] |= hit[q] & pattern[u * W + q];
 }
 
 /* Source s of a leaf block must reach v through the interval interior inner. */
@@ -384,53 +405,80 @@ static void aim(uint64_t *targets, uint64_t *regions, int s, int v, uint64_t inn
     regions[s] |= inner | 1ULL << v;
 }
 
-/* at[d] gains sets of diameter at least d; levels holds the d whose at[d] is set. */
-static void reaches(uint64_t *at, uint64_t *levels, int d, uint64_t sets)
+/* at[d] gains the sets in both slices a and b, of diameter at least d; levels holds the d set. */
+static inline __attribute__((always_inline)) void
+reaches(uint64_t *at, uint64_t *levels, int d, const uint64_t *a, const uint64_t *b, const int W)
 {
     if (!(*levels >> d & 1))
-        at[d] = 0;
+        memset(at + d * W, 0, sizeof(uint64_t) * (size_t)W);
     *levels |= 1ULL << d;
-    at[d] |= sets;
+    for (int q = 0; q < W; q++)
+        at[d * W + q] |= a[q] & b[q];
 }
 
-/* Add the block's sets of slice, by size, at diameter d. */
-static void count_slice(Walk *w, int size, int p, int d, uint64_t slice)
+/*
+ * Add the block's sets of slice, by size, at diameter d: set s of word q holds
+ * popcount(q) + j candidates when s has j bits set.
+ */
+static inline __attribute__((always_inline)) void
+count_slice(Walk *w, int size, int p, int d, const uint64_t *slice, const int W)
 {
     uint64_t *out = w->theta ? w->out + (size_t)size * w->n + d : w->out + size;
     size_t stride = w->theta ? (size_t)w->n : 1;
-    for (int j = 1; j <= p; j++)
-        out[j * stride] += (uint64_t)COUNT(slice & SIZES[j]);
+    for (int q = 0; q < W; q++)
+        for (int j = !q; j <= p && j <= 6; j++)
+            out[(size_t)(j + COUNT(q)) * stride] += (uint64_t)COUNT(slice[q] & SIZES[j]);
+}
+
+/* Bit s of word q of a block stands for the set of candidate indices q << 6 | s. */
+#define SEED(words, set) ((words)[(set) >> 6] |= 1ULL << ((set) & 63))
+
+/* Add to words every superset, within p candidates, of the sets in it, one candidate at a time. */
+static inline __attribute__((always_inline)) void
+supersets(uint64_t *words, int p, const int W)
+{
+    for (int i = 0; i < p && i < 6; i++)
+        for (int q = 0; q < W; q++)
+            words[q] |= (words[q] & ~PATTERNS[i]) << (1 << i);
+    for (int i = 6; i < p; i++)
+        for (int q = 0; q < W; q++)
+            if (q >> (i - 6) & 1)
+                words[q] |= words[q ^ 1 << (i - 6)];
 }
 
 /*
  * Every set members + S, S a nonempty part of passed with 2 <= p <= BLOCK_MAX
- * candidates, tested at once: bit s of a word stands for the S holding
- * candidate i when bit i of s is set. The members and each member plus one
- * candidate are known to pass, so a pair of members can only fail when two
- * candidates lie between them, a member and a candidate when another
- * candidate does, and two candidates when any vertex of the set does (or
- * when they are in different components, at a root of at most BLOCK_MAX
+ * candidates, tested at once in W = 2^(p - 6) words (one for p <= 6): bit s
+ * of word q stands for the S holding candidate i < 6 when bit i of s is set
+ * and candidate i >= 6 when bit i - 6 of q is. The members and each member
+ * plus one candidate are known to pass, so a pair of members can only fail
+ * when two candidates lie between them, a member and a candidate when
+ * another candidate does, and two candidates when any vertex of the set does
+ * (or when they are in different components, at a root of at most BLOCK_MAX
  * vertices). A blocker that cuts its pair fails the sets holding all three
  * at once; any other pair is settled by one propagation per source. A set's
  * diameter is the largest of diam, the farthest member from each of its
  * candidates and the distances between its candidates.
  */
-static void leaf_block(Walk *w, int size, uint64_t mask, int diam, uint64_t passed)
+static inline __attribute__((always_inline)) void
+block_words(Walk *w, int size, uint64_t mask, int diam, uint64_t passed, const int W)
 {
     const int *members = w->members;
     const uint64_t *spans = w->spans[size];
-    uint64_t *pattern = w->pattern, inner, cuts, bad = 0;
-    uint64_t full = ~0ULL >> (64 - (1 << COUNT(passed))), sets = mask | passed;
+    uint64_t *pattern = w->pattern, inner, cuts, bad[WORDS_MAX] = {0}, good[WORDS_MAX];
+    uint64_t full = W > 1 ? ~0ULL : ~0ULL >> (64 - (1 << COUNT(passed))), sets = mask | passed;
     /* Per source, members first: the vertices it must reach, and their intervals. */
     uint64_t targets[MAXN + BLOCK_MAX], regions[MAXN + BLOCK_MAX];
-    int cands[BLOCK_MAX], p = 0;
-    for (uint64_t m = passed; m; m &= m - 1) {
+    int cands[BLOCK_MAX], slot[MAXN], p = 0;
+    for (uint64_t m = passed; m; m &= m - 1, p++) {
         cands[p] = LOW(m);
-        pattern[cands[p]] = PATTERNS[p] & full;
-        p++;
+        slot[cands[p]] = p;
+        for (int q = 0; q < W; q++)
+            pattern[cands[p] * W + q] = p < 6 ? PATTERNS[p] & full : -(uint64_t)(q >> (p - 6) & 1);
     }
     for (int i = 0; i < size; i++)
-        pattern[members[i]] = full;
+        for (int q = 0; q < W; q++)
+            pattern[members[i] * W + q] = full;
     memset(targets, 0, sizeof(uint64_t) * (size_t)(size + p));
     memset(regions, 0, sizeof(uint64_t) * (size_t)(size + p));
 
@@ -452,58 +500,79 @@ static void leaf_block(Walk *w, int size, uint64_t mask, int diam, uint64_t pass
             if (!between)
                 continue;
             for (uint64_t c = between & cuts; c; c &= c - 1)
-                bad |= pattern[cands[k]] & pattern[LOW(c)];
+                SEED(bad, 1 << k | 1 << slot[LOW(c)]);
             if (between & ~cuts)
                 aim(targets, regions, i, cands[k], inner);
         }
     for (int k = 0; k < p; k++)
         for (int l = k + 1; l < p; l++) {
-            uint64_t both = pattern[cands[k]] & pattern[cands[l]];
-            if (w->dist[cands[k]][cands[l]] < 0) {
-                bad |= both;
-                continue;
-            }
+            int pair = 1 << k | 1 << l;
             interval(w, cands[k], cands[l], &inner, &cuts);
             uint64_t between = inner & sets;
-            if (between & cuts & mask)
-                bad |= both;
+            if (w->dist[cands[k]][cands[l]] < 0 || (between & cuts & mask))
+                SEED(bad, pair);
             for (uint64_t c = between & cuts & passed; c; c &= c - 1)
-                bad |= both & pattern[LOW(c)];
+                SEED(bad, pair | 1 << slot[LOW(c)]);
             if (between & ~cuts)
                 aim(targets, regions, size + k, cands[l], inner);
         }
+    supersets(bad, p, W);
     for (int i = 0; i < size + p; i++)
         if (targets[i])
-            bad |= blocked(w, i < size ? members[i] : cands[i - size], targets[i], regions[i],
-                           full);
+            blocked(w, i < size ? members[i] : cands[i - size], targets[i], regions[i], bad, W);
 
-    uint64_t good = full & ~bad & ~1ULL; /* bit 0, the members alone, is the node */
-    if (w->theta && good) {
-        uint64_t at[MAXN], levels = 0, farther = 0;
+    for (int q = 0; q < W; q++)
+        good[q] = full & ~bad[q];
+    good[0] &= ~1ULL; /* bit 0 of word 0, the members alone, is the node */
+    if (w->theta) {
+        uint64_t at[MAXN * WORDS_MAX], levels = 0, farther[WORDS_MAX] = {0}, slice[WORDS_MAX];
         for (int k = 0; k < p; k++) {
             int v = cands[k], e = diam;
+            const uint64_t *pv = pattern + v * W;
             for (int i = 0; i < size; i++)
                 if (w->dist[v][members[i]] > e)
                     e = w->dist[v][members[i]];
             if (e > diam)
-                reaches(at, &levels, e, pattern[v]);
+                reaches(at, &levels, e, pv, pv, W);
             for (int l = 0; l < k; l++)
                 if (w->dist[v][cands[l]] > diam)
-                    reaches(at, &levels, w->dist[v][cands[l]], pattern[v] & pattern[cands[l]]);
+                    reaches(at, &levels, w->dist[v][cands[l]], pv, pattern + cands[l] * W, W);
         }
         while (levels) {
             int d = 63 - __builtin_clzll(levels);
             levels ^= 1ULL << d;
-            count_slice(w, size, p, d, good & at[d] & ~farther);
-            farther |= at[d];
+            for (int q = 0; q < W; q++) {
+                slice[q] = good[q] & at[d * W + q] & ~farther[q];
+                farther[q] |= at[d * W + q];
+            }
+            count_slice(w, size, p, d, slice, W);
         }
-        good &= ~farther;
+        for (int q = 0; q < W; q++)
+            good[q] &= ~farther[q];
     }
-    count_slice(w, size, p, diam, good);
+    count_slice(w, size, p, diam, good, W);
     for (int i = 0; i < size; i++)
-        pattern[members[i]] = 0;
+        memset(pattern + members[i] * W, 0, sizeof(uint64_t) * (size_t)W);
     for (int k = 0; k < p; k++)
-        pattern[cands[k]] = 0;
+        memset(pattern + cands[k] * W, 0, sizeof(uint64_t) * (size_t)W);
+}
+
+/* One leaf block, its body specialised for each word count. */
+static void leaf_block(Walk *w, int size, uint64_t mask, int diam, uint64_t passed)
+{
+    switch (COUNT(passed)) {
+    case 9:
+        block_words(w, size, mask, diam, passed, 8);
+        break;
+    case 8:
+        block_words(w, size, mask, diam, passed, 4);
+        break;
+    case 7:
+        block_words(w, size, mask, diam, passed, 2);
+        break;
+    default:
+        block_words(w, size, mask, diam, passed, 1);
+    }
 }
 
 /* One node of the tree: members[0..size) with their spans[size], then its subtree. */

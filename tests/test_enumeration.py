@@ -192,11 +192,12 @@ def test_theta_table_matches_oracle(random_small_graphs, monkeypatch):
         for p in (0.7, 0.85, 0.95)
         for _ in range(3)
     ]
+    k12_minus_edge = delete_edge(complete_graph(12), 3, 7)
     k9_minus_edge = delete_edge(complete_graph(9), 1, 8)
     dense += [
-        delete_edge(complete_graph(12), 3, 7),
         join(paw_graph(), cycle_graph(6)),
         complete_bipartite_graph(3, 4),
+        k12_minus_edge,
         k9_minus_edge,
     ]
     graphs = random_small_graphs[:80] + dense
@@ -205,22 +206,29 @@ def test_theta_table_matches_oracle(random_small_graphs, monkeypatch):
     for g, expected in zip(graphs, expected_tables):
         assert compute_stats(g).theta == expected, g
         assert count_by_size_and_diameter(g) == expected, g
-    # A native closure of p >= 7 candidates whose sets take two diameters. In
-    # K_9 less the edge 1-8, only the whole vertex set fails, and a set of two
-    # or more vertices has diameter 2 when it holds 1 and 8, else 1. The walk
-    # pops 25 nodes: the root, its 9 children, the 8 of {0} and the 7 of
-    # {0, 1}. A node whose largest member v is 2..6 has the p = 8 - v
-    # candidates above v and is a leaf block (15 blocks); v = 7 closes with
-    # p = 1 and v = 8 is a leaf. The root, {0} and {0, 1} with their
-    # candidates hold the whole set and are walked. {1} closes with its 7
-    # candidates 2..8 (0 stays out, a common neighbour of 1 and 8), so
-    # count_closed_theta counts its sets at diameters 1 and 2: 4 closures in
-    # all. Walking {1} would pop its 7 children.
-    # Every set holding 1 and 8 but the whole vertex set has diameter 2.
+    # K_9 less the edge 1-8 is one leaf block of 2^9 sets at the root: only
+    # the whole vertex set fails, and a set of two or more vertices has
+    # diameter 2 when it holds 1 and 8, else 1. Its one propagation settles
+    # the pair 1-8, whose interval has no cut vertex.
     assert sum(c for (_, d), c in expected_tables[-1].items() if d == 2) == 2**7 - 1
     counters = native_counters(k9_minus_edge, theta=True)
     if counters is not None:
-        assert (counters["nodes"], counters["closed"], counters["blocks"]) == (25, 4, 15)
+        assert (counters["nodes"], counters["closed"], counters["blocks"]) == (1, 0, 1)
+    # A native closure of p >= 10 candidates whose sets take two diameters. In
+    # K_12 less the edge 3-7, only the whole vertex set fails, and a set of
+    # two or more vertices has diameter 2 when it holds 3 and 7, else 1. The
+    # walk pops 34 nodes: the root, its 12 children, the 11 of {0} and the 10
+    # of {0, 1}. A node whose largest member v is 2..9 has the p = 11 - v
+    # candidates above v and is a leaf block (24 blocks); v = 10 closes with
+    # p = 1 and v = 11 is a leaf. The root, {0} and {0, 1} with their
+    # candidates hold the whole set and are walked. {1} closes with its 10
+    # candidates 2..11 (0 stays out, a common neighbour of 3 and 7), so
+    # count_closed_theta counts its sets at diameters 1 and 2: 4 closures in
+    # all. Walking {1} would pop its 10 children.
+    assert sum(c for (_, d), c in expected_tables[-2].items() if d == 2) == 2**10 - 1
+    counters = native_counters(k12_minus_edge, theta=True)
+    if counters is not None:
+        assert (counters["nodes"], counters["closed"], counters["blocks"]) == (34, 4, 24)
     pin_python_walk(monkeypatch)
     for g, expected in zip(graphs, expected_tables):
         assert compute_stats(g).theta == expected, g
@@ -259,22 +267,27 @@ def test_pruned_equals_bruteforce_on_larger_graphs():
         assert Polynomial(tuple(counts)) == expected, g
 
     # In these graphs the native walk closes some nodes and not others: more
-    # than one node means the root, with all n > 6 vertices as passed
-    # candidates, did not close. Each mutual-visibility set (and the empty
-    # root) is popped as a node, counted in a leaf block of 2 <= p <= 6 passed
-    # candidates (at most 2^6 - 1 sets besides the block's node) or lies in
-    # the subtree of a closed node, which adds 2^p - 1 sets unpopped. The
-    # shortcut runs only for p = 1 and p >= 7, so more than nodes + closed +
-    # 63 blocks sets on K_12 - e means some node closed with p >= 7.
+    # than one node means the root, with all n > 9 vertices as passed
+    # candidates, did not close.
     for g in special:
         counters = native_counters(g, theta=False)
         if counters is not None:
             assert counters["closed"] > 0, g
             assert counters["nodes"] > 1, g
+    # A closure of p >= 10 candidates on K_12 - e, walked as derived in
+    # test_theta_table_matches_oracle. Each mutual-visibility set (and the
+    # empty root) is popped as a node, counted in a leaf block or lies in the
+    # subtree of a closed node, which adds 2^p - 1 sets unpopped. The blocks
+    # at the nodes {v}, {0, v} and {0, 1, v}, v = 2..9, hold the p = 11 - v
+    # candidates above v and count 2^p - 1 sets each, except that the block
+    # of {0, 1, 2} loses the whole vertex set. The three closures with p = 1
+    # add one set each and {1} adds 2^10 - 1.
     counters = native_counters(special[0], theta=False)
     if counters is not None:
-        unpopped = expected_polys[len(graphs)].evaluate(1) - counters["nodes"] - counters["closed"]
-        assert unpopped > 63 * counters["blocks"]
+        assert (counters["nodes"], counters["closed"], counters["blocks"]) == (34, 4, 24)
+        unpopped = expected_polys[len(graphs)].evaluate(1) - counters["nodes"]
+        in_blocks = 3 * sum(2**p - 1 for p in range(2, 10)) - 1
+        assert unpopped == in_blocks + 3 + (2**10 - 1)
 
 
 def test_iter_mv_sets_in_lexicographic_order(random_small_graphs):

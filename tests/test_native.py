@@ -27,6 +27,7 @@ from visipoly import (
     compute_stats,
     count_by_size_and_diameter,
     cycle_graph,
+    delete_edge,
     disjoint_union,
     empty_graph,
     iter_mv_sets,
@@ -122,9 +123,9 @@ def benchmark_graphs(seed):
 # (nodes, closed, propagations, blocks) of the native walk on P_64, three
 # copies of C_5 and benchmark_graphs(211), for either sink.
 FIXED_COUNTERS = [
-    (2060, 1, 2058, 5), (16, 3, 14, 9),
-    (3207, 657, 27762, 1675), (2188, 262, 24656, 1346), (2329, 287, 22540, 1433),
-    (2641, 104, 2739, 307), (2060, 1, 3453, 5), (1, 1, 0, 0),
+    (2036, 1, 2034, 8), (16, 3, 14, 9),
+    (1438, 207, 14877, 944), (530, 48, 6292, 380), (584, 48, 6317, 428),
+    (1997, 99, 2633, 380), (2036, 1, 3429, 8), (1, 1, 0, 0),
 ]
 
 
@@ -194,16 +195,25 @@ def test_native_walk_equals_bruteforce_on_16_to_25_vertices(native_walk):
         (disjoint_union([complete_graph(3)] * 2), 0),
         (disjoint_union([complete_graph(1), path_graph(5)]), 0),
         (disjoint_union([complete_graph(1), complete_graph(1)]), 0),
+        (cycle_graph(7), 0),
+        (disjoint_union([complete_graph(1), path_graph(7)]), 0),
+        (cycle_graph(8), 4),
+        (complete_graph(9), 0),
+        (cycle_graph(9), 0),
+        (empty_graph(9), 0),
+        (disjoint_union([complete_graph(3)] * 3), 0),
     ],
-    ids=["K6", "C6", "empty6", "2K3", "K1+P5", "2K1"],
+    ids=["K6", "C6", "empty6", "2K3", "K1+P5", "2K1", "C7", "K1+P7", "C8", "K9", "C9", "empty9",
+         "3K3"],
 )
 def test_root_block(native_walk, g, propagations):
-    """A graph of 2..6 vertices is one leaf block at the root; 6 vertices fill the word.
+    """A graph of 2..9 vertices is one leaf block at the root.
 
+    6 vertices fill one word; 7, 8 and 9 vertices fill 2, 4 and 8 words.
     The root's candidates are all n vertices, so the walk pops the root only.
     Pairs in different components, and pairs whose interval has a cut
-    vertex, fail without a propagation; only the three antipodal pairs of
-    C_6 need one each.
+    vertex, fail without a propagation; only the antipodal pairs of C_6 and
+    C_8 need one each.
     """
     expected = reference_counts(g)
     for theta in (False, True):
@@ -287,8 +297,9 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     """_walk.c with warnings as errors and UBSan on, reproducing the golden file.
 
     The build aborts at its first undefined behaviour, such as a shift by 64
-    in a full-word leaf block. It is loaded in a child process, so an abort
-    fails this test alone.
+    in a full-word leaf block. The benchmark graphs hold blocks of every width,
+    and C_9 and K_9 - e are root blocks of 8 words. It is loaded in a child
+    process, so an abort fails this test alone.
     """
     compiler = native._compiler()
     probe = tmp_path / "probe.c"
@@ -304,7 +315,8 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
 
     records = golden_records()
     graphs = [parse_graph6(record) for record in records] + benchmark_graphs(211)
-    graphs += [empty_graph(6), complete_graph(6), complete_graph(64), empty_graph(0)]
+    graphs += [empty_graph(6), complete_graph(6), complete_graph(64), empty_graph(0), cycle_graph(9),
+               delete_edge(complete_graph(9), 1, 8)]
     env = {**os.environ, "PYTHONPATH": str(native.SOURCE.parent.parent)}
     child = subprocess.run([sys.executable, "-c", UBSAN_CHILD, str(library)], env=env,
                            input=json.dumps([list(g.adj) for g in graphs]),
