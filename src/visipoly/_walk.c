@@ -49,12 +49,17 @@
  * - Closure shortcut (closes), for nodes with p = 1 or p > BLOCK_MAX. When
  *   the members together with all p passed candidates form a
  *   mutual-visibility set, every combination of the candidates is one too,
- *   so the subtree is counted and not walked. For the polynomial the node
+ *   so the subtree is counted and not walked. The check is a plain
+ *   membership test: with p >= 2, X + P passes when every vertex of it but
+ *   the highest sees all the others; the pair rules live in the leaf block
+ *   only. With seed-211 labels the p >= 10 check runs 121, 47 and 52 times a
+ *   walk on the 4x5 grid, Q_4 and G(16, .5), fails every time at its first
+ *   propagation, and passes only at K_16's root. For the polynomial the node
  *   adds C(p, j) to entry |X| + j. For the (size, diameter) table
- *   (count_closed_theta) it counts, for each distinct diameter D in
- *   increasing order, the cliques of the graph joining the candidates within
- *   distance D of each other and of every member; the cliques new at D are
- *   the sets of diameter D.
+ *   (count_closed_theta) it counts, for each distinct e(s) and candidate-pair
+ *   distance D in increasing order, the cliques of the graph joining the
+ *   candidates within distance D of each other and of every member; the
+ *   cliques new at D are the sets of diameter D.
  *
  * Its references in the tests are a golden per-graph file, brute force
  * (polynomial and (size, diameter) table, up to 25 vertices), the plain
@@ -225,56 +230,18 @@ static inline void interval(Walk *w, int u, int v, uint64_t *inner, uint64_t *cu
 }
 
 /*
- * The members plus all of passed form a mutual-visibility set. The members
- * plus any one candidate are known to pass, so a pair can only fail when the
- * other candidates add a blocker inside its interval. A test from a vertex
- * covers every pair holding it. The other pairs are settled from the
- * intervals: a pair of members can only fail when at least two candidates
- * lie in the first member's span, a member and a candidate when another
- * candidate lies between them, and two candidates when any vertex of the set
- * does. A blocker that cuts its pair fails at once.
+ * The members plus all of passed form a mutual-visibility set: every vertex of
+ * the set but the highest sees all the others, which covers every pair. The
+ * members plus one candidate are known to pass.
  */
-static int closes(Walk *w, int size, uint64_t mask, uint64_t passed)
+static int closes(Walk *w, uint64_t mask, uint64_t passed)
 {
     if ((passed & (passed - 1)) == 0)
         return 1;
-    uint64_t x_mask = mask | passed, inner, cuts;
-    int tested[MAXN], untested[MAXN], seen[MAXN];
-    int nt = 0, nu = 0, ns = 0;
-    for (int i = 0; i < size; i++) {
-        uint64_t inside = w->spans[size][i] & passed;
-        if (inside & (inside - 1))
-            tested[nt++] = w->members[i];
-        else
-            untested[nu++] = w->members[i];
-    }
-    for (uint64_t m = passed; m; m &= m - 1) {
-        int s = LOW(m);
-        uint64_t others = passed & ~(1ULL << s);
-        int test = 0;
-        for (int i = 0; i < nu && !test; i++) {
-            interval(w, untested[i], s, &inner, &cuts);
-            if (cuts & others)
-                return 0;
-            test = (inner & others) != 0;
-        }
-        for (int i = 0; i < ns && !test; i++) {
-            interval(w, seen[i], s, &inner, &cuts);
-            if (cuts & x_mask)
-                return 0;
-            test = (inner & x_mask) != 0;
-        }
-        if (!test) {
-            seen[ns++] = s;
-            continue;
-        }
+    uint64_t x_mask = mask | passed;
+    for (uint64_t m = x_mask & ~(1ULL << (63 - __builtin_clzll(x_mask))); m; m &= m - 1) {
         w->propagations++;
-        if (!visible(w, s, x_mask))
-            return 0;
-    }
-    for (int i = 0; i < nt; i++) {
-        w->propagations++;
-        if (!visible(w, tested[i], x_mask))
+        if (!visible(w, LOW(m), x_mask))
             return 0;
     }
     return 1;
@@ -316,45 +283,28 @@ static void clique_counts(const Walk *w, const uint64_t *adj, uint64_t cand, int
 static void count_closed_theta(Walk *w, int size, int diam, uint64_t passed)
 {
     int cands[MAXN], ecc[MAXN], p = 0, n = w->n;
+    uint64_t levels = 0;
     for (uint64_t m = passed; m; m &= m - 1) {
         int v = LOW(m), e = diam;
         for (int i = 0; i < size; i++)
             if (w->dist[v][w->members[i]] > e)
                 e = w->dist[v][w->members[i]];
+        for (int t = 0; t < p; t++)
+            levels |= 1ULL << w->dist[v][cands[t]];
+        levels |= 1ULL << e;
         cands[p] = v;
         ecc[p++] = e;
     }
-    if (p == 1) {
-        w->out[(size + 1) * n + ecc[0]]++;
-        return;
-    }
-    int first = ecc[0];
-    uint64_t levels = 0;
-    for (int i = 0; i < p; i++) {
-        levels |= 1ULL << ecc[i];
-        if (ecc[i] < first)
-            first = ecc[i];
-    }
-    for (int i = 1; i < p; i++)
-        for (int t = 0; t < i; t++)
-            if (w->dist[cands[i]][cands[t]] > first)
-                levels |= 1ULL << w->dist[cands[i]][cands[t]];
-    int last = 63 - __builtin_clzll(levels);
     uint64_t previous[MAXN + 1] = {1}, cliques[MAXN + 1];
     for (; levels; levels &= levels - 1) {
         int d = LOW(levels);
-        if (d == last) {
-            /* Every candidate and every pair lies within the last level. */
-            memcpy(cliques, w->binom[p], sizeof(uint64_t) * (size_t)(p + 1));
-        } else {
-            uint64_t vertices = 0;
-            for (int i = 0; i < p; i++)
-                if (ecc[i] <= d)
-                    vertices |= 1ULL << cands[i];
-            memset(cliques, 0, sizeof(uint64_t) * (size_t)(p + 1));
-            cliques[0] = 1;
-            clique_counts(w, w->balls[d], vertices, 0, p, cliques);
-        }
+        uint64_t vertices = 0;
+        for (int i = 0; i < p; i++)
+            if (ecc[i] <= d)
+                vertices |= 1ULL << cands[i];
+        memset(cliques, 0, sizeof(uint64_t) * (size_t)(p + 1));
+        cliques[0] = 1;
+        clique_counts(w, w->balls[d], vertices, 0, p, cliques);
         for (int j = 1; j <= p; j++)
             w->out[(size + j) * n + d] += cliques[j] - previous[j];
         memcpy(previous, cliques, sizeof(uint64_t) * (size_t)(p + 1));
@@ -618,7 +568,7 @@ static void visit(Walk *w, int size, uint64_t mask, int diam, uint64_t cand)
         return;
     }
 
-    if (closes(w, size, mask, passed)) {
+    if (closes(w, mask, passed)) {
         w->closed++;
         if (w->theta) {
             count_closed_theta(w, size, diam, passed);

@@ -167,6 +167,10 @@ def _cmd_batch(args) -> int:
         skip_bad=args.skip_bad,
         keep_histogram=args.histogram,
     )
+    payload = {"reports": [report.to_json_dict() for report in reports]}
+    if args.json == "-":
+        print(json.dumps(payload, indent=2))
+        return EXIT_OK
     for report in reports:
         print(
             f"order {report.order}: graphs={report.total_graphs} "
@@ -175,13 +179,9 @@ def _cmd_batch(args) -> int:
         for poly in report.max_group_polynomials:
             print(f"  modal polynomial: {poly}")
     if args.json:
-        payload = {"reports": [report.to_json_dict() for report in reports]}
-        if args.json == "-":
-            print(json.dumps(payload, indent=2))
-        else:
-            with open(args.json, "w", encoding="ascii") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
+        with open(args.json, "w", encoding="ascii") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
     return EXIT_OK
 
 
@@ -234,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser("batch", help="group a graph6 stream by polynomial")
     batch.add_argument("--input", required=True, metavar="FILE.g6")
-    batch.add_argument("--json", metavar="OUT", help="write the JSON report ('-' for stdout)")
+    batch.add_argument(
+        "--json", metavar="OUT", help="write the JSON report ('-': stdout, with no summary lines)"
+    )
     batch.add_argument("--skip-bad", action="store_true", help="skip malformed records")
     batch.add_argument("--workers", type=int, default=None)
     batch.add_argument("--histogram", action="store_true", help="keep per-group counts")

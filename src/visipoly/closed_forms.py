@@ -25,11 +25,10 @@ from .classes import (
     build_class,
     family_args,
 )
-from .enumeration import polynomial_pruned
+from .enumeration import count_by_size_and_diameter, polynomial_pruned
 from .errors import ParameterError
 from .graph import Graph, empty_graph
 from .polynomial import Polynomial
-from .visibility import compute_stats
 
 
 def poly_path(n: int) -> Polynomial:
@@ -123,12 +122,16 @@ def _q_vector(g: Graph) -> List[int]:
     """q_k(G) for k = 0..|G|: k-sets whose nonadjacent pairs share an outside neighbour.
 
     Such a set is a clique or a mutual-visibility set of diameter 2, so
-    q_k = c_k + Theta(k, 2). A complete graph has q_k = C(|G|, k), with no walk.
+    q_0 = 1 and q_k = Theta(k, 0) + Theta(k, 1) + Theta(k, 2). A complete graph
+    has q_k = C(|G|, k), with no walk.
     """
     if g.is_complete:
         return [comb(g.n, k) for k in range(g.n + 1)]
-    stats = compute_stats(g, k_max=g.n)
-    return [stats.cliques.get(k, 0) + stats.theta_count(k, 2) for k in range(g.n + 1)]
+    q = [1] + [0] * g.n
+    for (k, d), c in count_by_size_and_diameter(g).items():
+        if d <= 2:
+            q[k] += c
+    return q
 
 
 def poly_join(g: Graph, h: Graph) -> Polynomial:
@@ -141,8 +144,9 @@ def poly_join(g: Graph, h: Graph) -> Polynomial:
     r_i(G+H) = sum over k + l = i of
     (q_k(G) if l = |H| else C(|G|, k)) * (q_l(H) if k = |G| else C(|H|, l)).
     The joined graph is never built: only non-complete operands are walked,
-    each under the 64-vertex guardrail of ``compute_stats``. A join with the
-    order-0 graph is the other operand itself, which the law does not cover.
+    each under the 64-vertex guardrail of ``count_by_size_and_diameter``. A
+    join with the order-0 graph is the other operand itself, which the law
+    does not cover.
     """
     if g.n == 0 or h.n == 0:
         other = h if g.n == 0 else g

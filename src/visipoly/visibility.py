@@ -167,7 +167,9 @@ def compute_stats(g: Graph, k_max: int | None = None) -> VisStats:
     A view over the (size, diameter) table of ``count_by_size_and_diameter``,
     so the same pruned walk and the same 64-vertex guardrail apply. mu and
     r_mu come from the table's per-size sums over all sizes, independent of
-    k_max; theta and cliques stop at k_max.
+    k_max; theta and cliques stop at k_max. A clique is exactly a
+    mutual-visibility set of diameter at most 1, so c_0 = 1, c_1 = n and
+    c_k = Theta(k, 1) for k >= 2.
     """
     from .enumeration import count_by_size_and_diameter
 
@@ -180,7 +182,7 @@ def compute_stats(g: Graph, k_max: int | None = None) -> VisStats:
     mu = max((k for k, _ in table), default=0)
     r_mu = sum(c for (k, _), c in table.items() if k == mu) if mu else 1
     theta = {key: c for key, c in table.items() if key[0] <= k_max}
-    cliques = dict(enumerate(_clique_counts(g.adj, (1 << n) - 1, k_max)))
+    cliques = {k: table.get((k, 1), 0) if k > 1 else (1, n)[k] for k in range(k_max + 1)}
     return VisStats(mu=mu, r_mu=r_mu, theta=theta, cliques=cliques)
 
 

@@ -173,6 +173,15 @@ def test_batch_cli(capsys, tmp_path):
     assert payload["reports"][0]["max_group_polynomials"] == ["[1,4,6,4]"]
 
 
+def test_batch_json_to_stdout_is_only_json(capsys):
+    code, out, _ = run_cli(capsys, "batch", "--input", str(corpus_path(4)), "--workers", "1",
+                           "--json", "-")
+    assert code == 0
+    payload = json.loads(out)
+    assert [report["order"] for report in payload["reports"]] == [4]
+    assert payload["reports"][0]["total_graphs"] == 6
+
+
 def test_batch_missing_file(capsys):
     code, _, err = run_cli(capsys, "batch", "--input", "/nonexistent.g6")
     assert code == 2

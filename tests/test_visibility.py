@@ -23,6 +23,7 @@ from visipoly import (
     star_graph,
 )
 
+from conftest import pin_python_walk
 from oracles import oracle_is_mv, oracle_mv_sets, random_graph
 
 
@@ -216,3 +217,18 @@ def test_clique_counts_match_bruteforce(random_small_graphs, monkeypatch):
             assert clique_count(g, k) == expected
     assert max(closed_sizes, default=0) >= 3
 
+
+def test_stats_cliques_are_theta_at_diameter_one(monkeypatch):
+    """compute_stats reads c_k = Theta(k, 1) for k >= 2; clique_count counts them on its own."""
+    rng = random.Random(20261020)
+    graphs = [random_graph(rng, rng.randint(0, 13), rng.choice((0.2, 0.5, 0.8, 0.95)))
+              for _ in range(60)]
+    graphs.append(delete_edge(complete_graph(12), 3, 7))
+    expected = [{k: clique_count(g, k) for k in range(g.n + 1)} for g in graphs]
+    assert max(max(k for k, c in e.items() if c) for e in expected) >= 11
+    # The native walk when it can be built, then brute force.
+    for g, cliques in zip(graphs, expected):
+        assert compute_stats(g).cliques == cliques, g
+    pin_python_walk(monkeypatch)
+    for g, cliques in zip(graphs, expected):
+        assert compute_stats(g).cliques == cliques, g
