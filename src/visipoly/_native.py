@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 SOURCE = Path(__file__).with_name("_walk.c")
 COUNTER_NAMES = ("nodes", "closed", "propagations", "blocks")
+SHORT_MAX_ORDER = 62  # the largest order of a one-byte graph6 order field
 
 Counts = Union[List[int], Dict[Tuple[int, int], int]]
 Walk = Callable[[Sequence[Sequence[int]], bool, Optional[dict]], List[Counts]]
@@ -33,7 +35,10 @@ _walk: object = _UNSET
 
 
 def load() -> Optional[Walk]:
-    """The native counting walk, built on first use; None when it cannot be built."""
+    """The native counting walk, built on first use; None when it cannot be built.
+
+    Its attribute ``graph6`` decodes and counts graph6 records in one call.
+    """
     global _walk
     if _walk is _UNSET:
         try:
@@ -143,4 +148,34 @@ def _bind(path: Path) -> Walk:
             results.append(counts)
         return results
 
+    short = lib.visipoly_walk_graph6
+    short.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
+                      ctypes.POINTER(ctypes.c_int), ctypes.POINTER(word), ctypes.POINTER(word)]
+    short.restype = ctypes.c_int
+
+    def walk_graph6(
+        records: Sequence[bytes], counters: Optional[dict] = None
+    ) -> List[Optional[List[int]]]:
+        """Counts by size of each graph6 record's graph, decoded and counted in one C call.
+
+        Per record, a list indexed by size (entry 0 stays 0), or None when
+        the record is not a short-form record of order 0..62 that decodes in
+        full; ``parse_graph6`` then names its fault or decodes it. Counters
+        as for ``walk``.
+        """
+        count = len(records)
+        orders = (ctypes.c_int * max(count, 1))()
+        out = (word * max((SHORT_MAX_ORDER + 1) * count, 1))()
+        tally = (word * len(COUNTER_NAMES))()
+        if short(count, b"".join(records), (ctypes.c_int * max(count, 1))(*map(len, records)),
+                 orders, out, tally):
+            raise MemoryError("the native walk could not allocate its tables")
+        if counters is not None:
+            for name, value in zip(COUNTER_NAMES, tally):
+                counters[name] = counters.get(name, 0) + value
+        orders = orders[:count]
+        flat = iter(out[:sum(n + 1 for n in orders if n >= 0)])
+        return [list(islice(flat, n + 1)) if n >= 0 else None for n in orders]
+
+    walk.graph6 = walk_graph6
     return walk

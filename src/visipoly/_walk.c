@@ -84,6 +84,23 @@
  *             never popped
  * Returns 0, or -1 when an order is out of range or memory runs out; then
  * nothing is counted.
+ *
+ * One call per chunk of graph6 records, decoded and counted by size:
+ * visipoly_walk_graph6(count, text, lengths, orders, out, counters).
+ *   count     number of records
+ *   text      their bytes, concatenated with no separator
+ *   lengths   their lengths in bytes
+ *   orders    set per record: its order, or -1 when the record is declined
+ *   out       zeroed by the caller, 63 entries per record suffice: a counted
+ *             record of order n owns n + 1 entries, packed in turn, and entry
+ *             k counts its nonempty sets of size k
+ *   counters  as for visipoly_walk_many, summed over the counted records
+ * Only a short-form record that decodes in full is counted: order 0..62
+ * (first byte 63..125), every byte 63..126, exactly 1 + ceil(n(n - 1) / 12)
+ * bytes and zero padding bits. Its masks get both bits of every edge, so they
+ * are symmetric and loop-free. Every other record, long-form ones included,
+ * is declined and left to the caller's parser, which names the fault.
+ * Returns 0, or -1 when memory runs out; then nothing is counted.
  */
 
 #include <stdint.h>
@@ -93,6 +110,7 @@
 #define MAXN 64
 #define BLOCK_MAX 9                /* a leaf block's 2^p sets fit WORDS_MAX uint64_t */
 #define WORDS_MAX (1 << (BLOCK_MAX - 6))
+#define SHORT_MAX 62               /* the largest order of a one-byte graph6 order field */
 
 /* Bit s of PATTERNS[i] is set when bit i of s is: the sets of a block holding candidate i. */
 static const uint64_t PATTERNS[6] = {
@@ -621,6 +639,34 @@ static void walk_graph(Walk *w, int n, const uint64_t *adj)
     visit(w, 0, 0, 0, n == MAXN ? ~0ULL : (1ULL << n) - 1);
 }
 
+/* A walk with zeroed counters and leaf-block patterns and the binomials up to top; NULL when
+   memory runs out. */
+static Walk *new_walk(int theta, int top)
+{
+    Walk *w = malloc(sizeof *w);
+    if (!w)
+        return NULL;
+    w->theta = theta;
+    w->nodes = w->closed = w->propagations = w->blocks = 0;
+    memset(w->pattern, 0, sizeof w->pattern);
+    for (int i = 0; i <= top; i++) {
+        w->binom[i][0] = w->binom[i][i] = 1;
+        for (int j = 1; j < i; j++)
+            w->binom[i][j] = w->binom[i - 1][j - 1] + w->binom[i - 1][j];
+    }
+    return w;
+}
+
+/* Hand the walk's counters to the caller and free it. */
+static void end_walk(Walk *w, uint64_t *counters)
+{
+    counters[0] = w->nodes;
+    counters[1] = w->closed;
+    counters[2] = w->propagations;
+    counters[3] = w->blocks;
+    free(w);
+}
+
 int visipoly_walk_many(int count, const int *orders, const uint64_t *adj, int theta,
                        uint64_t *out, uint64_t *counters)
 {
@@ -631,17 +677,9 @@ int visipoly_walk_many(int count, const int *orders, const uint64_t *adj, int th
         if (orders[g] > top)
             top = orders[g];
     }
-    Walk *w = malloc(sizeof *w);
+    Walk *w = new_walk(theta, top);
     if (!w)
         return -1;
-    w->theta = theta;
-    w->nodes = w->closed = w->propagations = w->blocks = 0;
-    memset(w->pattern, 0, sizeof w->pattern);
-    for (int i = 0; i <= top; i++) {
-        w->binom[i][0] = w->binom[i][i] = 1;
-        for (int j = 1; j < i; j++)
-            w->binom[i][j] = w->binom[i - 1][j - 1] + w->binom[i - 1][j];
-    }
     for (int g = 0; g < count; g++) {
         int n = orders[g];
         w->out = out;
@@ -649,10 +687,54 @@ int visipoly_walk_many(int count, const int *orders, const uint64_t *adj, int th
         adj += n;
         out += (size_t)(n + 1) * (theta && n ? n : 1);
     }
-    counters[0] = w->nodes;
-    counters[1] = w->closed;
-    counters[2] = w->propagations;
-    counters[3] = w->blocks;
-    free(w);
+    end_walk(w, counters);
+    return 0;
+}
+
+/*
+ * The order of a short-form graph6 record of length bytes, its symmetric masks
+ * written to adj; -1, with adj untouched, unless the record is one in full.
+ */
+static int decode_graph6(const unsigned char *s, int length, uint64_t *adj)
+{
+    if (length < 1 || s[0] < 63 || s[0] > 63 + SHORT_MAX)
+        return -1;
+    int n = s[0] - 63, bits = n * (n - 1) / 2;
+    if (length != 1 + (bits + 5) / 6)
+        return -1;
+    for (int i = 1; i < length; i++)
+        if (s[i] < 63 || s[i] > 126)
+            return -1;
+    if (bits % 6 && ((s[length - 1] - 63) & ((1 << (6 - bits % 6)) - 1)))
+        return -1;
+    memset(adj, 0, sizeof(uint64_t) * (size_t)n);
+    /* Bit k of the adjacency section, most significant bit of each byte first, is x(i, j) for
+       the k-th pair i < j in column-major order. */
+    for (int j = 1, k = 0; j < n; j++)
+        for (int i = 0; i < j; i++, k++)
+            if ((s[1 + k / 6] - 63) >> (5 - k % 6) & 1) {
+                adj[i] |= 1ULL << j;
+                adj[j] |= 1ULL << i;
+            }
+    return n;
+}
+
+int visipoly_walk_graph6(int count, const char *text, const int *lengths, int *orders,
+                         uint64_t *out, uint64_t *counters)
+{
+    Walk *w = new_walk(0, SHORT_MAX);
+    if (!w)
+        return -1;
+    uint64_t adj[SHORT_MAX];
+    const unsigned char *s = (const unsigned char *)text;
+    for (int g = 0; g < count; s += lengths[g++]) {
+        int n = orders[g] = decode_graph6(s, lengths[g], adj);
+        if (n < 0)
+            continue;
+        w->out = out;
+        walk_graph(w, n, adj);
+        out += n + 1;
+    }
+    end_walk(w, counters);
     return 0;
 }

@@ -1,14 +1,20 @@
 """Batch analysis of graph6 streams: group graphs by visibility polynomial.
 
-The input is read in chunks of ``CHUNK_RECORDS`` records. A chunk is parsed,
-and its graphs are counted by one call of the counting walk. Chunks run in
-this process until the input ends or ``SERIAL_SLICE_S`` seconds have passed;
+The input is read in chunks of ``CHUNK_RECORDS`` records. With the native
+walk, one call decodes and counts the short-form records of a chunk that it
+can decode in full: order at most 62, every byte in 63..126, the exact length
+and zero padding bits. Every other record takes the fallback: long-form and
+malformed records, non-ASCII ones, and all records when there is no
+compiler. The fallback parses them with ``parse_graph6``, which names a
+malformed record's fault, and counts them with one call of the counting
+walk. Chunks run in this process until the input ends or ``SERIAL_SLICE_S`` seconds have passed;
 only then, and only with more than one worker, does a worker pool take the
 chunks that are left. On the small corpora the pool would cost more than the
 walks it hands out, so the choice rests on the time the batch has taken, not
 on a record count. Chunks are merged in input order, so the first bad record
-decides the error, and grouping keys are canonical polynomial strings, so
-the reports do not depend on input order or worker count.
+decides the error. Chunks return count vectors, and ``run_batch`` builds one
+polynomial and canonical string per distinct vector; grouping keys are
+those strings, so the reports do not depend on input order or worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .enumeration import _check_pruned_guardrail, _count_sets
 from .errors import FormatError, GuardrailError
@@ -34,8 +40,8 @@ SERIAL_SLICE_S = 0.25
 # process merges results, few enough that the input is read as it is used.
 POOL_CHUNKS_PER_WORKER = 8
 
-# ("ok", order, canonical polynomial), or ("format" | "guardrail", line, message)
-Result = Tuple[str, int, str]
+# ("ok", line, counts by size with entry 0 = 1), or ("format" | "guardrail", line, message)
+Result = Tuple[str, int, Union[Tuple[int, ...], str]]
 
 
 @dataclass
@@ -77,30 +83,42 @@ def effective_workers(requested: Optional[int] = None) -> int:
 
 
 def _analyse_chunk(chunk: List[Tuple[int, str]]) -> List[Result]:
-    """Tagged results of (line, record) pairs, in input order, from one counting call.
+    """Tagged results of (line, record) pairs, in input order.
 
-    Format errors and guardrail refusals are tagged per record, so one bad
-    record cannot poison the chunk and every path reports the same record.
+    With the native walk, one call decodes and counts every ASCII record that
+    is a short-form record in full. Every other record is parsed by
+    ``parse_graph6``, checked against the guardrail and counted by one
+    ``_count_sets`` call, so its error keeps its text. Format errors and
+    guardrail refusals are tagged per record, so one bad record cannot poison
+    the chunk and every path reports the same record.
     """
-    results: List[Optional[Result]] = []
-    graphs = []
-    for lineno, record in chunk:
+    from . import _native  # not at package import, as in _count_sets
+
+    results: List[Optional[Result]] = [None] * len(chunk)
+    walk = _native.load()
+    if walk is not None:
+        # A non-ASCII record must reach parse_graph6, which refuses it.
+        native = [i for i, (_, record) in enumerate(chunk) if record.isascii()]
+        for i, counts in zip(native, walk.graph6([chunk[i][1].encode("ascii") for i in native])):
+            if counts is not None:
+                results[i] = ("ok", chunk[i][0], (1, *counts[1:]))
+    slots, graphs = [], []
+    for i, (lineno, record) in enumerate(chunk):
+        if results[i] is not None:
+            continue
         try:
             graph = parse_graph6(record)
             _check_pruned_guardrail(graph.n)
         except FormatError as exc:
-            results.append(("format", lineno, str(exc)))
+            results[i] = ("format", lineno, str(exc))
         except GuardrailError as exc:
-            results.append(("guardrail", lineno, str(exc)))
+            results[i] = ("guardrail", lineno, str(exc))
         else:
-            results.append(None)
+            slots.append(i)
             graphs.append(graph)
-    counted = iter(_count_sets(graphs, theta=False))
-    for i, result in enumerate(results):
-        if result is None:
-            counts = next(counted)
-            counts[0] = 1
-            results[i] = ("ok", len(counts) - 1, Polynomial(tuple(counts)).to_canonical_string())
+    if graphs:
+        for i, counts in zip(slots, _count_sets(graphs, theta=False)):
+            results[i] = ("ok", chunk[i][0], (1, *counts[1:]))
     return results
 
 
@@ -150,18 +168,23 @@ def run_batch(
     enumeration guardrail always aborts, with a GuardrailError naming its
     line. Reports come back sorted by order.
     """
-    counters: Dict[int, Dict[str, int]] = {}
+    tallies: Dict[Tuple[int, ...], int] = {}
     records = iter_graph6_lines(lines)
     for results in _analysed_chunks(records, effective_workers(workers)):
-        for tag, a, b in results:
+        for tag, lineno, value in results:
             if tag == "ok":
-                groups = counters.setdefault(a, {})
-                groups[b] = groups.get(b, 0) + 1
+                tallies[value] = tallies.get(value, 0) + 1
             elif tag == "format":
                 if not skip_bad:
-                    raise FormatError(b, line=a)
+                    raise FormatError(value, line=lineno)
             else:
-                raise GuardrailError(f"line {a}: {b}")
+                raise GuardrailError(f"line {lineno}: {value}")
+    # One polynomial and canonical string per distinct count vector.
+    counters: Dict[int, Dict[str, int]] = {}
+    for counts, tally in tallies.items():
+        groups = counters.setdefault(len(counts) - 1, {})
+        key = Polynomial(counts).to_canonical_string()
+        groups[key] = groups.get(key, 0) + tally
     reports = []
     for order in sorted(counters):
         groups = counters[order]

@@ -19,8 +19,9 @@ is one, so no failing set has a passing superset.
 
 The counting calls (``polynomial_pruned``, ``count_by_size_and_diameter``,
 ``run_batch``) run that walk in C, with the candidate filters and the
-closure shortcut that ``_walk.c`` specifies, one call per list of graphs (a
-chunk of records for ``run_batch``, a list of one otherwise); ``_native``
+closure shortcut that ``_walk.c`` specifies, one call per list of graphs (the
+records of a chunk that ``run_batch`` could not hand to the native graph6
+decoder, a list of one otherwise); ``_native``
 builds it with the system C compiler on first use. Without a compiler they
 count a graph of up to ``BRUTEFORCE_MAX_VERTICES`` vertices by brute force
 and a larger one with the plain walk of ``iter_mv_sets``, which has neither

@@ -6,15 +6,18 @@ from collections import Counter
 
 import pytest
 
+import visipoly._native as native
 import visipoly.batch as batch
 from visipoly import (
     FormatError,
     GuardrailError,
     cycle_graph,
     diamond_graph,
+    empty_graph,
     encode_graph6,
     parse_graph6,
     path_graph,
+    polynomial_pruned,
     run_batch,
     run_batch_file,
 )
@@ -224,3 +227,44 @@ def test_run_batch_reproduces_golden_file(monkeypatch, path):
     assert {r.order: r.histogram for r in reports} == golden_histograms()
     assert sum(r.total_graphs for r in reports) == 996
     assert started == ([2] if pooled else [])
+
+
+@pytest.mark.parametrize("walk", ["native", "python"])
+def test_non_ascii_record_is_refused_on_every_walk(monkeypatch, walk):
+    """A non-ASCII record never reaches the native decoder: "Aé" must not pass as "A?"."""
+    if walk == "python":
+        pin_python_walk(monkeypatch)
+    with pytest.raises(FormatError, match="^line 2: graph6 record contains non-ASCII characters$"):
+        run_batch(["A_", "Aé"], workers=1)
+    reports = run_batch(["A_", "Aé", "A?"], workers=1, skip_bad=True, keep_histogram=True)
+    assert [(r.order, r.histogram) for r in reports] == [(2, {"[1,2]": 1, "[1,2,1]": 1})]
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_long_form_records_take_the_fallback_in_a_mixed_chunk(monkeypatch, pooled):
+    """One chunk of short-form records, long-form ones of orders 63 and 64, and one of order 65.
+
+    The native decoder reads only short-form records, so the long-form ones
+    are parsed and counted by the fallback, and the order-65 one still meets
+    the guardrail with its line number.
+    """
+    long_form = [path_graph(63), empty_graph(64)]  # cheap for the plain walk too
+    lines = corpus_path(4).read_text("ascii").split() + [encode_graph6(g) for g in long_form]
+    lines += corpus_path(5).read_text("ascii").split()
+    assert len(lines) + 1 < CHUNK_RECORDS
+    walk = native.load()
+    if walk is not None:
+        assert walk.graph6([encode_graph6(g).encode("ascii") for g in long_form]) == [None] * 2
+    started = record_pools(monkeypatch)
+    if pooled:
+        force_pool(monkeypatch)
+    workers = 2 if pooled else 1
+    reports = run_batch(lines, workers=workers, keep_histogram=True)
+    expected = {4: golden_histograms()[4], 5: golden_histograms()[5], 63: Counter(), 64: Counter()}
+    for g in long_form:
+        expected[g.n][polynomial_pruned(g).to_canonical_string()] += 1
+    assert {r.order: r.histogram for r in reports} == expected
+    at = len(corpus_path(4).read_text("ascii").split()) + len(long_form) + 1
+    with pytest.raises(GuardrailError, match=f"^line {at}: enumeration is limited to 64"):
+        run_batch(lines[:at - 1] + [TOO_LARGE] + lines[at - 1:], workers=workers)
+    assert started == ([2, 2] if pooled else [])

@@ -30,6 +30,7 @@ from visipoly import (
     delete_edge,
     disjoint_union,
     empty_graph,
+    encode_graph6,
     iter_mv_sets,
     parse_graph6,
     path_graph,
@@ -39,7 +40,8 @@ from visipoly import (
     polynomial_pruned,
 )
 from visipoly.cli import main
-from visipoly.enumeration import BRUTEFORCE_MAX_VERTICES, _bruteforce_counts
+from visipoly.enumeration import BRUTEFORCE_MAX_VERTICES, _bruteforce_counts, _count_sets
+from visipoly.errors import FormatError
 
 from conftest import GOLDEN, corpus_path, pin_python_walk
 from oracles import golden_line, oracle_golden_line, random_graph
@@ -250,6 +252,57 @@ def test_many_graph_entry_matches_per_graph_calls(native_walk):
     assert "\n".join(lines) + "\n" == GOLDEN.read_text("ascii")
 
 
+def graph6_inputs():
+    """The corpus records, seeded short-form records of every order 0..62, and their mutations.
+
+    A mutation sets one byte to 62, 63, 126 or 127, cuts one byte, adds one
+    '?', or sets one padding bit. Above order 14 the graphs have about n / 3
+    edges, so their components, and the walks, stay small.
+    """
+    rng = random.Random(20261020)
+    records = [record.encode("ascii") for record in golden_records()]
+    for n in range(63):
+        p = rng.choice((0.2, 0.5, 0.8)) if n <= 14 else 0.7 / n
+        records.append(encode_graph6(random_graph(rng, n, p)).encode("ascii"))
+    mutated = set()
+    for record in records:
+        for pos in range(len(record) + 1):
+            mutated.add(record[:pos] + b"?" + record[pos:])
+            if pos < len(record):
+                mutated.add(record[:pos] + record[pos + 1:])
+                mutated.update(record[:pos] + bytes([byte]) + record[pos + 1:]
+                               for byte in (62, 63, 126, 127))
+        n = record[0] - 63
+        for bit in range(-(n * (n - 1) // 2) % 6):
+            mutated.add(record[:-1] + bytes([record[-1] | 1 << bit]))
+    return records + sorted(mutated - set(records))
+
+
+def test_graph6_entry_agrees_with_parse_graph6(native_walk):
+    """The native decoder accepts a subset of what parse_graph6 accepts and counts the same graphs.
+
+    A declined record must be malformed, or long-form: the native decoder
+    reads only the one-byte order field of orders 0..62, while parse_graph6
+    also reads a long-form record of a small order.
+    """
+    records = graph6_inputs()
+    counted = native_walk.graph6(records)
+    accepted, expected = [], []
+    for record, counts in zip(records, counted):
+        if counts is not None:
+            accepted.append(parse_graph6(record))
+            expected.append(counts)
+            continue
+        try:
+            g = parse_graph6(record)
+        except FormatError:
+            continue
+        assert g.n >= 63 or record[0] == 126, record
+    assert all(counts is not None for counts in counted[:996 + 63])
+    assert len(accepted) > 10000 and len(records) - len(accepted) > 30000
+    assert _count_sets(accepted, theta=False) == expected
+
+
 def poly_json(capsys, *argv):
     assert main(["poly", *argv, "--json"]) == 0
     return json.loads(capsys.readouterr().out)
@@ -282,7 +335,8 @@ WARNINGS = ["-Wall", "-Wextra", "-Werror"]
 SANITIZE = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
 
 # Runs in a child process: count the graphs read from stdin with the library
-# named by argv[1], writing the counts by size and the (size, diameter) tables.
+# named by argv[1], writing the counts by size and the (size, diameter) tables,
+# then decode and count the graph6 records of the file argv[2], one a line.
 UBSAN_CHILD = """
 import json, sys
 from pathlib import Path
@@ -290,7 +344,8 @@ from visipoly._native import _bind
 walk = _bind(Path(sys.argv[1]))
 adjs = json.load(sys.stdin)
 tables = [sorted(table.items()) for table in walk(adjs, True)]
-json.dump([walk(adjs, False), tables], sys.stdout)
+records = Path(sys.argv[2]).read_bytes().split(b"\\n")
+json.dump([walk(adjs, False), tables, walk.graph6(records)], sys.stdout)
 """
 
 
@@ -302,8 +357,11 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     and C_9 and K_9 - e are root blocks of 8 words. K_12 - e closes one node
     of 10 candidates whose sets take two diameters, and G(24, .8) closes
     thousands, so the closure test and the level loop of count_closed_theta
-    run too. It is loaded in a child process, so an abort fails this test
-    alone. When the compiler cannot link UBSan, only the warnings are checked.
+    run too. The graph6 entry decodes the golden records, which must give
+    the golden polynomials, and the mutated records of graph6_inputs, so its
+    byte reads of malformed records run under the sanitizer. It is loaded in
+    a child process, so an abort fails this test alone. When the compiler
+    cannot link UBSan, only the warnings are checked.
     """
     compiler = native._compiler()
     probe = tmp_path / "probe.c"
@@ -323,12 +381,15 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     graphs += [empty_graph(6), complete_graph(6), complete_graph(64), empty_graph(0), cycle_graph(9),
                delete_edge(complete_graph(9), 1, 8), delete_edge(complete_graph(12), 3, 7),
                random_graph(random.Random(24), 24, 0.8)]
+    inputs = graph6_inputs()
+    stored = tmp_path / "records"
+    stored.write_bytes(b"\n".join(inputs))
     env = {**os.environ, "PYTHONPATH": str(native.SOURCE.parent.parent)}
-    child = subprocess.run([sys.executable, "-c", UBSAN_CHILD, str(library)], env=env,
+    child = subprocess.run([sys.executable, "-c", UBSAN_CHILD, str(library), str(stored)], env=env,
                            input=json.dumps([list(g.adj) for g in graphs]),
                            capture_output=True, text=True, timeout=600)
     assert child.returncode == 0, child.stderr
-    counts, tables = json.loads(child.stdout)
+    counts, tables, decoded = json.loads(child.stdout)
     tables = [{tuple(key): c for key, c in table} for table in tables]
     lines = [golden_line(record, Polynomial((1, *c[1:])), table)
              for record, c, table in zip(records, counts, tables)]
@@ -336,6 +397,9 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     rest = graphs[len(records):]
     assert counts[len(records):] == native_walk([g.adj for g in rest], False)
     assert tables[len(records):] == native_walk([g.adj for g in rest], True)
+    polys = [Polynomial((1, *c[1:])).to_canonical_string() for c in decoded[:len(records)]]
+    assert polys == [line.split(" ")[1] for line in GOLDEN.read_text("ascii").splitlines()]
+    assert decoded == native_walk.graph6(inputs)
 
 
 def test_build_into_empty_cache(native_walk, monkeypatch, tmp_path):
