@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 SOURCE = Path(__file__).with_name("_walk.c")
-COUNTER_NAMES = ("nodes", "closed", "propagations", "blocks")
+COUNTER_NAMES = ("nodes", "closed", "propagations", "blocks", "hidden")
 SHORT_MAX_ORDER = 62  # the largest order of a one-byte graph6 order field
 
 Counts = Union[List[int], Dict[Tuple[int, int], int]]
@@ -124,7 +124,8 @@ def _bind(path: Path) -> Walk:
         keyed by (size, diameter) holding the nonzero counts. ``counters``
         gains the walk counters (``COUNTER_NAMES``: nodes popped, nodes
         closed by the shortcut, membership propagations, leaf blocks of
-        2..9 candidates evaluated), summed over the graphs.
+        2..9 candidates evaluated, candidates hidden by the cut and shadow
+        filters), summed over the graphs.
         """
         orders = [len(adj) for adj in adjs]
         masks = [mask for adj in adjs for mask in adj]
@@ -137,14 +138,21 @@ def _bind(path: Path) -> Walk:
         if counters is not None:
             for name, value in zip(COUNTER_NAMES, tally):
                 counters[name] = counters.get(name, 0) + value
-        flat = out[:]
+        # A Theta table is zero past its largest set size, so only the entries up
+        # to its last nonzero byte become Python ints (192 of P_64's 4,160).
+        raw = bytes(out) if theta else b""
+        size = ctypes.sizeof(word)
         results: List[Counts] = []
         start = 0
         for n, width in zip(orders, widths):
-            counts = flat[start:start + width]
-            start += width
             if theta:
-                counts = {divmod(i, max(n, 1)): c for i, c in enumerate(counts) if c}
+                tail = raw[start * size:(start + width) * size].rstrip(b"\0")
+                used = (len(tail) + size - 1) // size
+                counts = {divmod(i, max(n, 1)): c
+                          for i, c in enumerate(out[start:start + used]) if c}
+            else:
+                counts = out[start:start + width]
+            start += width
             results.append(counts)
         return results
 

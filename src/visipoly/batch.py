@@ -204,5 +204,6 @@ def run_batch(
 
 
 def run_batch_file(path, **kwargs) -> List[BatchReport]:
-    with open(path, "r", encoding="ascii") as handle:
+    # A non-ASCII byte reaches parse_graph6 as a surrogate, which refuses its record by line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         return run_batch(handle, **kwargs)

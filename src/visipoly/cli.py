@@ -59,7 +59,8 @@ def _load_graph(args) -> tuple[Graph, Optional[object]]:
     if args.class_spec is not None:
         spec = parse_class_spec(args.class_spec)
         return build_class(spec), spec
-    with open(args.input, "r", encoding="ascii") as handle:
+    # A non-ASCII byte reaches the parser as a surrogate, which refuses its line.
+    with open(args.input, "r", encoding="ascii", errors="surrogateescape") as handle:
         if args.format == "edgelist":
             return parse_edge_list(handle.read()), None
         records = list(iter_graph6_lines(handle))

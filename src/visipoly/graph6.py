@@ -124,7 +124,7 @@ def iter_graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 def load_graph6_file(path) -> list[Graph]:
     """Parse every record in a .g6 file."""
     graphs = []
-    with open(path, "r", encoding="ascii") as handle:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for lineno, record in iter_graph6_lines(handle):
             try:
                 graphs.append(parse_graph6(record))

@@ -137,3 +137,47 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         if {frozenset((perm[u], perm[v])) for u, v in h.edges()} == g_edges:
             return True
     return False
+
+
+def relabel(rng, g: Graph) -> Graph:
+    """g with its vertices permuted at random."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def random_tree(rng, n: int) -> Graph:
+    """A random labelled tree: each vertex joins an earlier one, then the labels are shuffled."""
+    return relabel(rng, Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)]))
+
+
+def glued_blocks(rng, n: int, sizes=(2, 7)) -> Graph:
+    """A connected graph of at most n vertices whose blocks are edges, cycles and cliques.
+
+    Each new block, of a random order within ``sizes``, is glued at one
+    random vertex of the graph so far, which becomes a cut vertex; a block of
+    4 or 5 vertices is a clique about a third of the time. The labels are
+    shuffled at the end.
+    """
+    edges, order = [], 1
+    while order < n:
+        size = min(rng.randint(*sizes), n - order + 1)
+        glue = rng.randrange(order)
+        block = [glue] + list(range(order, order + size - 1))
+        order += size - 1
+        if size in (4, 5) and rng.random() < 0.35:
+            edges += list(combinations(block, 2))
+        else:
+            edges += [(block[i], block[(i + 1) % size]) for i in range(size if size > 2 else 1)]
+    return relabel(rng, Graph.from_edges(order, edges))
+
+
+def cycle_chain(blocks: int, size: int = 6) -> Graph:
+    """``blocks`` copies of C_size in a row, glued at opposite vertices."""
+    edges, glue, order = [], 0, 1
+    for _ in range(blocks):
+        cycle = [glue] + list(range(order, order + size - 1))
+        order += size - 1
+        edges += [(cycle[i], cycle[(i + 1) % size]) for i in range(size)]
+        glue = cycle[size // 2]
+    return Graph.from_edges(order, edges)

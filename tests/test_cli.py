@@ -12,7 +12,7 @@ import pytest
 
 from visipoly.cli import main
 
-from conftest import corpus_path
+from conftest import corpus_path, pin_python_walk
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 PYPROJECT = REPO_DIR / "pyproject.toml"
@@ -71,6 +71,36 @@ def test_poly_input_format_error_names_the_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "poly", "--input", str(path))
     assert code == 2
     assert "line 3: truncated long-form order field" in err
+
+
+@pytest.mark.parametrize(
+    "fmt, content, message",
+    [
+        ("graph6", ">>graph6<<\n\nA\u00e9\n",
+         "line 3: graph6 record contains non-ASCII characters"),
+        ("edgelist", "3 2\n0 1\n1 \u00e9\n", "line 3: non-integer field in '1 \\udcc3\\udca9'"),
+    ],
+    ids=["graph6", "edgelist"],
+)
+def test_poly_non_ascii_input_exits_2_naming_the_line(capsys, tmp_path, fmt, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content.encode("utf-8"))
+    code, out, err = run_cli(capsys, "poly", "--input", str(path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}\n" == err
+
+
+@pytest.mark.parametrize("walk", ["native", "python"])
+def test_batch_non_ascii_input_exits_2_naming_the_line(capsys, monkeypatch, tmp_path, walk):
+    if walk == "python":
+        pin_python_walk(monkeypatch)
+    path = tmp_path / "input.g6"
+    path.write_bytes("A_\nA\u00e9\nA?\n".encode("utf-8"))
+    code, out, err = run_cli(capsys, "batch", "--input", str(path), "--workers", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: graph6 record contains non-ASCII characters\n"
 
 
 def test_format_refused_without_input(capsys):

@@ -143,6 +143,9 @@ def test_load_graph6_file_reports_line_numbers(tmp_path):
     bad.write_text("A_\nA\x20_\n")
     with pytest.raises(FormatError, match="line 2"):
         load_graph6_file(bad)
+    bad.write_bytes("A_\nA\u00e9\n".encode("utf-8"))  # a non-ASCII byte is refused, not decoded
+    with pytest.raises(FormatError, match="^line 2: graph6 record contains non-ASCII characters$"):
+        load_graph6_file(bad)
 
 
 def test_corpus_graphs_are_connected_and_expected_counts():

@@ -44,7 +44,15 @@ from visipoly.enumeration import BRUTEFORCE_MAX_VERTICES, _bruteforce_counts, _c
 from visipoly.errors import FormatError
 
 from conftest import GOLDEN, corpus_path, pin_python_walk
-from oracles import golden_line, oracle_golden_line, random_graph
+from oracles import (
+    cycle_chain,
+    glued_blocks,
+    golden_line,
+    oracle_golden_line,
+    random_graph,
+    random_tree,
+    relabel,
+)
 
 
 @pytest.fixture
@@ -114,21 +122,24 @@ def benchmark_graphs(seed):
         complete_graph(16),
     ]
     rng = random.Random(seed)
-    out = []
-    for g in graphs:
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        out.append(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
-    return out
+    return [relabel(rng, g) for g in graphs]
 
 
-# (nodes, closed, propagations, blocks) of the native walk on P_64, three
-# copies of C_5 and benchmark_graphs(211), for either sink.
+# (nodes, closed, propagations, blocks, hidden) of the native walk on P_64,
+# three copies of C_5 and benchmark_graphs(211), for either sink.
 FIXED_COUNTERS = [
-    (2036, 1, 2089, 8), (16, 3, 15, 9),
-    (1438, 207, 14900, 944), (530, 48, 6292, 380), (584, 48, 6309, 428),
-    (1997, 99, 2742, 380), (2036, 1, 3484, 8), (1, 1, 15, 0),
+    (2036, 1, 118, 8, 41544), (16, 3, 15, 9, 0),
+    (1438, 207, 14799, 944, 1171), (530, 48, 6292, 380, 0), (584, 48, 6272, 428, 116),
+    (1997, 99, 1900, 380, 15141), (2036, 1, 118, 8, 41544), (1, 1, 15, 0, 0),
 ]
+
+
+def by_size(table, n):
+    """The counts by size, entries 0..n, of a (size, diameter) table."""
+    counts = [0] * (n + 1)
+    for (k, _), c in table.items():
+        counts[k] += c
+    return counts
 
 
 def reference_counts(g):
@@ -136,12 +147,7 @@ def reference_counts(g):
     if g.n <= BRUTEFORCE_MAX_VERTICES:
         return _bruteforce_counts(g, False), _bruteforce_counts(g, True)
     table = dict(Counter((len(members), diam) for members, diam in iter_mv_sets(g)))
-    counts = [0] * (g.n + 1)
-    for (k, _), c in table.items():
-        counts[k] += c
-    closed_form = {g.n - 1: poly_path, g.n: poly_cycle}[g.edge_count](g.n)
-    assert Polynomial((1, *counts[1:])) == closed_form, g
-    return counts, table
+    return by_size(table, g.n), table
 
 
 def test_walks_agree_on_counts_and_counters(native_walk):
@@ -156,11 +162,14 @@ def test_walks_agree_on_counts_and_counters(native_walk):
     assert sum(g.n > BRUTEFORCE_MAX_VERTICES for g in graphs) == 3
     for g in graphs:
         expected = reference_counts(g)
+        if g.n > BRUTEFORCE_MAX_VERTICES:  # P_64, C_40 and P_64: the plain walk's closed forms
+            closed_form = {g.n - 1: poly_path, g.n: poly_cycle}[g.edge_count](g.n)
+            assert Polynomial((1, *expected[0][1:])) == closed_form, g
         for theta in (False, True):
             counters = {}
             (counts,) = native_walk([g.adj], theta, counters)
             assert counts == expected[theta], (g, theta)
-            assert set(counters) == {"nodes", "closed", "propagations", "blocks"}
+            assert set(counters) == {"nodes", "closed", "propagations", "blocks", "hidden"}
             assert counters["nodes"] >= 1
     for g, expected in zip(graphs[2:4] + graphs[-6:], FIXED_COUNTERS):
         for theta in (False, True):
@@ -178,14 +187,73 @@ def test_native_walk_equals_bruteforce_on_16_to_25_vertices(native_walk):
     blocks = 0
     for g in graphs:
         table = _bruteforce_counts(g, True)
-        counts = [0] * (g.n + 1)
-        for (k, _), c in table.items():
-            counts[k] += c
         counters = {}
-        assert native_walk([g.adj], False, counters) == [counts], g
+        assert native_walk([g.adj], False, counters) == [by_size(table, g.n)], g
         assert native_walk([g.adj], True) == [table], g
         blocks += counters["blocks"]
     assert blocks > 1000
+
+
+def shadow_graphs():
+    """Graphs where most failing candidates hide behind a member, with their reference tables.
+
+    Random trees of up to 25 vertices and glued-block graphs (edges, cycles
+    and cliques glued at cut vertices) of up to 22, some of two or three
+    components, against brute force; three block graphs of 26 to 40
+    vertices made of long cycles, against the plain walk; P_n and C_n for
+    n <= 64, against the closed forms. The list is shuffled, so graphs above
+    and below BLOCK_MAX alternate.
+    """
+    rng = random.Random(20261034)  # seeded so the large graphs hold about 45,000 sets
+    large = [glued_blocks(rng, n, sizes)
+             for n, sizes in ((26, (9, 13)), (32, (9, 16)), (40, (14, 20)))]
+    small = [random_tree(rng, n) for n in range(1, 23)] + [random_tree(rng, 25)]
+    small += [glued_blocks(rng, n) for n in range(2, 23)]
+    small += [relabel(rng, disjoint_union([glued_blocks(rng, a), random_tree(rng, b)]))
+              for a, b in ((3, 4), (6, 6), (9, 8), (12, 10))]
+    small += [relabel(rng, disjoint_union([glued_blocks(rng, 7), glued_blocks(rng, 6),
+                                           random_tree(rng, 8)]))]
+    cases = []
+    for g in small:
+        table = _bruteforce_counts(g, True)
+        cases.append((g, by_size(table, g.n), table))
+    cases += [(g, *reference_counts(g)) for g in large]
+    for n in range(1, 65):
+        family = [(path_graph(n), poly_path(n))]
+        if n > 2:
+            family.append((cycle_graph(n), poly_cycle(n)))
+        for g, poly in family:
+            counts = [0] * (n + 1)
+            counts[1:len(poly.coeffs)] = poly.coeffs[1:]
+            cases.append((relabel(rng, g), counts, None))
+    rng.shuffle(cases)
+    return cases
+
+
+def test_shadow_filter_keeps_the_counts(native_walk):
+    """The cut and shadow filters drop only candidates that would fail, on both sinks.
+
+    One call counts every graph of shadow_graphs(), so a shadow table left
+    over from an earlier graph would prune a later one; it must also add up
+    to the counters of one call per graph. P_n and C_n are checked on their
+    counts by size, the others on their full tables.
+    """
+    cases = shadow_graphs()
+    adjs = [g.adj for g, _, _ in cases]
+    for theta in (False, True):
+        many_counters, one_counters = {}, {}
+        many = native_walk(adjs, theta, many_counters)
+        assert many == [native_walk([adj], theta, one_counters)[0] for adj in adjs]
+        assert many_counters == one_counters
+        for (g, counts, table), got in zip(cases, many):
+            if not theta:
+                assert got == counts, g
+            elif table is None:
+                assert by_size(got, g.n) == counts, g
+            else:
+                assert got == table, g
+    # Nearly every candidate that fails here is hidden before any propagation.
+    assert many_counters["hidden"] > 5 * many_counters["propagations"]
 
 
 @pytest.mark.parametrize(
@@ -221,7 +289,8 @@ def test_root_block(native_walk, g, propagations):
     for theta in (False, True):
         counters = {}
         assert native_walk([g.adj], theta, counters) == [expected[theta]], theta
-        assert counters == {"nodes": 1, "closed": 0, "propagations": propagations, "blocks": 1}
+        assert counters == {"nodes": 1, "closed": 0, "propagations": propagations, "blocks": 1,
+                            "hidden": 0}
 
 
 def test_many_graph_entry_matches_per_graph_calls(native_walk):
@@ -357,7 +426,9 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     and C_9 and K_9 - e are root blocks of 8 words. K_12 - e closes one node
     of 10 candidates whose sets take two diameters, and G(24, .8) closes
     thousands, so the closure test and the level loop of count_closed_theta
-    run too. The graph6 entry decodes the golden records, which must give
+    run too. P_64, a random tree of 40 vertices, a chain of five C_6 and a
+    graph of glued blocks in three components build shadow tables and hide
+    candidates with them. The graph6 entry decodes the golden records, which must give
     the golden polynomials, and the mutated records of graph6_inputs, so its
     byte reads of malformed records run under the sanitizer. It is loaded in
     a child process, so an abort fails this test alone. When the compiler
@@ -381,6 +452,10 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     graphs += [empty_graph(6), complete_graph(6), complete_graph(64), empty_graph(0), cycle_graph(9),
                delete_edge(complete_graph(9), 1, 8), delete_edge(complete_graph(12), 3, 7),
                random_graph(random.Random(24), 24, 0.8)]
+    rng = random.Random(3)
+    graphs += [path_graph(64), random_tree(rng, 40), relabel(rng, cycle_chain(5)),
+               relabel(rng, disjoint_union([glued_blocks(rng, 12), glued_blocks(rng, 10),
+                                            random_tree(rng, 8)]))]
     inputs = graph6_inputs()
     stored = tmp_path / "records"
     stored.write_bytes(b"\n".join(inputs))
