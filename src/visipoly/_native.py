@@ -28,7 +28,7 @@ COUNTER_NAMES = ("nodes", "closed", "propagations", "blocks", "hidden")
 SHORT_MAX_ORDER = 62  # the largest order of a one-byte graph6 order field
 
 Counts = Union[List[int], Dict[Tuple[int, int], int]]
-Walk = Callable[[Sequence[Sequence[int]], bool, Optional[dict]], List[Counts]]
+Walk = Callable[[Sequence[int], bool, Optional[dict]], Counts]
 
 _UNSET = object()
 _walk: object = _UNSET
@@ -104,57 +104,45 @@ def _build(compiler: str, target: Path) -> None:
             os.unlink(tmp)
 
 
+def _add_counters(counters: Optional[dict], tally) -> None:
+    if counters is not None:
+        for name, value in zip(COUNTER_NAMES, tally):
+            counters[name] = counters.get(name, 0) + value
+
+
 def _bind(path: Path) -> Walk:
     import ctypes
 
     lib = ctypes.CDLL(str(path))
     word = ctypes.c_uint64
-    entry = lib.visipoly_walk_many
-    entry.argtypes = [ctypes.c_int, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(word),
-                      ctypes.c_int, ctypes.POINTER(word), ctypes.POINTER(word)]
+    entry = lib.visipoly_walk
+    entry.argtypes = [ctypes.c_int, ctypes.POINTER(word), ctypes.c_int,
+                      ctypes.POINTER(word), ctypes.POINTER(word)]
     entry.restype = ctypes.c_int
 
-    def walk(
-        adjs: Sequence[Sequence[int]], theta: bool, counters: Optional[dict] = None
-    ) -> List[Counts]:
-        """Counts of the nonempty mutual-visibility sets of each graph, one C call for all.
+    def walk(adj: Sequence[int], theta: bool, counters: Optional[dict] = None) -> Counts:
+        """Counts of the nonempty mutual-visibility sets of one graph, in one C call.
 
-        ``adjs`` holds one tuple of neighbourhood masks per graph. Per graph,
-        a list indexed by size (entry 0 stays 0), or with ``theta`` a dict
-        keyed by (size, diameter) holding the nonzero counts. ``counters``
-        gains the walk counters (``COUNTER_NAMES``: nodes popped, nodes
-        closed by the shortcut, membership propagations, leaf blocks of
-        2..9 candidates evaluated, candidates hidden by the cut and shadow
-        filters), summed over the graphs.
+        ``adj`` holds the graph's neighbourhood masks. A list indexed by size
+        (entry 0 stays 0), or with ``theta`` a dict keyed by (size, diameter)
+        holding the nonzero counts. ``counters`` gains the walk counters
+        (``COUNTER_NAMES``: nodes popped, nodes closed by the shortcut,
+        membership propagations, leaf blocks of 2..9 candidates evaluated,
+        candidates hidden by the cut and shadow filters).
         """
-        orders = [len(adj) for adj in adjs]
-        masks = [mask for adj in adjs for mask in adj]
-        widths = [(n + 1) * (max(n, 1) if theta else 1) for n in orders]
-        out = (word * max(sum(widths), 1))()
+        n = len(adj)
+        out = (word * ((n + 1) * (max(n, 1) if theta else 1)))()
         tally = (word * len(COUNTER_NAMES))()
-        if entry(len(orders), (ctypes.c_int * max(len(orders), 1))(*orders),
-                 (word * max(len(masks), 1))(*masks), int(theta), out, tally):
+        if entry(n, (word * max(n, 1))(*adj), int(theta), out, tally):
             raise MemoryError("the native walk could not allocate its tables")
-        if counters is not None:
-            for name, value in zip(COUNTER_NAMES, tally):
-                counters[name] = counters.get(name, 0) + value
+        _add_counters(counters, tally)
+        if not theta:
+            return out[:]
         # A Theta table is zero past its largest set size, so only the entries up
         # to its last nonzero byte become Python ints (192 of P_64's 4,160).
-        raw = bytes(out) if theta else b""
         size = ctypes.sizeof(word)
-        results: List[Counts] = []
-        start = 0
-        for n, width in zip(orders, widths):
-            if theta:
-                tail = raw[start * size:(start + width) * size].rstrip(b"\0")
-                used = (len(tail) + size - 1) // size
-                counts = {divmod(i, max(n, 1)): c
-                          for i, c in enumerate(out[start:start + used]) if c}
-            else:
-                counts = out[start:start + width]
-            start += width
-            results.append(counts)
-        return results
+        used = (len(bytes(out).rstrip(b"\0")) + size - 1) // size
+        return {divmod(i, max(n, 1)): c for i, c in enumerate(out[:used]) if c}
 
     short = lib.visipoly_walk_graph6
     short.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
@@ -169,7 +157,7 @@ def _bind(path: Path) -> Walk:
         Per record, a list indexed by size (entry 0 stays 0), or None when
         the record is not a short-form record of order 0..62 that decodes in
         full; ``parse_graph6`` then names its fault or decodes it. Counters
-        as for ``walk``.
+        as for ``walk``, summed over the counted records.
         """
         count = len(records)
         orders = (ctypes.c_int * max(count, 1))()
@@ -178,9 +166,7 @@ def _bind(path: Path) -> Walk:
         if short(count, b"".join(records), (ctypes.c_int * max(count, 1))(*map(len, records)),
                  orders, out, tally):
             raise MemoryError("the native walk could not allocate its tables")
-        if counters is not None:
-            for name, value in zip(COUNTER_NAMES, tally):
-                counters[name] = counters.get(name, 0) + value
+        _add_counters(counters, tally)
         orders = orders[:count]
         flat = iter(out[:sum(n + 1 for n in orders if n >= 0)])
         return [list(islice(flat, n + 1)) if n >= 0 else None for n in orders]

@@ -77,24 +77,22 @@
  * walk of enumeration.iter_mv_sets above that, an all-paths oracle and the
  * closed forms; the counters are pinned to fixed values on fixed graphs.
  *
- * One call per batch of graphs:
- * visipoly_walk_many(count, orders, adj, theta, out, counters).
- *   count     number of graphs
- *   orders    their orders, each 0..64
- *   adj       their neighbourhood masks, packed: orders[0] masks, then
- *             orders[1] masks, and so on
- *   theta     0: a graph of order n owns n + 1 entries of out, and entry k
- *             counts its nonempty sets of size k (k = 0..n);
- *             1: it owns (n + 1) * max(n, 1) entries, and entry k * n + d
+ * One call per graph:
+ * visipoly_walk(n, adj, theta, out, counters).
+ *   n         its order, 0..64
+ *   adj       its n neighbourhood masks
+ *   theta     0: out holds n + 1 entries, and entry k counts the nonempty
+ *             sets of size k (k = 0..n);
+ *             1: out holds (n + 1) * max(n, 1) entries, and entry k * n + d
  *             counts those of size k and diameter d
- *   out       zeroed by the caller, the graphs' entries packed in turn
- *   counters  five entries, summed over the graphs: nodes popped, nodes
- *             closed by the shortcut, membership propagations (visible(),
- *             clear_targets() and the blocks' blocked()), leaf blocks of 2..9
- *             candidates evaluated (the sets of a block are counted but
- *             never popped), and candidates hidden, those a child lost to
- *             the cut and shadow filters
- * Returns 0, or -1 when an order is out of range or memory runs out; then
+ *   out       zeroed by the caller
+ *   counters  five entries: nodes popped, nodes closed by the shortcut,
+ *             membership propagations (visible(), clear_targets() and the
+ *             blocks' blocked()), leaf blocks of 2..9 candidates evaluated
+ *             (the sets of a block are counted but never popped), and
+ *             candidates hidden, those a child lost to the cut and shadow
+ *             filters
+ * Returns 0, or -1 when the order is out of range or memory runs out; then
  * nothing is counted.
  *
  * One call per chunk of graph6 records, decoded and counted by size:
@@ -106,7 +104,7 @@
  *   out       zeroed by the caller, 63 entries per record suffice: a counted
  *             record of order n owns n + 1 entries, packed in turn, and entry
  *             k counts its nonempty sets of size k
- *   counters  as for visipoly_walk_many, summed over the counted records
+ *   counters  as for visipoly_walk, summed over the counted records
  * Only a short-form record that decodes in full is counted: order 0..62
  * (first byte 63..125), every byte 63..126, exactly 1 + ceil(n(n - 1) / 12)
  * bytes and zero padding bits. Its masks get both bits of every edge, so they
@@ -733,26 +731,15 @@ static void end_walk(Walk *w, uint64_t *counters)
     free(w);
 }
 
-int visipoly_walk_many(int count, const int *orders, const uint64_t *adj, int theta,
-                       uint64_t *out, uint64_t *counters)
+int visipoly_walk(int n, const uint64_t *adj, int theta, uint64_t *out, uint64_t *counters)
 {
-    int top = 0;
-    for (int g = 0; g < count; g++) {
-        if (orders[g] < 0 || orders[g] > MAXN)
-            return -1;
-        if (orders[g] > top)
-            top = orders[g];
-    }
-    Walk *w = new_walk(theta, top);
+    if (n < 0 || n > MAXN)
+        return -1;
+    Walk *w = new_walk(theta, n);
     if (!w)
         return -1;
-    for (int g = 0; g < count; g++) {
-        int n = orders[g];
-        w->out = out;
-        walk_graph(w, n, adj);
-        adj += n;
-        out += (size_t)(n + 1) * (theta && n ? n : 1);
-    }
+    w->out = out;
+    walk_graph(w, n, adj);
     end_walk(w, counters);
     return 0;
 }

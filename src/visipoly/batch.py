@@ -5,16 +5,17 @@ walk, one call decodes and counts the short-form records of a chunk that it
 can decode in full: order at most 62, every byte in 63..126, the exact length
 and zero padding bits. Every other record takes the fallback: long-form and
 malformed records, non-ASCII ones, and all records when there is no
-compiler. The fallback parses them with ``parse_graph6``, which names a
-malformed record's fault, and counts them with one call of the counting
-walk. Chunks run in this process until the input ends or ``SERIAL_SLICE_S`` seconds have passed;
-only then, and only with more than one worker, does a worker pool take the
-chunks that are left. On the small corpora the pool would cost more than the
-walks it hands out, so the choice rests on the time the batch has taken, not
-on a record count. Chunks are merged in input order, so the first bad record
-decides the error. Chunks return count vectors, and ``run_batch`` builds one
-polynomial and canonical string per distinct vector; grouping keys are
-those strings, so the reports do not depend on input order or worker count.
+compiler. The fallback parses each of them with ``parse_graph6``, which
+names a malformed record's fault, and counts it with one call of the
+counting walk. Chunks run in this process until the input ends or
+``SERIAL_SLICE_S`` seconds have passed; only then, and only with more than
+one worker, does a worker pool take the chunks that are left. On the small
+corpora the pool would cost more than the walks it hands out, so the choice
+rests on the time the batch has taken, not on a record count. Chunks are
+merged in input order, so the first bad record decides the error. Chunks
+return count vectors, and ``run_batch`` builds one polynomial and canonical
+string per distinct vector; grouping keys are those strings, so the reports
+do not depend on input order or worker count.
 """
 
 from __future__ import annotations
@@ -26,15 +27,17 @@ from itertools import chain, islice
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .enumeration import _check_pruned_guardrail, _count_sets
+from .enumeration import _count_sets
 from .errors import FormatError, GuardrailError
 from .graph6 import iter_graph6_lines, parse_graph6
 from .polynomial import Polynomial
 
 CHUNK_RECORDS = 64
-# On a 2-vCPU machine a pool forced from the start paid only from about 3,000
-# corpus records (0.1 s of serial work) and took about 0.035 s to start, so a
-# batch that ends just after this slice runs at most about 15% slower.
+# On a 2-vCPU machine a pool forced from the start never paid on corpus records:
+# from 996 to 127,488 of them (8.5 ms to 0.56 s of serial work) it ran 1.8-3.6x
+# slower than one process, as handing out a chunk costs more than counting it.
+# It paid from records of about 0.2 ms of walk each (2,000 G(14, .5) records:
+# 0.22 s against 0.35 s) and takes about 0.012 s to start.
 SERIAL_SLICE_S = 0.25
 # Chunks a pool holds per worker; enough that no worker waits while this
 # process merges results, few enough that the input is read as it is used.
@@ -87,8 +90,8 @@ def _analyse_chunk(chunk: List[Tuple[int, str]]) -> List[Result]:
 
     With the native walk, one call decodes and counts every ASCII record that
     is a short-form record in full. Every other record is parsed by
-    ``parse_graph6``, checked against the guardrail and counted by one
-    ``_count_sets`` call, so its error keeps its text. Format errors and
+    ``parse_graph6`` and counted by its own ``_count_sets`` call, which
+    applies the guardrail, so its error keeps its text. Format errors and
     guardrail refusals are tagged per record, so one bad record cannot poison
     the chunk and every path reports the same record.
     """
@@ -102,23 +105,17 @@ def _analyse_chunk(chunk: List[Tuple[int, str]]) -> List[Result]:
         for i, counts in zip(native, walk.graph6([chunk[i][1].encode("ascii") for i in native])):
             if counts is not None:
                 results[i] = ("ok", chunk[i][0], (1, *counts[1:]))
-    slots, graphs = [], []
     for i, (lineno, record) in enumerate(chunk):
         if results[i] is not None:
             continue
         try:
-            graph = parse_graph6(record)
-            _check_pruned_guardrail(graph.n)
+            counts = _count_sets(parse_graph6(record), theta=False)
         except FormatError as exc:
             results[i] = ("format", lineno, str(exc))
         except GuardrailError as exc:
             results[i] = ("guardrail", lineno, str(exc))
         else:
-            slots.append(i)
-            graphs.append(graph)
-    if graphs:
-        for i, counts in zip(slots, _count_sets(graphs, theta=False)):
-            results[i] = ("ok", chunk[i][0], (1, *counts[1:]))
+            results[i] = ("ok", lineno, (1, *counts[1:]))
     return results
 
 

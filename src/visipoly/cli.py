@@ -162,6 +162,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ParameterError(f"--workers must be at least 1, got {args.workers}")
     reports = run_batch_file(
         args.input,
         workers=args.workers,
@@ -239,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="OUT", help="write the JSON report ('-': stdout, with no summary lines)"
     )
     batch.add_argument("--skip-bad", action="store_true", help="skip malformed records")
-    batch.add_argument("--workers", type=int, default=None)
+    batch.add_argument("--workers", type=int, default=None,
+                       help="worker processes, at least 1 (default: one per CPU)")
     batch.add_argument("--histogram", action="store_true", help="keep per-group counts")
     batch.set_defaults(func=_cmd_batch)
 

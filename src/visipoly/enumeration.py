@@ -19,13 +19,13 @@ is one, so no failing set has a passing superset.
 
 The counting calls (``polynomial_pruned``, ``count_by_size_and_diameter``,
 ``run_batch``) run that walk in C, with the candidate filters and the
-closure shortcut that ``_walk.c`` specifies, one call per list of graphs (the
-records of a chunk that ``run_batch`` could not hand to the native graph6
-decoder, a list of one otherwise); ``_native``
-builds it with the system C compiler on first use. Without a compiler they
-count a graph of up to ``BRUTEFORCE_MAX_VERTICES`` vertices by brute force
-and a larger one with the plain walk of ``iter_mv_sets``, which has neither
-the filters nor the shortcut.
+closure shortcut that ``_walk.c`` specifies, one call per graph (``run_batch``
+hands a chunk's short-form records to the native graph6 decoder in one call
+and counts each other record on its own); ``_native`` builds it with the
+system C compiler on first use. Without a compiler they count a graph of up
+to ``BRUTEFORCE_MAX_VERTICES`` vertices by brute force and a larger one with
+the plain walk of ``iter_mv_sets``, which has neither the filters nor the
+shortcut.
 """
 
 from __future__ import annotations
@@ -242,32 +242,27 @@ def _check_pruned_guardrail(n: int) -> None:
         )
 
 
-def _count_sets(graphs: Sequence[Graph], theta: bool) -> list:
-    """Counts of the nonempty mutual-visibility sets of each graph, by size or by (size, diameter).
+def _count_sets(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int], int]]:
+    """Counts of the nonempty mutual-visibility sets of g, by size or by (size, diameter).
 
-    Per graph, a list indexed by size (entry 0 left at 0) or a dict keyed by
-    (size, diameter). The native walk counts all the graphs in one call when
-    it can be built. Otherwise brute force counts each graph of up to
-    ``BRUTEFORCE_MAX_VERTICES`` vertices and ``iter_mv_sets`` each larger
-    one. All of them give the same counts.
+    A list indexed by size (entry 0 left at 0) or a dict keyed by (size,
+    diameter). The native walk counts the graph in one call when it can be
+    built. Otherwise brute force counts a graph of up to
+    ``BRUTEFORCE_MAX_VERTICES`` vertices and ``iter_mv_sets`` a larger one.
+    All of them give the same counts.
     """
     from . import _native  # not at package import: it may build the library
 
-    for g in graphs:
-        _check_pruned_guardrail(g.n)
+    _check_pruned_guardrail(g.n)
     walk = _native.load()
     if walk is not None:
-        return walk([g.adj for g in graphs], theta)
-    sinks = []
-    for g in graphs:
-        if g.n <= BRUTEFORCE_MAX_VERTICES:
-            sinks.append(_bruteforce_counts(g, theta))
-        elif theta:
-            sinks.append(dict(Counter((len(members), diam) for members, diam in iter_mv_sets(g))))
-        else:
-            sizes = Counter(len(members) for members, _ in iter_mv_sets(g))
-            sinks.append([sizes[k] for k in range(g.n + 1)])
-    return sinks
+        return walk(g.adj, theta)
+    if g.n <= BRUTEFORCE_MAX_VERTICES:
+        return _bruteforce_counts(g, theta)
+    if theta:
+        return dict(Counter((len(members), diam) for members, diam in iter_mv_sets(g)))
+    sizes = Counter(len(members) for members, _ in iter_mv_sets(g))
+    return [sizes[k] for k in range(g.n + 1)]
 
 
 def polynomial_pruned(g: Graph) -> Polynomial:
@@ -275,7 +270,7 @@ def polynomial_pruned(g: Graph) -> Polynomial:
 
     Output contract is identical to polynomial_bruteforce.
     """
-    (counts,) = _count_sets([g], theta=False)
+    counts = _count_sets(g, theta=False)
     counts[0] = 1
     return Polynomial(tuple(counts))
 
@@ -285,5 +280,4 @@ def count_by_size_and_diameter(g: Graph) -> Dict[Tuple[int, int], int]:
 
     Same enumeration as polynomial_pruned; the empty set is not classified.
     """
-    (table,) = _count_sets([g], theta=True)
-    return table
+    return _count_sets(g, theta=True)

@@ -297,10 +297,11 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header line "n m", then m lines "u v".
 
     Blank lines and lines starting with "#" are ignored. 0-based endpoints.
+    An endpoint out of range, a self-loop or a repeated edge is refused with
+    its line number.
     """
     header = None
-    edges = []
-    header_line = 0
+    edges: dict[tuple[int, int], int] = {}  # each edge, low end first -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -313,18 +314,21 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise FormatError(f"non-integer field in {raw!r}", line=lineno) from None
         if header is None:
+            if a < 0 or b < 0:
+                raise FormatError("header counts must be nonnegative", line=lineno)
             header = (a, b)
-            header_line = lineno
             continue
-        edges.append((a, b, lineno))
+        n = header[0]
+        if not (0 <= a < n and 0 <= b < n):
+            raise FormatError(f"edge ({a}, {b}) out of range for order {n}", line=lineno)
+        if a == b:
+            raise FormatError(f"self-loop at vertex {a}", line=lineno)
+        first = edges.setdefault((min(a, b), max(a, b)), lineno)
+        if first != lineno:
+            raise FormatError(f"edge ({a}, {b}) repeats line {first}", line=lineno)
     if header is None:
         raise FormatError("missing header line \"n m\"")
     n, m = header
-    if n < 0 or m < 0:
-        raise FormatError("header counts must be nonnegative", line=header_line)
     if len(edges) != m:
         raise FormatError(f"header announced {m} edges, found {len(edges)}")
-    try:
-        return Graph.from_edges(n, [(a, b) for a, b, _ in edges])
-    except ParameterError as exc:
-        raise FormatError(str(exc)) from exc
+    return Graph.from_edges(n, edges)

@@ -46,5 +46,5 @@ def native_counters(g, theta: bool):
     if walk is None:
         return None
     counters: dict = {}
-    walk([g.adj], theta, counters)
+    walk(g.adj, theta, counters)
     return counters

@@ -122,6 +122,15 @@ def test_poly_edgelist_diamond(capsys, tmp_path):
     assert "[1,4,6,4]" in out
 
 
+def test_poly_edgelist_repeated_edge_exits_2(capsys, tmp_path):
+    path = tmp_path / "repeated.edges"
+    path.write_text("3 2\n0 1\n1 0\n")
+    code, out, err = run_cli(capsys, "poly", "--input", str(path), "--format", "edgelist")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: edge (1, 0) repeats line 2\n"
+
+
 def test_poly_format_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "poly", "--g6", "A=")
     assert code == 2
@@ -201,6 +210,14 @@ def test_batch_cli(capsys, tmp_path):
     assert "order 4: graphs=6" in out
     payload = json.loads(out_path.read_text())
     assert payload["reports"][0]["max_group_polynomials"] == ["[1,4,6,4]"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_batch_refuses_fewer_than_one_worker(capsys, workers):
+    code, out, err = run_cli(capsys, "batch", "--input", str(corpus_path(4)), "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --workers must be at least 1, got {workers}\n"
 
 
 def test_batch_json_to_stdout_is_only_json(capsys):

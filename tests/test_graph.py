@@ -266,6 +266,24 @@ def test_parse_edge_list_errors():
         parse_edge_list("2 1\n0 5\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 2\n0 1\n1 0\n", "line 3: edge (1, 0) repeats line 2"),
+        ("3 2\n0 1\n# comment\n0 1\n", "line 4: edge (0, 1) repeats line 2"),
+        ("3 2\n0 1\n1 3\n", "line 3: edge (1, 3) out of range for order 3"),
+        ("3 1\n-1 2\n", "line 2: edge (-1, 2) out of range for order 3"),
+        ("3 2\n\n2 2\n0 1\n", "line 3: self-loop at vertex 2"),
+        ("-1 0\n0 1\n", "line 1: header counts must be nonnegative"),
+        ("3 2\n0 1\n", "header announced 2 edges, found 1"),
+    ],
+)
+def test_parse_edge_list_names_the_faulty_line(text, message):
+    with pytest.raises(FormatError) as caught:
+        parse_edge_list(text)
+    assert str(caught.value) == message
+
+
 def test_named_graphs():
     paw = paw_graph()
     assert paw.n == 4 and paw.edge_count == 4

@@ -167,14 +167,14 @@ def test_walks_agree_on_counts_and_counters(native_walk):
             assert Polynomial((1, *expected[0][1:])) == closed_form, g
         for theta in (False, True):
             counters = {}
-            (counts,) = native_walk([g.adj], theta, counters)
+            counts = native_walk(g.adj, theta, counters)
             assert counts == expected[theta], (g, theta)
             assert set(counters) == {"nodes", "closed", "propagations", "blocks", "hidden"}
             assert counters["nodes"] >= 1
     for g, expected in zip(graphs[2:4] + graphs[-6:], FIXED_COUNTERS):
         for theta in (False, True):
             counters = {}
-            native_walk([g.adj], theta, counters)
+            native_walk(g.adj, theta, counters)
             assert tuple(counters[name] for name in native.COUNTER_NAMES) == expected
 
 
@@ -188,8 +188,8 @@ def test_native_walk_equals_bruteforce_on_16_to_25_vertices(native_walk):
     for g in graphs:
         table = _bruteforce_counts(g, True)
         counters = {}
-        assert native_walk([g.adj], False, counters) == [by_size(table, g.n)], g
-        assert native_walk([g.adj], True) == [table], g
+        assert native_walk(g.adj, False, counters) == by_size(table, g.n), g
+        assert native_walk(g.adj, True) == table, g
         blocks += counters["blocks"]
     assert blocks > 1000
 
@@ -233,27 +233,34 @@ def shadow_graphs():
 def test_shadow_filter_keeps_the_counts(native_walk):
     """The cut and shadow filters drop only candidates that would fail, on both sinks.
 
-    One call counts every graph of shadow_graphs(), so a shadow table left
-    over from an earlier graph would prune a later one; it must also add up
-    to the counters of one call per graph. P_n and C_n are checked on their
-    counts by size, the others on their full tables.
+    P_n and C_n are checked on their counts by size, the others on their
+    full tables. The graphs of order at most 62 are also counted as graph6
+    records in one call, which walks them all with one set of tables, so a
+    shadow row, interval memo or leaf-block pattern left over from an
+    earlier graph would prune a later one; the shuffle of shadow_graphs()
+    makes graphs above and below BLOCK_MAX alternate. That call must give the
+    counts and the summed counters of one call per graph.
     """
     cases = shadow_graphs()
-    adjs = [g.adj for g, _, _ in cases]
     for theta in (False, True):
-        many_counters, one_counters = {}, {}
-        many = native_walk(adjs, theta, many_counters)
-        assert many == [native_walk([adj], theta, one_counters)[0] for adj in adjs]
-        assert many_counters == one_counters
-        for (g, counts, table), got in zip(cases, many):
+        counters = {}
+        for g, counts, table in cases:
+            got = native_walk(g.adj, theta, counters)
             if not theta:
                 assert got == counts, g
             elif table is None:
                 assert by_size(got, g.n) == counts, g
             else:
                 assert got == table, g
-    # Nearly every candidate that fails here is hidden before any propagation.
-    assert many_counters["hidden"] > 5 * many_counters["propagations"]
+        # Nearly every candidate that fails here is hidden before any propagation.
+        assert counters["hidden"] > 5 * counters["propagations"]
+    short = [g for g, _, _ in cases if g.n <= native.SHORT_MAX_ORDER]
+    assert len(short) == len(cases) - 4  # P_63, P_64, C_63 and C_64
+    one_counters, many_counters = {}, {}
+    per_graph = [native_walk(g.adj, False, one_counters) for g in short]
+    records = [encode_graph6(g).encode("ascii") for g in short]
+    assert native_walk.graph6(records, many_counters) == per_graph
+    assert many_counters == one_counters
 
 
 @pytest.mark.parametrize(
@@ -288,36 +295,30 @@ def test_root_block(native_walk, g, propagations):
     expected = reference_counts(g)
     for theta in (False, True):
         counters = {}
-        assert native_walk([g.adj], theta, counters) == [expected[theta]], theta
+        assert native_walk(g.adj, theta, counters) == expected[theta], theta
         assert counters == {"nodes": 1, "closed": 0, "propagations": propagations, "blocks": 1,
                             "hidden": 0}
 
 
-def test_many_graph_entry_matches_per_graph_calls(native_walk):
-    """One call over the corpus and orders 0, 1 and 64 against one call per graph."""
-    records = golden_records()
-    corpus = [parse_graph6(record) for record in records]
+def test_walk_on_orders_0_1_and_64_and_the_golden_records(native_walk):
+    """One call per graph: orders 0 and 1, the closed forms of order 64 and the golden file."""
+    assert native_walk(empty_graph(0).adj, False) == [0]
+    assert native_walk(empty_graph(0).adj, True) == {}
+    assert native_walk(empty_graph(1).adj, False) == [0, 1]
+    assert native_walk(empty_graph(1).adj, True) == {(1, 0): 1}
     order64 = [path_graph(64), complete_graph(64), cycle_graph(64), benchmark_graphs(5)[4]]
-    graphs = [empty_graph(0), empty_graph(1), *corpus[:500], *order64, *corpus[500:], empty_graph(0)]
-    tables, big = {}, {}
-    for theta in (False, True):
-        many_counters, one_counters = {}, {}
-        many = native_walk([g.adj for g in graphs], theta, many_counters)
-        assert many == [native_walk([g.adj], theta, one_counters)[0] for g in graphs]
-        assert many_counters == one_counters  # each call adds its counters
-        assert many_counters["nodes"] >= len(graphs)
-        tables[theta] = many[2:502] + many[506:-1]
-        big[theta] = many[502:506]
     closed_forms = [poly_path(64), poly_complete(64), poly_cycle(64), poly_path(64)]
-    assert [Polynomial((1, *counts[1:])) for counts in big[False]] == closed_forms
-    for counts, table in zip(big[False], big[True]):
-        assert counts == [sum(c for (k, _), c in table.items() if k == j) for j in range(65)]
     counters = {}
-    native_walk([g.adj for g in order64], False, counters)
+    for g, poly in zip(order64, closed_forms):
+        counts = native_walk(g.adj, False, counters)
+        assert Polynomial((1, *counts[1:])) == poly
+        assert by_size(native_walk(g.adj, True), 64) == counts
     assert counters["blocks"] > 0  # C_64 and the two P_64
     lines = []
-    for record, counts, table in zip(records, tables[False], tables[True]):
-        lines.append(golden_line(record, Polynomial((1, *counts[1:])), table))
+    for record in golden_records():
+        adj = parse_graph6(record).adj
+        counts = native_walk(adj, False)
+        lines.append(golden_line(record, Polynomial((1, *counts[1:])), native_walk(adj, True)))
     assert "\n".join(lines) + "\n" == GOLDEN.read_text("ascii")
 
 
@@ -369,7 +370,7 @@ def test_graph6_entry_agrees_with_parse_graph6(native_walk):
         assert g.n >= 63 or record[0] == 126, record
     assert all(counts is not None for counts in counted[:996 + 63])
     assert len(accepted) > 10000 and len(records) - len(accepted) > 30000
-    assert _count_sets(accepted, theta=False) == expected
+    assert [_count_sets(g, theta=False) for g in accepted] == expected
 
 
 def poly_json(capsys, *argv):
@@ -404,17 +405,19 @@ WARNINGS = ["-Wall", "-Wextra", "-Werror"]
 SANITIZE = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
 
 # Runs in a child process: count the graphs read from stdin with the library
-# named by argv[1], writing the counts by size and the (size, diameter) tables,
-# then decode and count the graph6 records of the file argv[2], one a line.
+# named by argv[1], one call per graph and sink, writing the counts by size and
+# the (size, diameter) tables, then decode and count the graph6 records of the
+# file argv[2], one a line, in one call.
 UBSAN_CHILD = """
 import json, sys
 from pathlib import Path
 from visipoly._native import _bind
 walk = _bind(Path(sys.argv[1]))
 adjs = json.load(sys.stdin)
-tables = [sorted(table.items()) for table in walk(adjs, True)]
+counts = [walk(adj, False) for adj in adjs]
+tables = [sorted(walk(adj, True).items()) for adj in adjs]
 records = Path(sys.argv[2]).read_bytes().split(b"\\n")
-json.dump([walk(adjs, False), tables, walk.graph6(records)], sys.stdout)
+json.dump([counts, tables, walk.graph6(records)], sys.stdout)
 """
 
 
@@ -428,11 +431,12 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     thousands, so the closure test and the level loop of count_closed_theta
     run too. P_64, a random tree of 40 vertices, a chain of five C_6 and a
     graph of glued blocks in three components build shadow tables and hide
-    candidates with them. The graph6 entry decodes the golden records, which must give
-    the golden polynomials, and the mutated records of graph6_inputs, so its
-    byte reads of malformed records run under the sanitizer. It is loaded in
-    a child process, so an abort fails this test alone. When the compiler
-    cannot link UBSan, only the warnings are checked.
+    candidates with them. The walk counts each graph, orders 0, 1 and 64
+    included, in its own call per sink. The graph6 entry decodes the golden
+    records, which must give the golden polynomials, and the mutated records
+    of graph6_inputs, so its byte reads of malformed records run under the
+    sanitizer. It is loaded in a child process, so an abort fails this test
+    alone. When the compiler cannot link UBSan, only the warnings are checked.
     """
     compiler = native._compiler()
     probe = tmp_path / "probe.c"
@@ -449,8 +453,8 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
 
     records = golden_records()
     graphs = [parse_graph6(record) for record in records] + benchmark_graphs(211)
-    graphs += [empty_graph(6), complete_graph(6), complete_graph(64), empty_graph(0), cycle_graph(9),
-               delete_edge(complete_graph(9), 1, 8), delete_edge(complete_graph(12), 3, 7),
+    graphs += [empty_graph(6), complete_graph(6), complete_graph(64), empty_graph(0), empty_graph(1),
+               cycle_graph(9), delete_edge(complete_graph(9), 1, 8), delete_edge(complete_graph(12), 3, 7),
                random_graph(random.Random(24), 24, 0.8)]
     rng = random.Random(3)
     graphs += [path_graph(64), random_tree(rng, 40), relabel(rng, cycle_chain(5)),
@@ -470,8 +474,8 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
              for record, c, table in zip(records, counts, tables)]
     assert "\n".join(lines) + "\n" == GOLDEN.read_text("ascii")
     rest = graphs[len(records):]
-    assert counts[len(records):] == native_walk([g.adj for g in rest], False)
-    assert tables[len(records):] == native_walk([g.adj for g in rest], True)
+    assert counts[len(records):] == [native_walk(g.adj, False) for g in rest]
+    assert tables[len(records):] == [native_walk(g.adj, True) for g in rest]
     polys = [Polynomial((1, *c[1:])).to_canonical_string() for c in decoded[:len(records)]]
     assert polys == [line.split(" ")[1] for line in GOLDEN.read_text("ascii").splitlines()]
     assert decoded == native_walk.graph6(inputs)
@@ -484,7 +488,7 @@ def test_build_into_empty_cache(native_walk, monkeypatch, tmp_path):
     assert walk is not None
     (built,) = (tmp_path / "cache").iterdir()  # the temporary file is gone
     assert built.name.startswith("walk-") and built.suffix == ".so"
-    assert walk([cycle_graph(7).adj], False) == [[0, 7, 21, 14, 0, 0, 0, 0]]
+    assert walk(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
 
 
 def test_poly_json_names_the_walk(capsys):
