@@ -12,15 +12,16 @@
  *   passed at its parent. By heredity no other vertex can pass, so a vertex
  *   that failed at an ancestor is never tested again (as in Bron-Kerbosch).
  * - Interval filter. Adding v to X is accepted when every member sees v and
- *   v blocks no pair of members. The first condition is one clear-set
- *   propagation per member for all candidates at once (clear_targets), or
- *   one test from each candidate when there are fewer candidates than
- *   members. For the second, a node keeps, per member u, the union of the
- *   interiors of the intervals I(u, w) over the later members w (its
- *   spans); only a candidate inside that union can block a pair starting
- *   at u, so any other candidate needs no test. A vertex alone at its
- *   distance from u in I(u, w) lies on every shortest u-w path, so it
- *   leaves the candidates of every set holding u and w untested.
+ *   v blocks no pair of members. Each question is one clear-set propagation
+ *   (clear_targets). The first condition takes one per member for all
+ *   candidates at once, or one from each candidate when there are fewer
+ *   candidates than members. For the second, a node keeps, per member u, the
+ *   union of the interiors of the intervals I(u, w) over the later members w
+ *   (its spans); only a candidate inside that union can block a pair whose
+ *   lower end is u, and it is tested from u to the members above u only, so
+ *   each pair is settled once. A vertex alone at its distance from u in
+ *   I(u, w) lies on every shortest u-w path, so it leaves the candidates of
+ *   every set holding u and w untested.
  * - Shadow filter. A vertex x with v on every shortest u-x path is hidden
  *   from u by v, so a set holding u and v can never take it either: when a
  *   child adds v, every candidate in shadow[u][v] or shadow[v][u], u a
@@ -62,7 +63,7 @@
  *   mutual-visibility set, every combination of the candidates is one too,
  *   so the subtree is counted and not walked. The check is a plain
  *   membership test: with p >= 2, X + P passes when every vertex of it but
- *   the highest sees all the others; the pair rules live in the leaf block
+ *   the highest sees each higher one; the pair rules live in the leaf block
  *   only. With seed-211 labels the p >= 10 check runs 121, 47 and 52 times a
  *   walk on the 4x5 grid, Q_4 and G(16, .5), fails every time at its first
  *   propagation, and passes only at K_16's root. For the polynomial the node
@@ -87,8 +88,8 @@
  *             counts those of size k and diameter d
  *   out       zeroed by the caller
  *   counters  five entries: nodes popped, nodes closed by the shortcut,
- *             membership propagations (visible(), clear_targets() and the
- *             blocks' blocked()), leaf blocks of 2..9 candidates evaluated
+ *             membership propagations (clear_targets() and the blocks'
+ *             blocked()), leaf blocks of 2..9 candidates evaluated
  *             (the sets of a block are counted but never popped), and
  *             candidates hidden, those a child lost to the cut and shadow
  *             filters
@@ -188,32 +189,7 @@ static void bfs(Walk *w, int s)
     w->depth[s] = d + 1;
 }
 
-/* Every member of x_mask is clear from u: the layered membership test. */
-static int visible(const Walk *w, int u, uint64_t x_mask)
-{
-    uint64_t ubit = 1ULL << u;
-    uint64_t remaining = x_mask & ~ubit;
-    if (!remaining)
-        return 1;
-    uint64_t allowed = ~remaining, frontier = ubit;
-    const uint64_t *layers = w->layers[u];
-    for (int d = 1; d < w->depth[u]; d++) {
-        uint64_t layer = layers[d];
-        uint64_t cleared = neighbours(w, frontier) & layer;
-        uint64_t targets = remaining & layer;
-        if (targets & ~cleared)
-            return 0;
-        remaining &= ~targets;
-        if (!remaining)
-            return 1;
-        if (!cleared)
-            return 0;
-        frontier = cleared & allowed;
-    }
-    return !remaining;
-}
-
-/* The targets clear from u past x_mask. */
+/* The targets clear from u past x_mask: the walk's one membership propagation. */
 static uint64_t clear_targets(const Walk *w, int u, uint64_t x_mask, uint64_t targets)
 {
     uint64_t allowed = ~x_mask, frontier = 1ULL << u, clear = 0;
@@ -300,10 +276,13 @@ static void shadows(Walk *w)
     }
 }
 
+/* The vertices of x_mask above u. */
+#define ABOVE(x_mask, u) ((x_mask) & (~0ULL << (u) << 1))
+
 /*
  * The members plus all of passed form a mutual-visibility set: every vertex of
- * the set but the highest sees all the others, which covers every pair. The
- * members plus one candidate are known to pass.
+ * the set but the highest sees each higher one, which covers every pair once.
+ * The members plus one candidate are known to pass.
  */
 static int closes(Walk *w, uint64_t mask, uint64_t passed)
 {
@@ -311,8 +290,9 @@ static int closes(Walk *w, uint64_t mask, uint64_t passed)
         return 1;
     uint64_t x_mask = mask | passed;
     for (uint64_t m = x_mask & ~(1ULL << (63 - __builtin_clzll(x_mask))); m; m &= m - 1) {
+        uint64_t above = ABOVE(x_mask, LOW(m));
         w->propagations++;
-        if (!visible(w, LOW(m), x_mask))
+        if (clear_targets(w, LOW(m), x_mask, above) != above)
             return 0;
     }
     return 1;
@@ -618,18 +598,19 @@ static void visit(Walk *w, int size, uint64_t mask, int diam, uint64_t cand)
         }
     } else {
         for (uint64_t m = cand; m; m &= m - 1) {
-            uint64_t vbit = m & -m;
             w->propagations++;
-            if (!visible(w, LOW(m), mask | vbit))
-                passed ^= vbit;
+            if (clear_targets(w, LOW(m), mask, mask) != mask)
+                passed ^= m & -m;
         }
     }
-    /* 2. A candidate can only block a pair of members that it lies between. */
+    /* 2. A candidate can only block a pair of members that it lies between, and
+       then it lies in the span of the lower one: test each pair from there. */
     for (int i = 0; i < size; i++) {
+        uint64_t above = ABOVE(mask, members[i]);
         for (uint64_t inside = passed & spans[i]; inside; inside &= inside - 1) {
             uint64_t vbit = inside & -inside;
             w->propagations++;
-            if (!visible(w, members[i], mask | vbit))
+            if (clear_targets(w, members[i], mask | vbit, above) != above)
                 passed ^= vbit;
         }
     }

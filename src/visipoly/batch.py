@@ -8,10 +8,11 @@ malformed records, non-ASCII ones, and all records when there is no
 compiler. The fallback parses each of them with ``parse_graph6``, which
 names a malformed record's fault, and counts it with one call of the
 counting walk. Chunks run in this process until the input ends or
-``SERIAL_SLICE_S`` seconds have passed; only then, and only with more than
-one worker, does a worker pool take the chunks that are left. On the small
-corpora the pool would cost more than the walks it hands out, so the choice
-rests on the time the batch has taken, not on a record count. Chunks are
+``SERIAL_SLICE_S`` seconds have passed; only then, only with more than one
+worker, and only once the records so far took ``POOL_MIN_RECORD_S`` each,
+does a worker pool take the chunks that are left. On corpus-like records the
+pool would cost more than the walks it hands out, so the choice rests on the
+time the batch has taken, not on a record count. Chunks are
 merged in input order, so the first bad record decides the error. Chunks
 return count vectors, and ``run_batch`` builds one polynomial and canonical
 string per distinct vector; grouping keys are those strings, so the reports
@@ -33,12 +34,16 @@ from .graph6 import iter_graph6_lines, parse_graph6
 from .polynomial import Polynomial
 
 CHUNK_RECORDS = 64
-# On a 2-vCPU machine a pool forced from the start never paid on corpus records:
-# from 996 to 127,488 of them (8.5 ms to 0.56 s of serial work) it ran 1.8-3.6x
-# slower than one process, as handing out a chunk costs more than counting it.
-# It paid from records of about 0.2 ms of walk each (2,000 G(14, .5) records:
-# 0.22 s against 0.35 s) and takes about 0.012 s to start.
+# On a 2-vCPU machine two workers forced from the start never paid on corpus
+# records (about 4 us each): from 996 to 127,488 of them they ran 1.8-3.6x
+# slower than one process, as handing out a chunk costs more than counting it,
+# and the pool takes about 0.012 s to start. So the batch stays in this process
+# for its first SERIAL_SLICE_S, and after that for as long as its records took
+# under POOL_MIN_RECORD_S each. Past the slice, G(n, .5) records broke even
+# at 10-20 us each (G(9, .5): pool 1.02x the serial time, G(10, .5): 0.95x,
+# G(11, .5) at 33 us: 0.81x; 15,000-40,000 records, median of 3).
 SERIAL_SLICE_S = 0.25
+POOL_MIN_RECORD_S = 2e-5
 # Chunks a pool holds per worker; enough that no worker waits while this
 # process merges results, few enough that the input is read as it is used.
 POOL_CHUNKS_PER_WORKER = 8
@@ -120,14 +125,21 @@ def _analyse_chunk(chunk: List[Tuple[int, str]]) -> List[Result]:
 
 
 def _analysed_chunks(records: Iterator[Tuple[int, str]], workers: int) -> Iterator[List[Result]]:
-    """Chunk results in input order: in-process until the slice runs out, then pooled."""
+    """Chunk results in input order: in-process until the slice runs out, then pooled.
+
+    Past the slice the pool starts only once the records so far took at least
+    POOL_MIN_RECORD_S each; with none done yet, as with a zero slice, it starts at once.
+    """
     chunks = iter(lambda: list(islice(records, CHUNK_RECORDS)), [])
-    deadline = perf_counter() + SERIAL_SLICE_S
+    start, done = perf_counter(), 0
     for chunk in chunks:
-        if workers > 1 and perf_counter() >= deadline:
-            yield from _pooled(chain([chunk], chunks), workers)
-            return
+        if workers > 1:
+            elapsed = perf_counter() - start
+            if elapsed >= SERIAL_SLICE_S and elapsed >= POOL_MIN_RECORD_S * done:
+                yield from _pooled(chain([chunk], chunks), workers)
+                return
         yield _analyse_chunk(chunk)
+        done += len(chunk)
 
 
 def _pooled(chunks: Iterator[List[Tuple[int, str]]], workers: int) -> Iterator[List[Result]]:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import _native
 from .batch import run_batch_file
-from .classes import Join, build_class, parse_class_spec, spec_label
+from .classes import Join, Raw, build_class, parse_class_spec, spec_label
 from .closed_forms import poly_for_class
 from .enumeration import polynomial_bruteforce, polynomial_pruned
 from .errors import FormatError, GuardrailError, ParameterError
@@ -78,16 +78,18 @@ def _load_graph(args) -> tuple[Graph, Optional[object]]:
         raise FormatError(str(exc), line=lineno) from exc
 
 
-def _polynomial_for(graph: Graph, spec, engine: str) -> tuple[Polynomial, str]:
-    if engine == "closed-form":
+def _polynomial_for(graph: Graph, spec, args) -> tuple[Polynomial, str]:
+    # A bare raw spec (paw, diamond, empty:N) has no closed form; the pruned engine counts it.
+    closed = spec is not None and not isinstance(spec, Raw)
+    if args.engine == "closed-form":
         if spec is None:
             raise ParameterError("--engine closed-form needs --class")
+        if not closed:
+            raise ParameterError(f"class {args.class_spec!r} has no closed form; use --engine pruned")
         return poly_for_class(spec), "closed-form"
-    if engine == "bruteforce":
+    if args.engine == "bruteforce":
         return polynomial_bruteforce(graph), "bruteforce"
-    if engine == "pruned":
-        return polynomial_pruned(graph), "pruned"
-    if spec is not None:
+    if closed and args.engine == "auto":
         return poly_for_class(spec), "closed-form"
     return polynomial_pruned(graph), "pruned"
 
@@ -100,7 +102,7 @@ def _walk_name() -> str:
 def _cmd_poly(args) -> int:
     graph, spec = _load_graph(args)
     start = time.perf_counter()
-    poly, engine = _polynomial_for(graph, spec, args.engine)
+    poly, engine = _polynomial_for(graph, spec, args)
     elapsed = time.perf_counter() - start
     mu = poly.degree
     r_mu = poly.coefficient(mu) if mu >= 0 else 0

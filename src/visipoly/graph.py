@@ -6,9 +6,11 @@ graphs up to machine-word size. Every operation is a pure function over
 immutable values; editors such as ``complement`` and ``delete_edge`` return
 new graphs, which makes everything safe to share between workers.
 
-``bfs`` is the one breadth-first search: a single pass from a source gives
-both its distance layers as bitmasks and its distance row. The per-graph
-table of both, one pass per source, is ``visibility.VisibilityContext``.
+``bfs`` is the package's general breadth-first search: a single pass from a
+source gives both its distance layers as bitmasks and its distance row. The
+per-graph table of both, one pass per source, is
+``visibility.VisibilityContext``. Brute force and the C walk run their own
+layer-only searches.
 """
 
 from __future__ import annotations
@@ -70,10 +72,7 @@ class Graph:
             raise ParameterError(
                 f"expected {self.n} adjacency masks, got {len(self.adj)}"
             )
-        edges = _count_edges_quick(self.adj)
-        if edges < 0:
-            edges = _count_edges_checked(self.adj)
-        object.__setattr__(self, "edge_count", edges)
+        object.__setattr__(self, "edge_count", _count_edges_checked(self.adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -108,29 +107,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-def _count_edges_quick(adj: Sequence[int]) -> int:
-    """The edge count of a valid adjacency, or -1 when it may be invalid.
-
-    Each edge is tested from its lower end only. The upper bits all being
-    mirrored and the total degree being twice their count together make the
-    relation symmetric, since each upper bit then accounts for one lower bit.
-    """
-    full = (1 << len(adj)) - 1
-    degree_total = upper_total = 0
-    for u, mask in enumerate(adj):
-        if mask & ~full or (mask >> u) & 1:
-            return -1
-        degree_total += mask.bit_count()
-        upper = mask >> (u + 1)
-        upper_total += upper.bit_count()
-        while upper:
-            low = upper & -upper
-            if not (adj[u + low.bit_length()] >> u) & 1:
-                return -1
-            upper ^= low
-    return upper_total if degree_total == 2 * upper_total else -1
 
 
 def _count_edges_checked(adj: Sequence[int]) -> int:

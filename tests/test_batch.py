@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import random
 from collections import Counter
@@ -226,6 +227,27 @@ def test_run_batch_reproduces_golden_file(monkeypatch, path):
     reports = run_batch(records, workers=2 if pooled else 1, keep_histogram=True)
     assert {r.order: r.histogram for r in reports} == golden_histograms()
     assert sum(r.total_graphs for r in reports) == 996
+    assert started == ([2] if pooled else [])
+
+
+@pytest.mark.parametrize("min_record_s, pooled", [(None, False), (0, True)])
+def test_pool_starts_past_the_slice_only_for_costly_records(monkeypatch, min_record_s, pooled):
+    """Past the slice, a pool starts only once the records so far took POOL_MIN_RECORD_S each.
+
+    The clock gains, at each read, a quarter of that cost for each record of a
+    chunk: the slice ends at the second chunk, and the corpus records stay in
+    this process; with the constant at 0 the rest of them are pooled.
+    """
+    step = batch.POOL_MIN_RECORD_S * CHUNK_RECORDS / 4
+    ticks = itertools.count(0, step)
+    monkeypatch.setattr(batch, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr(batch, "SERIAL_SLICE_S", 1.5 * step)
+    if min_record_s is not None:
+        monkeypatch.setattr(batch, "POOL_MIN_RECORD_S", min_record_s)
+    started = record_pools(monkeypatch)
+    records = [line.split(" ", 1)[0] for line in GOLDEN.read_text("ascii").splitlines()]
+    reports = run_batch(records, workers=2, keep_histogram=True)
+    assert {r.order: r.histogram for r in reports} == golden_histograms()
     assert started == ([2] if pooled else [])
 
 

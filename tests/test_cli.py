@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import visipoly._native as native
 from visipoly.cli import main
 
 from conftest import corpus_path, pin_python_walk
@@ -160,6 +161,29 @@ def test_poly_closed_form_engine_needs_class(capsys):
     code, _, err = run_cli(capsys, "poly", "--g6", "C~", "--engine", "closed-form")
     assert code == 2
     assert "--class" in err
+
+
+@pytest.mark.parametrize("text", ["paw", "diamond", "empty:5"])
+def test_bare_raw_class_is_counted_by_the_pruned_engine(capsys, text):
+    """A named graph or empty:N has no closed form: auto names the walk that counted it."""
+    code, out, _ = run_cli(capsys, "poly", "--class", text, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["engine"] == "pruned"
+    assert payload["walk"] == ("python" if native.load() is None else "native")
+    code, out, err = run_cli(capsys, "poly", "--class", text, "--engine", "closed-form")
+    assert (code, out) == (2, "")
+    assert err == f"error: class '{text}' has no closed form; use --engine pruned\n"
+
+
+def test_union_with_a_raw_part_keeps_the_closed_form_label(capsys):
+    code, out, _ = run_cli(capsys, "poly", "--class", "union:paw+path:3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["engine"], payload["walk"]) == ("closed-form", None)
+    assert payload["polynomial"] == "[1,7,9,2]"
+    code, out, _ = run_cli(capsys, "poly", "--class", "union:paw+path:3", "--engine", "closed-form")
+    assert code == 0 and "engine: closed-form" in out
 
 
 def test_poly_bad_class_exit_code(capsys):

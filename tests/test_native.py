@@ -402,13 +402,14 @@ def test_unwritable_cache_falls_back(monkeypatch, tmp_path):
 
 
 WARNINGS = ["-Wall", "-Wextra", "-Werror"]
-SANITIZE = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
+UBSAN = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
+ASAN_UBSAN = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
 
 # Runs in a child process: count the graphs read from stdin with the library
 # named by argv[1], one call per graph and sink, writing the counts by size and
 # the (size, diameter) tables, then decode and count the graph6 records of the
 # file argv[2], one a line, in one call.
-UBSAN_CHILD = """
+SANITIZED_CHILD = """
 import json, sys
 from pathlib import Path
 from visipoly._native import _bind
@@ -421,15 +422,42 @@ json.dump([counts, tables, walk.graph6(records)], sys.stdout)
 """
 
 
+def sanitizer_build(build, tmp_path):
+    """The sanitizer flags the compiler can link and the child's extra environment.
+
+    ASan with UBSan when a probe links and the compiler names its runtime,
+    which the child preloads, since the interpreter itself is not built with
+    ASan; else UBSan alone; else None. Under ASan the child allocates with
+    malloc, so the tables it hands the walk have bounds that ASan sees.
+    """
+    probe = tmp_path / "probe.c"
+    probe.write_text("int probe(int x) { return x + 1; }\n")
+
+    def links(flags):
+        return not subprocess.run([*build, *flags, "-o", str(tmp_path / "probe.so"), str(probe)],
+                                  capture_output=True, timeout=120).returncode
+
+    runtime = subprocess.run([build[0], "-print-file-name=libasan.so"],
+                             capture_output=True, text=True, timeout=120).stdout.strip()
+    if os.path.isabs(runtime) and os.path.exists(runtime) and links(ASAN_UBSAN):
+        return ASAN_UBSAN, {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0",
+                            "PYTHONMALLOC": "malloc"}
+    if links(UBSAN):
+        return UBSAN, {}
+    return None, {}
+
+
 def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
-    """_walk.c with warnings as errors and UBSan on, reproducing the golden file.
+    """_walk.c with warnings as errors and ASan and UBSan on, reproducing the golden file.
 
     The build aborts at its first undefined behaviour, such as a shift by 64
-    in a full-word leaf block. The benchmark graphs hold blocks of every width,
-    and C_9 and K_9 - e are root blocks of 8 words. K_12 - e closes one node
-    of 10 candidates whose sets take two diameters, and G(24, .8) closes
-    thousands, so the closure test and the level loop of count_closed_theta
-    run too. P_64, a random tree of 40 vertices, a chain of five C_6 and a
+    in a full-word leaf block, or its first out-of-bounds access to the stack
+    or the heap, such as a write past the end of the caller's count table;
+    ASan is left out when the compiler cannot link it. The benchmark graphs
+    hold blocks of every width, and C_9 and K_9 - e are root blocks of 8
+    words. K_12 - e closes one node of 10 candidates whose sets take two
+    diameters, and G(24, .8) closes thousands, so the closure test and the
+    level loop of count_closed_theta run too. P_64, a random tree of 40 vertices, a chain of five C_6 and a
     graph of glued blocks in three components build shadow tables and hide
     candidates with them. The walk counts each graph, orders 0, 1 and 64
     included, in its own call per sink. The graph6 entry decodes the golden
@@ -438,17 +466,13 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     sanitizer. It is loaded in a child process, so an abort fails this test
     alone. When the compiler cannot link UBSan, only the warnings are checked.
     """
-    compiler = native._compiler()
-    probe = tmp_path / "probe.c"
-    probe.write_text("int probe(int x) { return x + 1; }\n")
-    build = [compiler, "-O2", "-shared", "-fPIC"]
-    sanitize = not subprocess.run([*build, *SANITIZE, "-o", str(tmp_path / "probe.so"), str(probe)],
-                                  capture_output=True, timeout=120).returncode
-    library = tmp_path / "walk-ubsan.so"
-    result = subprocess.run([*build, *WARNINGS, *(SANITIZE if sanitize else []), "-o", str(library),
+    build = [native._compiler(), "-O2", "-shared", "-fPIC"]
+    sanitize, child_env = sanitizer_build(build, tmp_path)
+    library = tmp_path / "walk-sanitized.so"
+    result = subprocess.run([*build, *WARNINGS, *(sanitize or []), "-o", str(library),
                              str(native.SOURCE)], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    if not sanitize:
+    if sanitize is None:
         pytest.skip("the compiler cannot link UBSan; the warnings build passed")
 
     records = golden_records()
@@ -463,8 +487,8 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     inputs = graph6_inputs()
     stored = tmp_path / "records"
     stored.write_bytes(b"\n".join(inputs))
-    env = {**os.environ, "PYTHONPATH": str(native.SOURCE.parent.parent)}
-    child = subprocess.run([sys.executable, "-c", UBSAN_CHILD, str(library), str(stored)], env=env,
+    env = {**os.environ, "PYTHONPATH": str(native.SOURCE.parent.parent), **child_env}
+    child = subprocess.run([sys.executable, "-c", SANITIZED_CHILD, str(library), str(stored)], env=env,
                            input=json.dumps([list(g.adj) for g in graphs]),
                            capture_output=True, text=True, timeout=600)
     assert child.returncode == 0, child.stderr
