@@ -11,8 +11,8 @@ a small textual syntax for the command line ("cycle:7", "bipartite:3,4",
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import Optional, Union
 
 from .errors import FormatError, ParameterError
 from .graph import (
@@ -107,7 +107,10 @@ class DisjointUnion:
 
 @dataclass(frozen=True)
 class Raw:
+    """An explicit graph; ``name`` is the spec text it was parsed from, kept for labels only."""
+
     graph: Graph
+    name: Optional[str] = field(default=None, compare=False)
 
 
 ClassSpec = Union[Path, Cycle, Complete, Star, CompleteBipartite, Join, DisjointUnion, Raw]
@@ -135,7 +138,7 @@ def spec_label(spec: ClassSpec) -> str:
     if isinstance(spec, DisjointUnion):
         return "union:" + "+".join(spec_label(p) for p in spec.parts)
     g = spec.graph
-    return f"graph(n={g.n}, m={g.edge_count})"
+    return spec.name or f"graph(n={g.n}, m={g.edge_count})"
 
 
 _NAMED_GRAPHS = {
@@ -153,7 +156,7 @@ def parse_class_spec(text: str) -> ClassSpec:
     """
     text = text.strip()
     if text in _NAMED_GRAPHS:
-        return Raw(_NAMED_GRAPHS[text]())
+        return Raw(_NAMED_GRAPHS[text](), text)
     name, sep, args = text.partition(":")
     name = name.strip().lower()
     if name in _NAMED_GRAPHS:
@@ -180,5 +183,5 @@ def parse_class_spec(text: str) -> ClassSpec:
             raise FormatError(f"empty takes exactly one argument, got {text!r}")
         if values[0] < 0:
             raise FormatError("empty graph order must be nonnegative")
-        return Raw(empty_graph(values[0]))
+        return Raw(empty_graph(values[0]), f"empty:{values[0]}")
     raise FormatError(f"unknown graph class {name!r}")

@@ -60,7 +60,7 @@ def paper_suite() -> List[ClassSpec]:
             DisjointUnion((Complete(4), Complete(4), Path(4))),
         ]
     )
-    specs.append(Join(Raw(paw_graph()), Cycle(6)))
+    specs.append(Join(Raw(paw_graph(), "paw"), Cycle(6)))
     return specs
 
 

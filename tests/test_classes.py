@@ -91,6 +91,14 @@ def test_spec_labels():
     assert "join(" in spec_label(Join(Complete(2), Cycle(4)))
 
 
+def test_raw_spec_keeps_the_name_it_was_parsed_from():
+    for text, label in (("paw", "paw"), ("diamond", "diamond"), ("empty:4", "empty:4"),
+                        (" empty: 4 ", "empty:4"), ("union:paw+empty:2", "union:paw+empty:2")):
+        assert spec_label(parse_class_spec(text)) == label
+    assert spec_label(Raw(paw_graph())) == "graph(n=4, m=4)"
+    assert parse_class_spec("paw") == Raw(paw_graph())  # the name is not part of equality
+
+
 # Each family as the docs state it: syntax name, graph constructor, least argument.
 FAMILIES = {
     Path: ("path", path_graph, 1),

@@ -186,6 +186,34 @@ def test_union_with_a_raw_part_keeps_the_closed_form_label(capsys):
     assert code == 0 and "engine: closed-form" in out
 
 
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        ("paw", ["graph: paw", "polynomial: [1,4,6,2]", "pretty: 1 + 4x + 6x^2 + 2x^3",
+                 "mu: 3  r_mu: 2", "engine: pruned"]),
+        ("empty: 3", ["graph: empty:3", "polynomial: [1,3]", "pretty: 1 + 3x", "mu: 1  r_mu: 3",
+                      "engine: pruned"]),
+        ("union:paw+empty:2", ["graph: union:paw+empty:2", "polynomial: [1,6,6,2]",
+                               "pretty: 1 + 6x + 6x^2 + 2x^3", "mu: 3  r_mu: 2",
+                               "engine: closed-form"]),
+    ],
+)
+def test_poly_names_a_raw_class_as_given(capsys, text, lines):
+    """Text output names paw, diamond and empty:N by their spec, alone or inside a union."""
+    code, out, _ = run_cli(capsys, "poly", "--class", text)
+    assert code == 0
+    printed = out.splitlines()
+    assert printed[:4] == lines[:4]
+    assert printed[4].startswith(lines[4] + "  time: ")
+    assert len(printed) == 5
+
+
+def test_join_names_a_raw_operand_as_given(capsys):
+    code, out, _ = run_cli(capsys, "join", "--left", "paw", "--right", "empty:2")
+    assert code == 0
+    assert out.splitlines()[:2] == ["join(paw, empty:2)", "polynomial: [1,6,15,20,15,4]"]
+
+
 def test_poly_bad_class_exit_code(capsys):
     code, _, _ = run_cli(capsys, "poly", "--class", "cycle:2")
     assert code == 2

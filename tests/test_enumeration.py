@@ -217,14 +217,16 @@ def test_theta_table_matches_oracle(random_small_graphs, monkeypatch):
     # A native closure of p >= 10 candidates whose sets take two diameters. In
     # K_12 less the edge 3-7, only the whole vertex set fails, and a set of
     # two or more vertices has diameter 2 when it holds 3 and 7, else 1. The
-    # walk pops 34 nodes: the root, its 12 children, the 11 of {0} and the 10
-    # of {0, 1}. A node whose largest member v is 2..9 has the p = 11 - v
-    # candidates above v and is a leaf block (24 blocks); v = 10 closes with
-    # p = 1 and v = 11 is a leaf. The root, {0} and {0, 1} with their
-    # candidates hold the whole set and are walked. {1} closes with its 10
-    # candidates 2..11 (0 stays out, a common neighbour of 3 and 7), so
-    # count_closed_theta counts its sets at diameters 1 and 2: 4 closures in
-    # all. Walking {1} would pop its 10 children.
+    # walk relabels it first: the ten vertices of degree 11 keep their order
+    # as 0..9, and the simplicial 3 and 7 come last as 10 and 11. It pops 34
+    # nodes: the root, its 12 children, the 11 of {0} and the 10 of {0, 1}.
+    # A node whose largest member v is 2..9 has the p = 11 - v candidates
+    # above v and is a leaf block (24 blocks); v = 10 closes with p = 1 and
+    # v = 11 is a leaf. The root, {0} and {0, 1} with their candidates hold
+    # the whole set and are walked. {1} closes with its 10 candidates 2..11
+    # (0 stays out, a common neighbour of 10 and 11), so count_closed_theta
+    # counts its sets at diameters 1 and 2: 4 closures in all. Walking {1}
+    # would pop its 10 children.
     assert sum(c for (_, d), c in expected_tables[-2].items() if d == 2) == 2**10 - 1
     counters = native_counters(k12_minus_edge, theta=True)
     if counters is not None:

@@ -37,7 +37,9 @@ from visipoly import (
     poly_complete,
     poly_cycle,
     poly_path,
+    poly_star,
     polynomial_pruned,
+    star_graph,
 )
 from visipoly.cli import main
 from visipoly.enumeration import BRUTEFORCE_MAX_VERTICES, _bruteforce_counts, _count_sets
@@ -126,11 +128,12 @@ def benchmark_graphs(seed):
 
 
 # (nodes, closed, propagations, blocks, hidden) of the native walk on P_64,
-# three copies of C_5 and benchmark_graphs(211), for either sink.
+# three copies of C_5 and benchmark_graphs(211), for either sink. The walk
+# relabels each graph, so the shuffled P_64 counts as P_64 does.
 FIXED_COUNTERS = [
     (2036, 1, 118, 8, 41544), (16, 3, 15, 9, 0),
-    (1438, 207, 14799, 944, 1171), (530, 48, 6292, 380, 0), (584, 48, 6272, 428, 116),
-    (1997, 99, 1900, 380, 15141), (2036, 1, 118, 8, 41544), (1, 1, 15, 0, 0),
+    (1028, 103, 7246, 751, 419), (502, 45, 4799, 367, 0), (494, 70, 4582, 329, 74),
+    (2516, 21, 1607, 256, 17794), (2036, 1, 118, 8, 41544), (1, 1, 15, 0, 0),
 ]
 
 
@@ -261,6 +264,45 @@ def test_shadow_filter_keeps_the_counts(native_walk):
     records = [encode_graph6(g).encode("ascii") for g in short]
     assert native_walk.graph6(records, many_counters) == per_graph
     assert many_counters == one_counters
+
+
+def test_walk_order_is_its_own(native_walk):
+    """The walk relabels every graph of more than BLOCK_MAX vertices, so its labels do not matter.
+
+    The relabel shrinks the tree: random_tree(Random(3), 40) pops 33,136
+    nodes, where its own labels popped 262,726; its counters and those of a
+    glued-block graph with cliques pin the order. Trees, glued-block graphs,
+    G(n, p) for n = 10..25 and disconnected graphs with isolated vertices
+    give brute force's tables, and P_64, C_64 and the star of 63 leaves
+    (whose centre is vertex 63) their closed forms, under 10 random
+    relabellings each, on both sinks.
+    """
+    for g, expected in ((random_tree(random.Random(3), 40), (33136, 9335, 241041, 19182, 16260)),
+                        (glued_blocks(random.Random(11), 30), (10863, 963, 38745, 8009, 6158))):
+        counters = {}
+        native_walk(g.adj, False, counters)
+        assert tuple(counters[name] for name in native.COUNTER_NAMES) == expected
+    rng = random.Random(20261040)
+    graphs = [random_tree(rng, n) for n in (10, 16, 22)]
+    graphs += [glued_blocks(rng, n) for n in (12, 18, 23)]
+    graphs += [random_graph(rng, n, (0.15, 0.3, 0.7, 0.9)[n % 4]) for n in range(10, 26)]
+    graphs += [disjoint_union([empty_graph(1), random_tree(rng, 6), empty_graph(2),
+                               glued_blocks(rng, 8), random_graph(rng, 5, 0.6)]),
+               disjoint_union([random_graph(rng, 9, 0.5), empty_graph(3)]),
+               disjoint_union([empty_graph(4), complete_graph(4), cycle_graph(5)])]
+    assert sum(len(components(g)) > 1 for g in graphs) >= 3
+    for g in graphs:
+        table = _bruteforce_counts(g, True)
+        counts = by_size(table, g.n)
+        for h in [g] + [relabel(rng, g) for _ in range(10)]:
+            assert native_walk(h.adj, False) == counts, h
+            assert native_walk(h.adj, True) == table, h
+    for g, poly in ((path_graph(64), poly_path(64)), (cycle_graph(64), poly_cycle(64)),
+                    (star_graph(63), poly_star(63))):
+        for h in [g] + [relabel(rng, g) for _ in range(10)]:
+            counts = native_walk(h.adj, False)
+            assert Polynomial((1, *counts[1:])) == poly, h
+            assert by_size(native_walk(h.adj, True), 64) == counts, h
 
 
 @pytest.mark.parametrize(
@@ -459,8 +501,12 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     diameters, and G(24, .8) closes thousands, so the closure test and the
     level loop of count_closed_theta run too. P_64, a random tree of 40 vertices, a chain of five C_6 and a
     graph of glued blocks in three components build shadow tables and hide
-    candidates with them. The walk counts each graph, orders 0, 1 and 64
-    included, in its own call per sink. The graph6 entry decodes the golden
+    candidates with them. Every graph of more than 9 vertices is relabelled:
+    a graph of five components, three of them isolated vertices, takes the
+    relabel's component loop, and the star of 63 leaves moves its centre
+    from 63 to 0, so the 64-bit shifts of the relabel run at n = 64. The
+    walk counts each graph, orders 0, 1 and 64 included, in its own call per
+    sink. The graph6 entry decodes the golden
     records, which must give the golden polynomials, and the mutated records
     of graph6_inputs, so its byte reads of malformed records run under the
     sanitizer. It is loaded in a child process, so an abort fails this test
@@ -484,6 +530,9 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     graphs += [path_graph(64), random_tree(rng, 40), relabel(rng, cycle_chain(5)),
                relabel(rng, disjoint_union([glued_blocks(rng, 12), glued_blocks(rng, 10),
                                             random_tree(rng, 8)]))]
+    graphs += [relabel(rng, disjoint_union([empty_graph(2), glued_blocks(rng, 9), empty_graph(1),
+                                            random_tree(rng, 5)])),
+               star_graph(63)]
     inputs = graph6_inputs()
     stored = tmp_path / "records"
     stored.write_bytes(b"\n".join(inputs))
