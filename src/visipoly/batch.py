@@ -77,8 +77,10 @@ class BatchReport:
 
 
 def effective_workers(requested: Optional[int] = None) -> int:
-    """Worker count after applying the VISIPOLY_THREADS cap."""
-    workers = requested if requested and requested > 0 else (os.cpu_count() or 1)
+    """Worker count after the VISIPOLY_THREADS cap; by default, the CPUs this process may use."""
+    affinity = getattr(os, "sched_getaffinity", None)  # narrowed by containers and taskset
+    usable = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = requested if requested and requested > 0 else usable
     cap = os.environ.get("VISIPOLY_THREADS")
     if cap:
         try:

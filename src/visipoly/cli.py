@@ -262,18 +262,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ParameterError as exc:
+    except (FormatError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except GuardrailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARDRAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Closed-form visibility polynomials and the two composition laws.
 
-Each closed form is guarded by the hypotheses it was proved under. A family's
-closed form checks its argument by building the family's spec, so each domain
-and its error text live in one row of ``classes._FAMILIES``. The join
-law holds for every pair of operands, complete or not, so the dispatcher
-enumerates a whole graph only for raw specs. All coefficients are exact
-integers.
+Every family of ``classes._FAMILIES`` has one closed form here, valid on the
+family's whole domain. A closed form checks its arguments by building the
+family's spec, so each domain and its error text live in one row of that
+table. No family spec is walked: the dispatcher enumerates only raw specs,
+and the join law only the non-complete operands of a join. All coefficients
+are exact integers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .classes import (
 )
 from .enumeration import count_by_size_and_diameter, polynomial_pruned
 from .errors import ParameterError
-from .graph import Graph, empty_graph
+from .graph import Graph
 from .polynomial import Polynomial
 
 
@@ -78,29 +78,28 @@ def poly_cycle(n: int) -> Polynomial:
 
 
 def poly_complete_bipartite(m: int, n: int) -> Polynomial:
-    """Closed form for K_{m,n} with both parts of size at least 3.
+    """Closed form for K_{m,n}, for all parts m, n >= 1.
 
-    With m <= n, the coefficient of x^i is C(m+n, i), minus C(n, i-m) once
-    i >= m+2 (sets swallowing all of the small part plus two or more of the
-    other), minus C(m, i-n) once i >= n+2 (the symmetric exclusion). The
-    degree is m + n - 2. For m = n both corrections coincide, which is the
-    equal-parts special case.
+    Two vertices of one part see each other through any vertex of the other
+    part left out of the set, so a set fails exactly when it holds two or
+    more vertices of one part and all of the other. By inclusion-exclusion
+    the coefficient of x^i is C(m+n, i), minus C(n, i-m) once i >= m+2, minus
+    C(m, i-n) once i >= n+2, plus 1 at i = m+n when m, n >= 2: the whole
+    vertex set fails both ways and was subtracted twice. The formula is
+    symmetric in m and n. For m, n >= 3, the paper's range, the top two
+    coefficients vanish and the degree is m + n - 2; m = 1 gives the star.
     """
-    if m > n:
-        m, n = n, m
-    if m < 3:
-        raise ParameterError(
-            "closed form proven only for parts of size >= 3; "
-            "use the star formula for a part of size 1 or poly_join for size 2"
-        )
+    CompleteBipartite(m, n)
     coeffs = []
-    for i in range(m + n - 1):
+    for i in range(m + n + 1):
         r = comb(m + n, i)
         if i >= m + 2:
             r -= comb(n, i - m)
         if i >= n + 2:
             r -= comb(m, i - n)
         coeffs.append(r)
+    if m >= 2 and n >= 2:
+        coeffs[m + n] += 1
     return Polynomial(tuple(coeffs))
 
 
@@ -164,25 +163,24 @@ def poly_join(g: Graph, h: Graph) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-# closed form of each one-parameter family; K_{m,n} splits on its smaller part below
-_CLOSED_FORMS = {Path: poly_path, Cycle: poly_cycle, Complete: poly_complete, Star: poly_star}
+# closed form of each family of classes._FAMILIES, called with the spec's fields
+_CLOSED_FORMS = {
+    Path: poly_path,
+    Cycle: poly_cycle,
+    Complete: poly_complete,
+    Star: poly_star,
+    CompleteBipartite: poly_complete_bipartite,
+}
 
 
 def poly_for_class(spec: ClassSpec) -> Polynomial:
     """Dispatch a class spec to its closed form or composition law.
 
-    The result is always the true visibility polynomial; formulas are used
-    only where their hypotheses hold. Only ``Raw`` specs are enumerated.
+    The result is always the true visibility polynomial. Only ``Raw`` specs
+    and the non-complete operands of a ``Join`` are enumerated.
     """
     if type(spec) in _CLOSED_FORMS:
         return _CLOSED_FORMS[type(spec)](*family_args(spec))
-    if isinstance(spec, CompleteBipartite):
-        m, n = min(spec.m, spec.n), max(spec.m, spec.n)
-        if m >= 3:
-            return poly_complete_bipartite(m, n)
-        if m == 1:
-            return poly_star(n)
-        return poly_join(empty_graph(2), empty_graph(n))
     if isinstance(spec, Join):
         return poly_join(build_class(spec.left), build_class(spec.right))
     if isinstance(spec, DisjointUnion):

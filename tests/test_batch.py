@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import random
 from collections import Counter
 
@@ -148,6 +149,15 @@ def test_effective_workers_env_cap(monkeypatch):
         effective_workers(4)
     monkeypatch.delenv("VISIPOLY_THREADS")
     assert effective_workers(3) == 3
+
+
+def test_default_workers_count_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("VISIPOLY_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert effective_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert effective_workers() == 8
 
 
 TOO_LARGE = encode_graph6(path_graph(65))

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,19 @@ def test_poly_class_complete_json(capsys):
     assert payload["polynomial"] == "[1,5,10,10,5,1]"
     assert payload["engine"] == "closed-form"
     assert payload["mu"] == 5 and payload["r_mu"] == 1
+
+
+@pytest.mark.parametrize("spec", ["bipartite:2,100", "bipartite:100,2"])
+def test_poly_bipartite_with_a_part_of_two_past_the_guardrail(capsys, spec):
+    # one small vertex with all 100 others is the largest set: C(102, i) less the
+    # sets holding both small vertices and two or more of the others
+    coeffs = [comb(102, i) - (comb(100, i - 2) if i >= 4 else 0) for i in range(102)]
+    code, out, _ = run_cli(capsys, "poly", "--class", spec, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["engine"] == "closed-form"
+    assert payload["polynomial"] == "[" + ",".join(map(str, coeffs)) + "]"
+    assert payload["mu"] == 101 and payload["r_mu"] == 2
 
 
 def test_poly_g6_record(capsys):

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import visipoly.closed_forms as closed_forms
 from visipoly import (
     Complete,
     CompleteBipartite,
@@ -38,6 +39,7 @@ from visipoly import (
     poly_join,
     poly_path,
     poly_star,
+    polynomial_bruteforce,
     polynomial_pruned,
     r_mu_cycle,
     star_graph,
@@ -127,15 +129,43 @@ def test_poly_complete_bipartite_values():
     assert poly_complete_bipartite(6, 6).degree == 10
     # arguments may come in either order
     assert poly_complete_bipartite(5, 3) == poly_complete_bipartite(3, 5)
-    with pytest.raises(ParameterError, match="star"):
-        poly_complete_bipartite(2, 5)
+    # below the paper's range: the star K_{1,3}, the 4-cycle K_{2,2}, and K_{2,5}
+    assert poly_complete_bipartite(1, 3) == Polynomial((1, 4, 6, 1))
+    assert poly_complete_bipartite(2, 2) == Polynomial((1, 4, 6, 4))
+    assert poly_complete_bipartite(2, 5) == Polynomial(k2n_coeffs(5))
+    assert poly_complete_bipartite(2, 5).degree == 6
+    for m, n in ((0, 3), (3, 0), (0, 0), (-1, 2)):
+        with pytest.raises(ParameterError, match="complete bipartite parts must be at least 1"):
+            poly_complete_bipartite(m, n)
+
+
+def k2n_coeffs(n):
+    """r_i of K_{2,n} for n >= 2: a set fails only when it takes both small vertices
+    and two or more of the others."""
+    expected = [comb(n + 2, i) for i in range(n + 3)]
+    for i in range(4, n + 3):
+        expected[i] -= comb(n, i - 2)
+    return tuple(expected)
 
 
 def test_poly_complete_bipartite_matches_enumeration():
-    for m in range(3, 7):
-        for n in range(m, 7):
+    for m in range(1, 8):
+        for n in range(m, 15 - m):
+            expected = polynomial_bruteforce(complete_bipartite_graph(m, n))
+            assert poly_complete_bipartite(m, n) == expected, (m, n)
+    for m in range(1, 13):
+        for n in range(m, 13):
             expected = polynomial_pruned(complete_bipartite_graph(m, n))
             assert poly_complete_bipartite(m, n) == expected, (m, n)
+            assert poly_complete_bipartite(n, m) == expected, (n, m)
+
+
+def test_poly_complete_bipartite_small_parts_match_star_and_join():
+    for n in range(1, 201):
+        assert poly_complete_bipartite(1, n) == poly_star(n), n
+        assert poly_complete_bipartite(n, 1) == poly_star(n), n
+    for n in range(1, 65):
+        assert poly_complete_bipartite(2, n) == poly_join(empty_graph(2), empty_graph(n)), n
 
 
 def test_equal_parts_bipartite_branch():
@@ -324,19 +354,33 @@ def test_poly_for_class_dispatch():
     assert poly_for_class(joined) == poly_join(paw_graph(), cycle_graph(6))
 
 
-def test_poly_for_class_bipartite_fallbacks():
-    # below the proven range the dispatcher switches to star formula or enumeration
+def test_poly_for_class_bipartite_small_parts():
+    # the one closed form covers parts of size 1 and 2, past the guardrail too
     assert poly_for_class(CompleteBipartite(1, 5)) == poly_star(5)
     expected = polynomial_pruned(complete_bipartite_graph(2, 5))
     assert poly_for_class(CompleteBipartite(2, 5)) == expected
     assert poly_for_class(CompleteBipartite(2, 2)) == Polynomial((1, 4, 6, 4))
-    # K_{2,n} through the join law, past the guardrail too: a set fails only
-    # when it takes both small vertices and two or more of the others
-    for n in (5, 64):
-        expected = [comb(n + 2, i) for i in range(n + 3)]
-        for i in range(4, n + 3):
-            expected[i] -= comb(n, i - 2)
-        assert poly_for_class(CompleteBipartite(2, n)) == Polynomial(tuple(expected))
+    for n in (5, 64, 100):
+        assert poly_for_class(CompleteBipartite(2, n)) == Polynomial(k2n_coeffs(n))
+        assert poly_for_class(CompleteBipartite(n, 2)) == Polynomial(k2n_coeffs(n))
+
+
+def test_no_family_spec_is_walked(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a family spec was walked")
+
+    monkeypatch.setattr(closed_forms, "polynomial_pruned", refuse)
+    monkeypatch.setattr(closed_forms, "count_by_size_and_diameter", refuse)
+    for n in range(1, 71):
+        assert poly_for_class(Path(n)) == poly_path(n)
+        assert poly_for_class(Complete(n)) == poly_complete(n)
+        assert poly_for_class(Star(n)) == poly_star(n)
+        if n >= 3:
+            assert poly_for_class(Cycle(n)) == poly_cycle(n)
+        for m in range(1, 5):
+            expected = poly_complete_bipartite(m, n)
+            assert poly_for_class(CompleteBipartite(m, n)) == expected, (m, n)
+            assert poly_for_class(CompleteBipartite(n, m)) == expected, (n, m)
 
 
 def test_poly_for_class_raw():
