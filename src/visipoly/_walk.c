@@ -79,11 +79,11 @@
  *   only. The p >= 10 check runs 86, 45 and 46 times a walk on the 4x5 grid,
  *   Q_4 and G(16, .5); it fails every time at its first propagation on the
  *   first two, passes twice on the third (44 failures in 61 propagations)
- *   and passes at K_16's root. For the polynomial the node
- *   adds C(p, j) to entry |X| + j. For the (size, diameter) table
- *   (count_closed_theta) it counts, for each distinct e(s) and candidate-pair
- *   distance D in increasing order, the cliques of the graph joining the
- *   candidates within distance D of each other and of every member; the
+ *   and passes at K_16's root. For the polynomial the node adds C(p, j) to
+ *   entry |X| + j. For the (size, diameter) table (count_closed_theta), each
+ *   D from diam(X) until the candidates form one clique takes the candidates
+ *   in the balls of radius D about every member, joins those within D of
+ *   each other and counts the cliques by size by pivoting, listing none; the
  *   cliques new at D are the sets of diameter D.
  *
  * Its references in the tests are a golden per-graph file, brute force
@@ -312,64 +312,60 @@ static int closes(Walk *w, uint64_t mask, uint64_t passed)
     return 1;
 }
 
-/* The k-cliques inside cand over the masks adj, added into counts[0..k_max]. */
-static void clique_counts(const Walk *w, const uint64_t *adj, uint64_t cand, int size,
-                          int k_max, uint64_t *counts)
+/*
+ * The cliques inside cand over the masks adj, each mask holding its own vertex,
+ * each joined with the held vertices and any of the pivots, added by size into
+ * counts. Pivoting counts them without listing (Jain and Seshadhri, WSDM
+ * 2020): the cliques among the neighbours of u, the vertex seeing most of
+ * cand, take u as a free pivot; every other clique holds a non-neighbour of u
+ * and is counted with the first one it holds, which then leaves cand.
+ */
+static void clique_counts(const Walk *w, const uint64_t *adj, uint64_t cand, int held,
+                          int pivots, uint64_t *counts)
 {
-    int closed = 1;
-    for (uint64_t m = cand; m && closed; m &= m - 1) {
-        uint64_t rest = m & (m - 1);
-        closed = (rest & adj[LOW(m)]) == rest;
-    }
-    int p = COUNT(cand);
-    if (closed) {
-        for (int j = 1; j <= p && j <= k_max - size; j++)
-            counts[size + j] += w->binom[p][j];
-        return;
-    }
-    counts[size + 1] += (uint64_t)p;
-    if (size + 1 >= k_max)
-        return;
+    int p = COUNT(cand), fewest = p, most = -1, u = 0;
     for (uint64_t m = cand; m; m &= m - 1) {
-        uint64_t child = (m & (m - 1)) & adj[LOW(m)];
-        if (child)
-            clique_counts(w, adj, child, size + 1, k_max, counts);
+        int seen = COUNT(adj[LOW(m)] & cand);
+        if (seen > most) {
+            most = seen;
+            u = LOW(m);
+        }
+        if (seen < fewest)
+            fewest = seen;
+    }
+    if (fewest == p) { /* cand is a clique, or empty */
+        for (int j = 0; j <= pivots + p; j++)
+            counts[held + j] += w->binom[pivots + p][j];
+        return;
+    }
+    clique_counts(w, adj, cand & adj[u] & ~(1ULL << u), held, pivots + 1, counts);
+    for (uint64_t m = cand & ~adj[u]; m; m &= m - 1) {
+        cand ^= m & -m;
+        clique_counts(w, adj, cand & adj[LOW(m)], held + 1, pivots, counts);
     }
 }
 
 /*
  * Every set members + S, S a nonempty part of passed, counted by (size,
- * diameter). The diameter of X + S is the largest of e(s) over s in S, where
- * e(s) is the larger of diam and the farthest member from s, and of d(s, t)
- * over s, t in S. So the sets S of diameter at most D are the cliques of
- * H_D, the graph on the candidates with e(s) <= D whose edges join
- * candidates at distance at most D.
+ * diameter). The diameter of X + S is the largest of diam, the distances from
+ * each s in S to the members and the distances within S. So the sets S of
+ * diameter at most D are the cliques of H_D, whose vertices are the
+ * candidates within D of every member and whose edges join candidates within
+ * D of each other; the cliques new at D are the sets of diameter D. Once all
+ * of passed is one clique, every set has been counted.
  */
 static void count_closed_theta(Walk *w, int size, int diam, uint64_t passed)
 {
-    int cands[MAXN], ecc[MAXN], p = 0, n = w->n;
-    uint64_t levels = 0;
-    for (uint64_t m = passed; m; m &= m - 1) {
-        int v = LOW(m), e = diam;
+    int n = w->n, p = COUNT(passed);
+    uint64_t previous[MAXN + 1] = {0}, cliques[MAXN + 1];
+    for (int d = diam; d < n && !previous[p]; d++) {
+        uint64_t vertices = passed;
         for (int i = 0; i < size; i++)
-            if (w->dist[v][w->members[i]] > e)
-                e = w->dist[v][w->members[i]];
-        for (int t = 0; t < p; t++)
-            levels |= 1ULL << w->dist[v][cands[t]];
-        levels |= 1ULL << e;
-        cands[p] = v;
-        ecc[p++] = e;
-    }
-    uint64_t previous[MAXN + 1] = {1}, cliques[MAXN + 1];
-    for (; levels; levels &= levels - 1) {
-        int d = LOW(levels);
-        uint64_t vertices = 0;
-        for (int i = 0; i < p; i++)
-            if (ecc[i] <= d)
-                vertices |= 1ULL << cands[i];
+            vertices &= w->balls[d][w->members[i]];
+        if (!vertices) /* and so is every lower level */
+            continue;
         memset(cliques, 0, sizeof(uint64_t) * (size_t)(p + 1));
-        cliques[0] = 1;
-        clique_counts(w, w->balls[d], vertices, 0, p, cliques);
+        clique_counts(w, w->balls[d], vertices, 0, 0, cliques);
         for (int j = 1; j <= p; j++)
             w->out[(size + j) * n + d] += cliques[j] - previous[j];
         memcpy(previous, cliques, sizeof(uint64_t) * (size_t)(p + 1));

@@ -77,19 +77,11 @@ class BatchReport:
 
 
 def effective_workers(requested: Optional[int] = None) -> int:
-    """Worker count after the VISIPOLY_THREADS cap; by default, the CPUs this process may use."""
+    """The requested worker count; by default, the CPUs this process may use."""
+    if requested and requested > 0:
+        return requested
     affinity = getattr(os, "sched_getaffinity", None)  # narrowed by containers and taskset
-    usable = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = requested if requested and requested > 0 else usable
-    cap = os.environ.get("VISIPOLY_THREADS")
-    if cap:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            raise FormatError(f"VISIPOLY_THREADS must be an integer, got {cap!r}") from None
-        if cap_value > 0:
-            workers = min(workers, cap_value)
-    return max(workers, 1)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _analyse_chunk(chunk: List[Tuple[int, str]]) -> List[Result]:

@@ -181,3 +181,14 @@ def cycle_chain(blocks: int, size: int = 6) -> Graph:
         edges += [(cycle[i], cycle[(i + 1) % size]) for i in range(size)]
         glue = cycle[size // 2]
     return Graph.from_edges(order, edges)
+
+
+def clique_chain(blocks: int, size: int = 5) -> Graph:
+    """``blocks`` copies of K_size in a row, each glued at the last vertex of the one before."""
+    edges, glue, order = [], 0, 1
+    for _ in range(blocks):
+        block = [glue] + list(range(order, order + size - 1))
+        order += size - 1
+        edges += list(combinations(block, 2))
+        glue = block[-1]
+    return Graph.from_edges(order, edges)

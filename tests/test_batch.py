@@ -140,22 +140,11 @@ def test_json_dict_shape():
     assert ["[1,4,6,4]", 2] in payload["histogram"]
 
 
-def test_effective_workers_env_cap(monkeypatch):
-    monkeypatch.setenv("VISIPOLY_THREADS", "2")
-    assert effective_workers(8) == 2
-    assert effective_workers(1) == 1
-    monkeypatch.setenv("VISIPOLY_THREADS", "bogus")
-    with pytest.raises(FormatError):
-        effective_workers(4)
-    monkeypatch.delenv("VISIPOLY_THREADS")
-    assert effective_workers(3) == 3
-
-
 def test_default_workers_count_the_cpus_the_process_may_use(monkeypatch):
-    monkeypatch.delenv("VISIPOLY_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert effective_workers() == 1
+    assert effective_workers(3) == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert effective_workers() == 8
 

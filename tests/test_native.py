@@ -44,9 +44,11 @@ from visipoly import (
 from visipoly.cli import main
 from visipoly.enumeration import BRUTEFORCE_MAX_VERTICES, _bruteforce_counts, _count_sets
 from visipoly.errors import FormatError
+from visipoly.visibility import VisibilityContext, _clique_counts
 
 from conftest import GOLDEN, corpus_path, pin_python_walk
 from oracles import (
+    clique_chain,
     cycle_chain,
     glued_blocks,
     golden_line,
@@ -305,6 +307,49 @@ def test_walk_order_is_its_own(native_walk):
             assert by_size(native_walk(h.adj, True), 64) == counts, h
 
 
+
+def test_closures_count_theta_as_bruteforce(native_walk):
+    """A closing node counts its sets by diameter as brute force does.
+
+    Relabelled chains of K_3..K_6 close with candidates in several blocks, at
+    several distances from each other and from the members, so the clique
+    counts of count_closed_theta hold non-neighbours, carry pivots and skip
+    empty levels; random trees and glued-block graphs close with candidates
+    that see each other only across a member. Up to 25 vertices, about 6 s.
+    """
+    rng = random.Random(20261021)
+    graphs = [relabel(rng, clique_chain(blocks, size))
+              for size in (3, 4, 5, 6) for blocks in range(1, 22 // (size - 1) + 1)]
+    graphs += [relabel(rng, clique_chain(12, 3)), relabel(rng, clique_chain(6, 5))]
+    graphs += [random_tree(rng, rng.randint(3, 22)) for _ in range(30)] + [random_tree(rng, 25)]
+    graphs += [glued_blocks(rng, rng.randint(3, 22)) for _ in range(30)] + [glued_blocks(rng, 24)]
+    closed = 0
+    for g in graphs:
+        counters = {}
+        assert native_walk(g.adj, True, counters) == _bruteforce_counts(g, True), g
+        closed += counters["closed"]
+    assert len(graphs) > 90 and closed > 1000
+
+
+def test_closures_on_a_chain_past_bruteforce(native_walk):
+    """Theta of a relabelled chain of eleven K_5 (45 vertices) against three independent counts.
+
+    Summed over diameters it gives the polynomial, whose closures add
+    binomials and count no cliques; at diameter 1 the cliques of the listing
+    counter in visibility; at size 2 the pairs at each distance. Its closures
+    once listed every clique of their distance graphs and took seconds.
+    """
+    g = relabel(random.Random(1), clique_chain(11))
+    assert g.n == 45
+    table = native_walk(g.adj, True)
+    assert Polynomial((1, *by_size(table, g.n)[1:])) == polynomial_pruned(g)
+    cliques = _clique_counts(g.adj, (1 << g.n) - 1, g.n)
+    assert [table.get((k, 1), 0) for k in range(2, g.n + 1)] == cliques[2:]
+    rows = VisibilityContext(g).rows
+    pairs = Counter(rows[u][v] for u in range(g.n) for v in range(u))
+    assert {d: c for (k, d), c in table.items() if k == 2} == pairs
+
+
 @pytest.mark.parametrize(
     "g, propagations",
     [
@@ -498,10 +543,12 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     ASan is left out when the compiler cannot link it. The benchmark graphs
     hold blocks of every width, and C_9 and K_9 - e are root blocks of 8
     words. K_12 - e closes one node of 10 candidates whose sets take two
-    diameters, and G(24, .8) closes thousands, so the closure test and the
-    level loop of count_closed_theta run too. P_64, a random tree of 40 vertices, a chain of five C_6 and a
-    graph of glued blocks in three components build shadow tables and hide
-    candidates with them. Every graph of more than 9 vertices is relabelled:
+    diameters, G(24, .8) closes thousands, and a relabelled chain of nine K_5
+    closes nodes whose distance graphs hold non-neighbours, so the closure
+    test and the pivoting clique count of count_closed_theta run too. P_64, a
+    random tree of 40 vertices, a chain of five C_6 and a graph of glued
+    blocks in three components build shadow tables and hide candidates with
+    them. Every graph of more than 9 vertices is relabelled:
     a graph of five components, three of them isolated vertices, takes the
     relabel's component loop, and the star of 63 leaves moves its centre
     from 63 to 0, so the 64-bit shifts of the relabel run at n = 64. The
@@ -525,7 +572,7 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     graphs = [parse_graph6(record) for record in records] + benchmark_graphs(211)
     graphs += [empty_graph(6), complete_graph(6), complete_graph(64), empty_graph(0), empty_graph(1),
                cycle_graph(9), delete_edge(complete_graph(9), 1, 8), delete_edge(complete_graph(12), 3, 7),
-               random_graph(random.Random(24), 24, 0.8)]
+               random_graph(random.Random(24), 24, 0.8), relabel(random.Random(1), clique_chain(9))]
     rng = random.Random(3)
     graphs += [path_graph(64), random_tree(rng, 40), relabel(rng, cycle_chain(5)),
                relabel(rng, disjoint_union([glued_blocks(rng, 12), glued_blocks(rng, 10),
