@@ -1,11 +1,16 @@
 """Build and load the C counting walk of ``_walk.c``.
 
 The first counting call compiles ``_walk.c`` with the system C compiler
-(``cc -O2 -shared -fPIC``) into the user cache directory
-(``$XDG_CACHE_HOME/visipoly``, by default ``~/.cache/visipoly``) and loads it
-with ``ctypes``. The file name carries a hash of the source, the compiler and
-the platform, so a changed source or compiler gets a fresh build and a warm
-cache costs one ``dlopen``. The build goes to a temporary file that
+(``cc -O2 -march=native -shared -fPIC``, the flags of ``FLAGS``) into the
+user cache directory (``$XDG_CACHE_HOME/visipoly``, by default
+``~/.cache/visipoly``) and loads it with ``ctypes``. The file name carries a
+hash of the source, the compiler, the platform, the flags and the host CPU,
+so a changed source, compiler or flag set gets a fresh build and a warm
+cache costs one ``dlopen``. The CPU is in the hash because a
+``-march=native`` library may use instructions an older CPU lacks, and a
+cache directory may be shared between machines. Where the CPU cannot be
+named or the compiler refuses ``-march=native``, the walk is built without
+that flag (``_library``). The build goes to a temporary file that
 ``os.replace`` moves into place, so processes that build at the same time
 never load a half-written library.
 
@@ -19,13 +24,19 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import islice
+from itertools import islice, takewhile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 SOURCE = Path(__file__).with_name("_walk.c")
 COUNTER_NAMES = ("nodes", "closed", "propagations", "blocks", "hidden")
 SHORT_MAX_ORDER = 62  # the largest order of a one-byte graph6 order field
+HOST_FLAG = "-march=native"
+FLAGS = ("-O2", HOST_FLAG, "-shared", "-fPIC")
+CPUINFO = Path("/proc/cpuinfo")
+# The lines of CPUINFO that name the CPU: x86 has the first three, arm64 the
+# last two. Lines that change while the machine runs, such as "cpu MHz", stay out.
+CPU_FIELDS = ("vendor_id", "model name", "flags", "Features", "CPU part")
 
 Counts = Union[List[int], Dict[Tuple[int, int], int]]
 Walk = Callable[[Sequence[int], bool, Optional[dict]], Counts]
@@ -59,12 +70,28 @@ def cache_dir() -> Path:
     return Path(base) / "visipoly"
 
 
+def _cpu() -> Optional[str]:
+    """The host CPU's identity: the ``CPU_FIELDS`` lines of the first processor
+    block of ``CPUINFO``; None when it is unreadable or has none of them."""
+    try:
+        with open(CPUINFO, errors="replace") as info:
+            block = list(takewhile(str.strip, info))
+    except OSError:
+        return None
+    return "".join(line for line in block if line.split(":", 1)[0].strip() in CPU_FIELDS) or None
+
+
 def _library() -> Path:
     """The path of the built library, compiling it when the cache lacks it.
 
-    The key is a CRC-32 and an Adler-32 of the source, the compiler and the
-    platform: zlib is loaded at interpreter start, while hashlib would map
-    OpenSSL into every process that counts (3.6 MB of resident memory).
+    The host build (``FLAGS``) when ``_cpu`` names the CPU; else, or when the
+    compiler refuses the host build, the portable build (``FLAGS`` without
+    ``HOST_FLAG``), whose code runs on any CPU of the platform. A compiler that
+    refuses the flag is asked again, and fails at once, in each process that
+    loads the walk. The key is a CRC-32 and an Adler-32 of the source, the
+    compiler, the platform, the flags and, for the host build, the CPU: zlib
+    is loaded at interpreter start, while hashlib would map OpenSSL into every
+    process that counts (3.6 MB of resident memory).
     """
     import platform
     import zlib
@@ -74,16 +101,27 @@ def _library() -> Path:
         raise RuntimeError("no C compiler found")
     real = os.path.realpath(compiler)
     info = os.stat(real)
-    key = SOURCE.read_bytes() + (
+    base = SOURCE.read_bytes() + (
         f"{real} {info.st_size} {info.st_mtime_ns} {sys.platform} {platform.machine()} {sys.maxsize}"
     ).encode()
-    target = cache_dir() / f"walk-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
-    if not target.is_file():
-        _build(compiler, target)
-    return target
+
+    def built(flags: Sequence[str], cpu: str) -> Path:
+        key = base + f"\0{' '.join(flags)}\0{cpu}".encode()
+        target = cache_dir() / f"walk-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+        if not target.is_file():
+            _build(compiler, flags, target)
+        return target
+
+    cpu = _cpu()
+    if cpu is not None:
+        try:
+            return built(FLAGS, cpu)
+        except RuntimeError:  # the compiler refuses HOST_FLAG, or the host build fails
+            pass
+    return built(tuple(flag for flag in FLAGS if flag != HOST_FLAG), "")
 
 
-def _build(compiler: str, target: Path) -> None:
+def _build(compiler: str, flags: Sequence[str], target: Path) -> None:
     """Compile into a temporary file that replaces ``target`` in one step."""
     import subprocess
     import tempfile
@@ -93,7 +131,7 @@ def _build(compiler: str, target: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", tmp, str(SOURCE)],
+            [compiler, *flags, "-o", tmp, str(SOURCE)],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, target)

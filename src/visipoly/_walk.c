@@ -646,7 +646,7 @@ static void visit(Walk *w, int size, uint64_t mask, int diam, uint64_t cand)
 
     /* The children are offered p(p - 1) / 2 candidates in all; each takes off
        what it keeps, so hidden gains what the filters dropped with no
-       popcount per child (a libgcc call without -mpopcnt, 1-3% of a walk). */
+       popcount per child (in the portable build a libgcc call, 1-3% of a walk). */
     w->hidden += (uint64_t)(p * (p - 1) / 2);
     for (uint64_t m = passed; m; m &= m - 1) {
         int v = LOW(m);

@@ -558,8 +558,10 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     of graph6_inputs, so its byte reads of malformed records run under the
     sanitizer. It is loaded in a child process, so an abort fails this test
     alone. When the compiler cannot link UBSan, only the warnings are checked.
+    It builds with ``native.FLAGS``, so the checks cover the host-targeted code
+    that the loader builds.
     """
-    build = [native._compiler(), "-O2", "-shared", "-fPIC"]
+    build = [native._compiler(), *native.FLAGS]
     sanitize, child_env = sanitizer_build(build, tmp_path)
     library = tmp_path / "walk-sanitized.so"
     result = subprocess.run([*build, *WARNINGS, *(sanitize or []), "-o", str(library),
@@ -601,14 +603,77 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     assert decoded == native_walk.graph6(inputs)
 
 
-def test_build_into_empty_cache(native_walk, monkeypatch, tmp_path):
-    monkeypatch.setattr(native, "cache_dir", lambda: tmp_path / "cache")
+@pytest.fixture
+def empty_cache(native_walk, monkeypatch, tmp_path):
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(native, "cache_dir", lambda: cache)
     monkeypatch.setattr(native, "_walk", native._UNSET)
+    return cache
+
+
+def fake_compiler(monkeypatch, tmp_path, refuse):
+    """Make the loader build with a script that logs its arguments, one call a line,
+    and runs the real compiler; with ``refuse`` it exits 1 when given HOST_FLAG."""
+    log = tmp_path / "cc.log"
+    script = tmp_path / "fake-cc"
+    refusal = f'case " $* " in *" {native.HOST_FLAG} "*) exit 1;; esac\n' if refuse else ""
+    script.write_text(f'#!/bin/sh\necho "$*" >> "{log}"\n{refusal}exec "{native._compiler()}" "$@"\n')
+    script.chmod(0o755)
+    monkeypatch.setattr(native, "_compiler", lambda: str(script))
+    return log
+
+
+def test_build_into_empty_cache(empty_cache, monkeypatch):
     walk = native.load()
     assert walk is not None
-    (built,) = (tmp_path / "cache").iterdir()  # the temporary file is gone
+    (built,) = empty_cache.iterdir()  # the temporary file is gone
     assert built.name.startswith("walk-") and built.suffix == ".so"
     assert walk(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+    stamp = built.stat().st_mtime_ns
+    assert native._library() == built and built.stat().st_mtime_ns == stamp
+    monkeypatch.setattr(native, "FLAGS", ("-O1", *native.FLAGS[1:]))
+    assert native._library() != built  # a changed flag set builds anew
+    assert len(list(empty_cache.iterdir())) == 2
+
+
+def test_compiler_refusing_the_host_flag_gets_the_portable_build(empty_cache, monkeypatch, tmp_path):
+    log = fake_compiler(monkeypatch, tmp_path, refuse=True)
+    monkeypatch.setattr(native, "_cpu", lambda: "model name\t: one")
+    walk = native.load()
+    assert walk is not None
+    assert walk(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+    assert len(list(empty_cache.iterdir())) == 1
+    assert [native.HOST_FLAG in call.split() for call in log.read_text().splitlines()] == [True, False]
+
+
+def test_unnamed_cpu_gets_the_portable_build(empty_cache, monkeypatch, tmp_path):
+    log = fake_compiler(monkeypatch, tmp_path, refuse=False)
+    monkeypatch.setattr(native, "_cpu", lambda: None)
+    assert native.load()(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+    (call,) = log.read_text().splitlines()
+    assert native.HOST_FLAG not in call.split()
+
+
+def test_each_cpu_gets_its_own_library(empty_cache, monkeypatch, tmp_path):
+    log = fake_compiler(monkeypatch, tmp_path, refuse=False)
+    for model in ("one", "two", "one"):
+        monkeypatch.setattr(native, "_cpu", lambda: f"model name\t: {model}")
+        native._library()
+    assert len(list(empty_cache.iterdir())) == 2
+    assert len(log.read_text().splitlines()) == 2  # the first CPU's library is built once
+
+
+def test_cpu_identity_is_the_first_processors_named_lines(monkeypatch, tmp_path):
+    info = tmp_path / "cpuinfo"
+    monkeypatch.setattr(native, "CPUINFO", info)
+    assert native._cpu() is None  # unreadable
+    info.write_text("processor\t: 0\nvendor_id\t: A\ncpu MHz\t\t: 2100.000\nmodel name\t: B\n"
+                    "flags\t\t: fpu popcnt\n\nprocessor\t: 1\nvendor_id\t: C\n")
+    assert native._cpu() == "vendor_id\t: A\nmodel name\t: B\nflags\t\t: fpu popcnt\n"
+    info.write_text("processor\t: 0\nFeatures\t: fp asimd\nCPU implementer\t: 0x41\nCPU part\t: 0xd0c\n")
+    assert native._cpu() == "Features\t: fp asimd\nCPU part\t: 0xd0c\n"
+    info.write_text("processor\t: 0\ncpu\t\t: POWER9\nclock\t\t: 2.2GHz\n")
+    assert native._cpu() is None  # no named line: the portable build
 
 
 def test_poly_json_names_the_walk(capsys):
