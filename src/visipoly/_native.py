@@ -10,9 +10,10 @@ cache costs one ``dlopen``. The CPU is in the hash because a
 ``-march=native`` library may use instructions an older CPU lacks, and a
 cache directory may be shared between machines. Where the CPU cannot be
 named or the compiler refuses ``-march=native``, the walk is built without
-that flag (``_library``). The build goes to a temporary file that
-``os.replace`` moves into place, so processes that build at the same time
-never load a half-written library.
+that flag into the same file, so the cache holds one library per CPU and a
+refused flag is asked once per cache (``_library``). The build goes to a
+temporary file that ``os.replace`` moves into place, so processes that
+build at the same time never load a half-written library.
 
 With no compiler, a failed build or an unwritable cache, ``load`` returns
 None and ``enumeration._count_sets`` counts by brute force up to 25
@@ -84,14 +85,15 @@ def _cpu() -> Optional[str]:
 def _library() -> Path:
     """The path of the built library, compiling it when the cache lacks it.
 
-    The host build (``FLAGS``) when ``_cpu`` names the CPU; else, or when the
-    compiler refuses the host build, the portable build (``FLAGS`` without
-    ``HOST_FLAG``), whose code runs on any CPU of the platform. A compiler that
-    refuses the flag is asked again, and fails at once, in each process that
-    loads the walk. The key is a CRC-32 and an Adler-32 of the source, the
-    compiler, the platform, the flags and, for the host build, the CPU: zlib
-    is loaded at interpreter start, while hashlib would map OpenSSL into every
-    process that counts (3.6 MB of resident memory).
+    One file per source, compiler, platform, ``FLAGS`` and CPU. A cache miss
+    builds it with ``FLAGS`` when ``_cpu`` names the CPU; else, or when the
+    compiler refuses the host build, with the portable flags (``FLAGS``
+    without ``HOST_FLAG``), whose code runs on any CPU of the platform. So a
+    compiler that refuses the flag is asked once per cache, and deleting the
+    file makes the next load try the host build again. The key is a CRC-32
+    and an Adler-32 of those inputs, the CPU empty when it cannot be named:
+    zlib is loaded at interpreter start, while hashlib would map OpenSSL into
+    every process that counts (3.6 MB of resident memory).
     """
     import platform
     import zlib
@@ -101,24 +103,21 @@ def _library() -> Path:
         raise RuntimeError("no C compiler found")
     real = os.path.realpath(compiler)
     info = os.stat(real)
-    base = SOURCE.read_bytes() + (
+    cpu = _cpu() or ""
+    key = SOURCE.read_bytes() + (
         f"{real} {info.st_size} {info.st_mtime_ns} {sys.platform} {platform.machine()} {sys.maxsize}"
+        f"\0{' '.join(FLAGS)}\0{cpu}"
     ).encode()
-
-    def built(flags: Sequence[str], cpu: str) -> Path:
-        key = base + f"\0{' '.join(flags)}\0{cpu}".encode()
-        target = cache_dir() / f"walk-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
-        if not target.is_file():
-            _build(compiler, flags, target)
-        return target
-
-    cpu = _cpu()
-    if cpu is not None:
+    target = cache_dir() / f"walk-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
+    if not target.is_file():
+        portable = tuple(flag for flag in FLAGS if flag != HOST_FLAG)
         try:
-            return built(FLAGS, cpu)
+            _build(compiler, FLAGS if cpu else portable, target)
         except RuntimeError:  # the compiler refuses HOST_FLAG, or the host build fails
-            pass
-    return built(tuple(flag for flag in FLAGS if flag != HOST_FLAG), "")
+            if not cpu:
+                raise
+            _build(compiler, portable, target)
+    return target
 
 
 def _build(compiler: str, flags: Sequence[str], target: Path) -> None:

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
+import tempfile
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from . import _native
 from .batch import run_batch_file
@@ -78,7 +81,8 @@ def _load_graph(args) -> tuple[Graph, Optional[object]]:
         raise FormatError(str(exc), line=lineno) from exc
 
 
-def _polynomial_for(graph: Graph, spec, args) -> tuple[Polynomial, str]:
+def _polynomial_for(graph: Graph, spec, args) -> tuple[Callable[[], Polynomial], str]:
+    """The call that counts the polynomial, and the name of its engine."""
     # A bare raw spec (paw, diamond, empty:N) has no closed form; the pruned engine counts it.
     closed = spec is not None and not isinstance(spec, Raw)
     if args.engine == "closed-form":
@@ -86,12 +90,12 @@ def _polynomial_for(graph: Graph, spec, args) -> tuple[Polynomial, str]:
             raise ParameterError("--engine closed-form needs --class")
         if not closed:
             raise ParameterError(f"class {args.class_spec!r} has no closed form; use --engine pruned")
-        return poly_for_class(spec), "closed-form"
+        return lambda: poly_for_class(spec), "closed-form"
     if args.engine == "bruteforce":
-        return polynomial_bruteforce(graph), "bruteforce"
+        return lambda: polynomial_bruteforce(graph), "bruteforce"
     if closed and args.engine == "auto":
-        return poly_for_class(spec), "closed-form"
-    return polynomial_pruned(graph), "pruned"
+        return lambda: poly_for_class(spec), "closed-form"
+    return lambda: polynomial_pruned(graph), "pruned"
 
 
 def _walk_name() -> str:
@@ -101,8 +105,11 @@ def _walk_name() -> str:
 
 def _cmd_poly(args) -> int:
     graph, spec = _load_graph(args)
+    count, engine = _polynomial_for(graph, spec, args)
+    # Loaded before the clock, so a cold cache's build of the walk is not timed.
+    walk = _walk_name() if engine == "pruned" else None
     start = time.perf_counter()
-    poly, engine = _polynomial_for(graph, spec, args)
+    poly = count()
     elapsed = time.perf_counter() - start
     mu = poly.degree
     r_mu = poly.coefficient(mu) if mu >= 0 else 0
@@ -117,7 +124,7 @@ def _cmd_poly(args) -> int:
                     "mu": mu,
                     "r_mu": r_mu,
                     "engine": engine,
-                    "walk": _walk_name() if engine == "pruned" else None,
+                    "walk": walk,
                     "seconds": elapsed,
                 }
             )
@@ -166,28 +173,54 @@ def _cmd_verify(args) -> int:
 def _cmd_batch(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ParameterError(f"--workers must be at least 1, got {args.workers}")
-    reports = run_batch_file(
-        args.input,
-        workers=args.workers,
-        skip_bad=args.skip_bad,
-        keep_histogram=args.histogram,
-    )
-    payload = {"reports": [report.to_json_dict() for report in reports]}
-    if args.json == "-":
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-    for report in reports:
-        print(
-            f"order {report.order}: graphs={report.total_graphs} "
-            f"groups={report.group_count} max_group={report.max_group_size}"
+    tmp = None
+    if args.json and args.json != "-":
+        # The report goes to a file made beside OUT before counting, so an
+        # unwritable OUT fails before any work, and replaces OUT only after the
+        # batch has succeeded, so a failed batch leaves OUT as it was.
+        target = os.path.realpath(args.json)
+        if os.path.isdir(target):
+            raise ParameterError(f"--json {args.json} is a directory")
+        fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(target)}.", dir=os.path.dirname(target))
+        os.close(fd)
+    try:
+        reports = run_batch_file(
+            args.input,
+            workers=args.workers,
+            skip_bad=args.skip_bad,
+            keep_histogram=args.histogram,
         )
-        for poly in report.max_group_polynomials:
-            print(f"  modal polynomial: {poly}")
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        payload = {"reports": [report.to_json_dict() for report in reports]}
+        if args.json == "-":
+            print(json.dumps(payload, indent=2))
+            return EXIT_OK
+        for report in reports:
+            print(
+                f"order {report.order}: graphs={report.total_graphs} "
+                f"groups={report.group_count} max_group={report.max_group_size}"
+            )
+            for poly in report.max_group_polynomials:
+                print(f"  modal polynomial: {poly}")
+        if tmp is not None:
+            with open(tmp, "w", encoding="ascii") as handle:
+                json.dump(payload, handle, indent=2)
+                handle.write("\n")
+            os.chmod(tmp, _open_mode(target))
+            os.replace(tmp, target)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
     return EXIT_OK
+
+
+def _open_mode(path: str) -> int:
+    """The mode ``open(path, "w")`` leaves path with: its own, or 0o666 less the umask when new."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _cmd_join(args) -> int:

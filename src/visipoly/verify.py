@@ -8,7 +8,6 @@ and the brute-force enumerator.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -38,7 +37,6 @@ class VerifyResult:
     closed_form: Polynomial
     pruned: Polynomial
     bruteforce: Polynomial
-    seconds: float
 
 
 def paper_suite() -> List[ClassSpec]:
@@ -68,7 +66,6 @@ def run_verify(specs: Sequence[ClassSpec]) -> List[VerifyResult]:
     """Compare closed form, pruned, and brute force on each instance."""
     results = []
     for spec in specs:
-        start = time.perf_counter()
         closed = poly_for_class(spec)
         graph = build_class(spec)
         pruned = polynomial_pruned(graph)
@@ -80,7 +77,6 @@ def run_verify(specs: Sequence[ClassSpec]) -> List[VerifyResult]:
                 closed_form=closed,
                 pruned=pruned,
                 bruteforce=brute,
-                seconds=time.perf_counter() - start,
             )
         )
     return results

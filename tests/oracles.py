@@ -2,15 +2,19 @@
 
 The mutual-visibility oracle enumerates every shortest path of every pair
 and checks interior disjointness directly, with no layered propagation and
-no pruning, so it shares no code path with the package engines.
+no pruning, so it shares no code path with the package engines. The
+certificates of ``check_certificates`` list no set, so they also check
+tables past the sizes anything can enumerate; of the package they read only
+the listing clique counter of ``visibility``, which the walk does not use.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 from visipoly import Graph, Polynomial, iter_bits
+from visipoly.visibility import _clique_counts
 
 
 def shortest_path_lengths(g: Graph, source: int) -> dict[int, int]:
@@ -97,6 +101,50 @@ def oracle_theta(g: Graph) -> dict[tuple[int, int], int]:
         diam = max(dist[u][v] for u in x for v in x)
         table[(len(x), diam)] = table.get((len(x), diam), 0) + 1
     return table
+
+
+def small_theta(g: Graph) -> dict[tuple[int, int], int]:
+    """Theta(k, d) for k <= 3, from the distances alone and listing no set.
+
+    Theta(1, 0) = n, and Theta(2, d) is the number of pairs at distance d. A
+    triple inside one component fails exactly when one of its vertices c lies
+    on every shortest path between the other two, a and b: c is then the only
+    vertex of I(a, b) at its distance from a, and the triple's diameter is
+    d(a, b). At most one vertex of a triple is such a vertex, so Theta(3, d)
+    is the number of triples of diameter d less, over the pairs {a, b} at
+    distance d, the interior vertices alone at their level of I(a, b).
+    """
+    dist = [shortest_path_lengths(g, u) for u in range(g.n)]
+    table = Counter({(1, 0): g.n})
+    for a, b in combinations(range(g.n), 2):
+        d = dist[a].get(b)
+        if d is None:
+            continue
+        table[2, d] += 1
+        levels = Counter(dist[a][c] for c in dist[a] if dist[a][c] + dist[b][c] == d)
+        table[3, d] -= sum(levels[level] == 1 for level in range(1, d))
+    for a, b, c in combinations(range(g.n), 3):
+        if b in dist[a] and c in dist[a]:
+            table[3, max(dist[a][b], dist[a][c], dist[b][c])] += 1
+    return {key: count for key, count in table.items() if count}
+
+
+def check_certificates(g: Graph, table: dict[tuple[int, int], int]) -> None:
+    """Assert what every (size, diameter) table of g must meet, without enumerating its sets.
+
+    Sizes 1..3 equal ``small_theta``; Theta(k, 1) is the number of k-cliques
+    for k >= 2; and r_k, the sum of Theta(k, d) over d, meets the heredity
+    bound k r_k <= (n - k + 1) r_{k-1}, since each k-set has k subsets of size
+    k - 1, all mutual-visibility sets, and each (k - 1)-set lies in n - k + 1
+    k-sets.
+    """
+    assert {key: count for key, count in table.items() if key[0] <= 3} == small_theta(g), g
+    cliques = _clique_counts(g.adj, (1 << g.n) - 1, g.n)
+    assert [table.get((k, 1), 0) for k in range(2, g.n + 1)] == cliques[2:], g
+    r = [1] + [0] * g.n
+    for (k, _), count in table.items():
+        r[k] += count
+    assert all(k * r[k] <= (g.n - k + 1) * r[k - 1] for k in range(1, g.n + 1)), g
 
 
 def golden_line(record: str, poly: Polynomial, table: dict[tuple[int, int], int]) -> str:

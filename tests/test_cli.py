@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import visipoly._native as native
+from visipoly import cli
 from visipoly.cli import main
 
 from conftest import corpus_path, pin_python_walk
@@ -276,6 +277,41 @@ def test_batch_cli(capsys, tmp_path):
     assert "order 4: graphs=6" in out
     payload = json.loads(out_path.read_text())
     assert payload["reports"][0]["max_group_polynomials"] == ["[1,4,6,4]"]
+
+
+@pytest.mark.parametrize("name, message", [("missing/report.json", "No such file or directory"),
+                                           (".", "is a directory")])
+def test_batch_json_to_an_unwritable_path_fails_before_counting(
+    capsys, monkeypatch, tmp_path, name, message
+):
+    monkeypatch.setattr(cli, "run_batch_file", lambda *args, **kwargs: pytest.fail("counted"))
+    code, out, err = run_cli(capsys, "batch", "--input", str(corpus_path(4)),
+                             "--json", str(tmp_path / name))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_failed_batch_leaves_the_report_as_it_was(capsys, tmp_path):
+    """A batch that fails keeps OUT; one that succeeds gives it the mode ``open(OUT, "w")`` would."""
+    bad = tmp_path / "bad.g6"
+    bad.write_text("C~\nnot graph6\n")
+    report = tmp_path / "report.json"
+    report.write_bytes(b"an earlier report\n")
+    report.chmod(0o640)
+    code, _, err = run_cli(capsys, "batch", "--input", str(bad), "--json", str(report))
+    assert code == 2 and "line 2" in err
+    assert report.read_bytes() == b"an earlier report\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.g6", "report.json"]
+    fresh = tmp_path / "fresh.json"
+    for path in (report, fresh):
+        assert run_cli(capsys, "batch", "--input", str(corpus_path(4)), "--workers", "1",
+                       "--json", str(path))[0] == 0
+    assert report.read_bytes() == fresh.read_bytes()
+    assert json.loads(fresh.read_text())["reports"][0]["total_graphs"] == 6
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (report.stat().st_mode & 0o777, fresh.stat().st_mode & 0o777) == (0o640, 0o666 & ~umask)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -44,10 +45,10 @@ from visipoly import (
 from visipoly.cli import main
 from visipoly.enumeration import BRUTEFORCE_MAX_VERTICES, _bruteforce_counts, _count_sets
 from visipoly.errors import FormatError
-from visipoly.visibility import VisibilityContext, _clique_counts
 
 from conftest import GOLDEN, corpus_path, pin_python_walk
 from oracles import (
+    check_certificates,
     clique_chain,
     cycle_chain,
     glued_blocks,
@@ -74,10 +75,13 @@ def golden_records():
 
 
 def engine_golden_text(records):
+    """The golden lines of the engine that counts, each table checked against its certificates."""
     lines = []
     for record in records:
         g = parse_graph6(record)
-        lines.append(golden_line(record, polynomial_pruned(g), count_by_size_and_diameter(g)))
+        table = count_by_size_and_diameter(g)
+        check_certificates(g, table)
+        lines.append(golden_line(record, polynomial_pruned(g), table))
     return "\n".join(lines) + "\n"
 
 
@@ -167,6 +171,7 @@ def test_walks_agree_on_counts_and_counters(native_walk):
     assert sum(g.n > BRUTEFORCE_MAX_VERTICES for g in graphs) == 3
     for g in graphs:
         expected = reference_counts(g)
+        check_certificates(g, expected[True])
         if g.n > BRUTEFORCE_MAX_VERTICES:  # P_64, C_40 and P_64: the plain walk's closed forms
             closed_form = {g.n - 1: poly_path, g.n: poly_cycle}[g.edge_count](g.n)
             assert Polynomial((1, *expected[0][1:])) == closed_form, g
@@ -192,6 +197,7 @@ def test_native_walk_equals_bruteforce_on_16_to_25_vertices(native_walk):
     blocks = 0
     for g in graphs:
         table = _bruteforce_counts(g, True)
+        check_certificates(g, table)
         counters = {}
         assert native_walk(g.adj, False, counters) == by_size(table, g.n), g
         assert native_walk(g.adj, True) == table, g
@@ -239,7 +245,7 @@ def test_shadow_filter_keeps_the_counts(native_walk):
     """The cut and shadow filters drop only candidates that would fail, on both sinks.
 
     P_n and C_n are checked on their counts by size, the others on their
-    full tables. The graphs of order at most 62 are also counted as graph6
+    full tables, and every table on its certificates. The graphs of order at most 62 are also counted as graph6
     records in one call, which walks them all with one set of tables, so a
     shadow row, interval memo or leaf-block pattern left over from an
     earlier graph would prune a later one; the shuffle of shadow_graphs()
@@ -253,7 +259,9 @@ def test_shadow_filter_keeps_the_counts(native_walk):
             got = native_walk(g.adj, theta, counters)
             if not theta:
                 assert got == counts, g
-            elif table is None:
+                continue
+            check_certificates(g, got)
+            if table is None:
                 assert by_size(got, g.n) == counts, g
             else:
                 assert got == table, g
@@ -276,8 +284,8 @@ def test_walk_order_is_its_own(native_walk):
     glued-block graph with cliques pin the order. Trees, glued-block graphs,
     G(n, p) for n = 10..25 and disconnected graphs with isolated vertices
     give brute force's tables, and P_64, C_64 and the star of 63 leaves
-    (whose centre is vertex 63) their closed forms, under 10 random
-    relabellings each, on both sinks.
+    (whose centre is vertex 63) their closed forms and tables that meet
+    their certificates, under 10 random relabellings each, on both sinks.
     """
     for g, expected in ((random_tree(random.Random(3), 40), (33136, 9335, 241041, 19182, 16260)),
                         (glued_blocks(random.Random(11), 30), (10863, 963, 38745, 8009, 6158))):
@@ -295,6 +303,7 @@ def test_walk_order_is_its_own(native_walk):
     assert sum(len(components(g)) > 1 for g in graphs) >= 3
     for g in graphs:
         table = _bruteforce_counts(g, True)
+        check_certificates(g, table)
         counts = by_size(table, g.n)
         for h in [g] + [relabel(rng, g) for _ in range(10)]:
             assert native_walk(h.adj, False) == counts, h
@@ -304,7 +313,9 @@ def test_walk_order_is_its_own(native_walk):
         for h in [g] + [relabel(rng, g) for _ in range(10)]:
             counts = native_walk(h.adj, False)
             assert Polynomial((1, *counts[1:])) == poly, h
-            assert by_size(native_walk(h.adj, True), 64) == counts, h
+            table = native_walk(h.adj, True)
+            assert by_size(table, 64) == counts, h
+            check_certificates(h, table)
 
 
 
@@ -326,28 +337,27 @@ def test_closures_count_theta_as_bruteforce(native_walk):
     closed = 0
     for g in graphs:
         counters = {}
-        assert native_walk(g.adj, True, counters) == _bruteforce_counts(g, True), g
+        table = _bruteforce_counts(g, True)
+        check_certificates(g, table)
+        assert native_walk(g.adj, True, counters) == table, g
         closed += counters["closed"]
     assert len(graphs) > 90 and closed > 1000
 
 
 def test_closures_on_a_chain_past_bruteforce(native_walk):
-    """Theta of a relabelled chain of eleven K_5 (45 vertices) against three independent counts.
+    """Theta of a relabelled chain of eleven K_5 (45 vertices) against independent counts.
 
     Summed over diameters it gives the polynomial, whose closures add
-    binomials and count no cliques; at diameter 1 the cliques of the listing
-    counter in visibility; at size 2 the pairs at each distance. Its closures
-    once listed every clique of their distance graphs and took seconds.
+    binomials and count no cliques; and it meets its certificates, among them
+    the cliques of the listing counter in visibility at diameter 1 and the
+    pairs and triples at each distance. Its closures once listed every clique
+    of their distance graphs and took seconds.
     """
     g = relabel(random.Random(1), clique_chain(11))
     assert g.n == 45
     table = native_walk(g.adj, True)
     assert Polynomial((1, *by_size(table, g.n)[1:])) == polynomial_pruned(g)
-    cliques = _clique_counts(g.adj, (1 << g.n) - 1, g.n)
-    assert [table.get((k, 1), 0) for k in range(2, g.n + 1)] == cliques[2:]
-    rows = VisibilityContext(g).rows
-    pairs = Counter(rows[u][v] for u in range(g.n) for v in range(u))
-    assert {d: c for (k, d), c in table.items() if k == 2} == pairs
+    check_certificates(g, table)
 
 
 @pytest.mark.parametrize(
@@ -388,7 +398,10 @@ def test_root_block(native_walk, g, propagations):
 
 
 def test_walk_on_orders_0_1_and_64_and_the_golden_records(native_walk):
-    """One call per graph: orders 0 and 1, the closed forms of order 64 and the golden file."""
+    """One call per graph: orders 0 and 1, order 64 and the golden file.
+
+    The graphs of order 64 give their closed forms, and tables that meet their certificates.
+    """
     assert native_walk(empty_graph(0).adj, False) == [0]
     assert native_walk(empty_graph(0).adj, True) == {}
     assert native_walk(empty_graph(1).adj, False) == [0, 1]
@@ -399,7 +412,9 @@ def test_walk_on_orders_0_1_and_64_and_the_golden_records(native_walk):
     for g, poly in zip(order64, closed_forms):
         counts = native_walk(g.adj, False, counters)
         assert Polynomial((1, *counts[1:])) == poly
-        assert by_size(native_walk(g.adj, True), 64) == counts
+        table = native_walk(g.adj, True)
+        assert by_size(table, 64) == counts
+        check_certificates(g, table)
     assert counters["blocks"] > 0  # C_64 and the two P_64
     lines = []
     for record in golden_records():
@@ -646,6 +661,17 @@ def test_compiler_refusing_the_host_flag_gets_the_portable_build(empty_cache, mo
     assert [native.HOST_FLAG in call.split() for call in log.read_text().splitlines()] == [True, False]
 
 
+def test_a_refused_host_flag_is_asked_once_per_cache(empty_cache, monkeypatch, tmp_path):
+    """The portable build goes into the CPU's one file, so later loads call no compiler."""
+    log = fake_compiler(monkeypatch, tmp_path, refuse=True)
+    monkeypatch.setattr(native, "_cpu", lambda: "model name\t: one")
+    for _ in range(3):  # three fresh processes on one cache
+        monkeypatch.setattr(native, "_walk", native._UNSET)
+        assert native.load()(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+    assert len(log.read_text().splitlines()) == 2  # the first load: host refused, portable built
+    assert len(list(empty_cache.iterdir())) == 1
+
+
 def test_unnamed_cpu_gets_the_portable_build(empty_cache, monkeypatch, tmp_path):
     log = fake_compiler(monkeypatch, tmp_path, refuse=False)
     monkeypatch.setattr(native, "_cpu", lambda: None)
@@ -680,3 +706,22 @@ def test_poly_json_names_the_walk(capsys):
     payload = poly_json(capsys, "--g6", "Ch")
     assert payload["walk"] == ("python" if native.load() is None else "native")
     assert poly_json(capsys, "--class", "cycle:5")["walk"] is None
+
+
+def test_poly_json_times_the_count_not_the_build(empty_cache, monkeypatch, capsys):
+    build = native._build
+
+    def slow_build(*args):
+        time.sleep(0.5)
+        build(*args)
+
+    monkeypatch.setattr(native, "_build", slow_build)
+    payload = poly_json(capsys, "--g6", "?")
+    assert payload["walk"] == "native" and payload["seconds"] < 0.5
+
+
+def test_poly_json_of_a_closed_form_builds_nothing(empty_cache, monkeypatch, capsys):
+    monkeypatch.setattr(native, "_build", lambda *args: pytest.fail("built the walk"))
+    payload = poly_json(capsys, "--class", "cycle:7")
+    assert (payload["engine"], payload["walk"]) == ("closed-form", None)
+    assert not empty_cache.exists()

@@ -24,7 +24,7 @@ from visipoly import (
 )
 
 from conftest import pin_python_walk
-from oracles import oracle_is_mv, oracle_mv_sets, random_graph
+from oracles import check_certificates, oracle_is_mv, oracle_mv_sets, random_graph
 
 
 def mv(g, x):
@@ -143,6 +143,7 @@ def test_compute_stats_k5():
 def test_stats_theta_sums_match_polynomial(random_small_graphs):
     for g in random_small_graphs[:80]:
         stats = compute_stats(g)
+        check_certificates(g, stats.theta)
         poly = polynomial_pruned(g)
         for k in range(1, g.n + 1):
             total = sum(c for (kk, _), c in stats.theta.items() if kk == k)
