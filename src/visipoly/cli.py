@@ -14,7 +14,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 import time
 from typing import Callable, Optional
 
@@ -173,16 +172,17 @@ def _cmd_verify(args) -> int:
 def _cmd_batch(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise ParameterError(f"--workers must be at least 1, got {args.workers}")
-    tmp = None
+    created = False
     if args.json and args.json != "-":
-        # The report goes to a file made beside OUT before counting, so an
-        # unwritable OUT fails before any work, and replaces OUT only after the
-        # batch has succeeded, so a failed batch leaves OUT as it was.
-        target = os.path.realpath(args.json)
-        if os.path.isdir(target):
-            raise ParameterError(f"--json {args.json} is a directory")
-        fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(target)}.", dir=os.path.dirname(target))
-        os.close(fd)
+        # OUT is opened for append before counting, so an unwritable OUT exits 2
+        # before any work, and an existing OUT keeps its bytes until the batch
+        # succeeds. A FIFO is not probed: its reader would see the probe's EOF.
+        try:
+            fifo = stat.S_ISFIFO(os.stat(args.json).st_mode)
+        except FileNotFoundError:
+            fifo, created = False, True
+        if not fifo:
+            open(args.json, "a").close()
     try:
         reports = run_batch_file(
             args.input,
@@ -190,37 +190,26 @@ def _cmd_batch(args) -> int:
             skip_bad=args.skip_bad,
             keep_histogram=args.histogram,
         )
-        payload = {"reports": [report.to_json_dict() for report in reports]}
-        if args.json == "-":
-            print(json.dumps(payload, indent=2))
-            return EXIT_OK
-        for report in reports:
-            print(
-                f"order {report.order}: graphs={report.total_graphs} "
-                f"groups={report.group_count} max_group={report.max_group_size}"
-            )
-            for poly in report.max_group_polynomials:
-                print(f"  modal polynomial: {poly}")
-        if tmp is not None:
-            with open(tmp, "w", encoding="ascii") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
-            os.chmod(tmp, _open_mode(target))
-            os.replace(tmp, target)
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+    except BaseException:
+        if created:  # the file the probe made, through a dangling symlink too
+            os.unlink(os.path.realpath(args.json))
+        raise
+    payload = {"reports": [report.to_json_dict() for report in reports]}
+    if args.json == "-":
+        print(json.dumps(payload, indent=2))
+        return EXIT_OK
+    for report in reports:
+        print(
+            f"order {report.order}: graphs={report.total_graphs} "
+            f"groups={report.group_count} max_group={report.max_group_size}"
+        )
+        for poly in report.max_group_polynomials:
+            print(f"  modal polynomial: {poly}")
+    if args.json:
+        with open(args.json, "w", encoding="ascii") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
     return EXIT_OK
-
-
-def _open_mode(path: str) -> int:
-    """The mode ``open(path, "w")`` leaves path with: its own, or 0o666 less the umask when new."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
 
 
 def _cmd_join(args) -> int:

@@ -280,7 +280,7 @@ def test_batch_cli(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name, message", [("missing/report.json", "No such file or directory"),
-                                           (".", "is a directory")])
+                                           (".", "Is a directory")])
 def test_batch_json_to_an_unwritable_path_fails_before_counting(
     capsys, monkeypatch, tmp_path, name, message
 ):
@@ -299,8 +299,9 @@ def test_failed_batch_leaves_the_report_as_it_was(capsys, tmp_path):
     report = tmp_path / "report.json"
     report.write_bytes(b"an earlier report\n")
     report.chmod(0o640)
-    code, _, err = run_cli(capsys, "batch", "--input", str(bad), "--json", str(report))
-    assert code == 2 and "line 2" in err
+    for path in (report, tmp_path / "new.json"):
+        code, _, err = run_cli(capsys, "batch", "--input", str(bad), "--json", str(path))
+        assert code == 2 and "line 2" in err
     assert report.read_bytes() == b"an earlier report\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.g6", "report.json"]
     fresh = tmp_path / "fresh.json"
@@ -312,6 +313,50 @@ def test_failed_batch_leaves_the_report_as_it_was(capsys, tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert (report.stat().st_mode & 0o777, fresh.stat().st_mode & 0o777) == (0o640, 0o666 & ~umask)
+
+
+def test_batch_json_writes_a_read_only_report_only_where_open_could(capsys, monkeypatch, tmp_path):
+    """A read-only OUT fails before counting; where open() may write it anyway (as root),
+    it is written in place, keeping its inode and mode."""
+    report = tmp_path / "report.json"
+    report.write_bytes(b"an earlier report\n")
+    report.chmod(0o444)
+    inode = report.stat().st_ino
+    writable = os.access(report, os.W_OK)
+    if not writable:
+        monkeypatch.setattr(cli, "run_batch_file", lambda *args, **kwargs: pytest.fail("counted"))
+    code, out, _ = run_cli(capsys, "batch", "--input", str(corpus_path(4)), "--workers", "1",
+                           "--json", str(report))
+    if writable:
+        assert code == 0
+        assert json.loads(report.read_text())["reports"][0]["total_graphs"] == 6
+    else:
+        assert (code, out, report.read_bytes()) == (2, "", b"an earlier report\n")
+    assert (report.stat().st_ino, report.stat().st_mode & 0o777) == (inode, 0o444)
+
+
+def test_batch_json_to_a_fifo_opens_it_once(capsys, tmp_path):
+    """A FIFO OUT is opened once, after counting, so its reader gets the whole report."""
+    import threading
+
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reads = []
+
+    def read():
+        while not reads or not reads[-1]:
+            with open(fifo, encoding="ascii") as handle:
+                reads.append(handle.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    code, _, _ = run_cli(capsys, "batch", "--input", str(corpus_path(4)), "--workers", "1",
+                         "--json", str(fifo))
+    reader.join(timeout=30)
+    assert code == 0
+    assert len(reads) == 1
+    assert json.loads(reads[0])["reports"][0]["total_graphs"] == 6
+    assert fifo.is_fifo()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
