@@ -41,7 +41,6 @@ from .enumeration import (
 )
 from .errors import FormatError, GuardrailError, ParameterError, VisipolyError
 from .graph import (
-    UNREACHABLE,
     Graph,
     complement,
     complete_bipartite_graph,
@@ -68,7 +67,6 @@ from .visibility import (
     VisibilityContext,
     clique_count,
     compute_stats,
-    induced_diameter,
     is_mutual_visibility_set,
 )
 
@@ -90,7 +88,6 @@ __all__ = [
     "Polynomial",
     "Raw",
     "Star",
-    "UNREACHABLE",
     "VisStats",
     "VisibilityContext",
     "VisipolyError",
@@ -108,7 +105,6 @@ __all__ = [
     "disjoint_union",
     "empty_graph",
     "encode_graph6",
-    "induced_diameter",
     "is_mutual_visibility_set",
     "iter_bits",
     "iter_mv_sets",

@@ -9,9 +9,9 @@ so a changed source, compiler or flag set gets a fresh build and a warm
 cache costs one ``dlopen``. The CPU is in the hash because a
 ``-march=native`` library may use instructions an older CPU lacks, and a
 cache directory may be shared between machines. Where the CPU cannot be
-named or the compiler refuses ``-march=native``, the walk is built without
-that flag into the same file, so the cache holds one library per CPU and a
-refused flag is asked once per cache (``_library``). The build goes to a
+named or the compiler refuses ``-march=native`` by name, the walk is built
+without that flag into the same file, so the cache holds one library per
+CPU and a refused flag is asked once per cache (``_library``). The build goes to a
 temporary file that ``os.replace`` moves into place, so processes that
 build at the same time never load a half-written library.
 
@@ -87,13 +87,17 @@ def _library() -> Path:
 
     One file per source, compiler, platform, ``FLAGS`` and CPU. A cache miss
     builds it with ``FLAGS`` when ``_cpu`` names the CPU; else, or when the
-    compiler refuses the host build, with the portable flags (``FLAGS``
-    without ``HOST_FLAG``), whose code runs on any CPU of the platform. So a
-    compiler that refuses the flag is asked once per cache, and deleting the
-    file makes the next load try the host build again. The key is a CRC-32
-    and an Adler-32 of those inputs, the CPU empty when it cannot be named:
-    zlib is loaded at interpreter start, while hashlib would map OpenSSL into
-    every process that counts (3.6 MB of resident memory).
+    compiler refuses the host build with an error that names ``HOST_FLAG``
+    (gcc: "unrecognized command-line option", clang: "does not support"),
+    with the portable flags (``FLAGS`` without ``HOST_FLAG``), whose code runs
+    on any CPU of the platform. So a compiler that refuses the flag is asked
+    once per cache, and deleting the file makes the next load try the host
+    build again. Any other failed build, such as a timeout or a killed
+    compiler, raises and caches nothing, so the next process tries again.
+    The key is a CRC-32 and an Adler-32 of those inputs, the CPU empty when
+    it cannot be named: zlib is loaded at interpreter start, while hashlib
+    would map OpenSSL into every process that counts (3.6 MB of resident
+    memory).
     """
     import platform
     import zlib
@@ -113,8 +117,9 @@ def _library() -> Path:
         portable = tuple(flag for flag in FLAGS if flag != HOST_FLAG)
         try:
             _build(compiler, FLAGS if cpu else portable, target)
-        except RuntimeError:  # the compiler refuses HOST_FLAG, or the host build fails
-            if not cpu:
+        except RuntimeError as exc:  # only a refusal names the flag: a timeout caches nothing
+            stderr = getattr(exc.__cause__, "stderr", None) or b""
+            if not cpu or HOST_FLAG.encode() not in stderr:
                 raise
             _build(compiler, portable, target)
     return target

@@ -87,8 +87,8 @@ def effective_workers(requested: Optional[int] = None) -> int:
 def _analyse_chunk(chunk: List[Tuple[int, str]]) -> List[Result]:
     """Tagged results of (line, record) pairs, in input order.
 
-    With the native walk, one call decodes and counts every ASCII record that
-    is a short-form record in full. Every other record is parsed by
+    With the native walk, one call decodes and counts every record that is a
+    short-form record in full. Every other record is parsed by
     ``parse_graph6`` and counted by its own ``_count_sets`` call, which
     applies the guardrail, so its error keeps its text. Format errors and
     guardrail refusals are tagged per record, so one bad record cannot poison
@@ -99,9 +99,9 @@ def _analyse_chunk(chunk: List[Tuple[int, str]]) -> List[Result]:
     results: List[Optional[Result]] = [None] * len(chunk)
     walk = _native.load()
     if walk is not None:
-        # A non-ASCII record must reach parse_graph6, which refuses it.
-        native = [i for i, (_, record) in enumerate(chunk) if record.isascii()]
-        for i, counts in zip(native, walk.graph6([chunk[i][1].encode("ascii") for i in native])):
+        # A non-ASCII record encodes to bytes over 127, which the decoder declines for parse_graph6.
+        records = [record.encode("utf-8", "surrogatepass") for _, record in chunk]
+        for i, counts in enumerate(walk.graph6(records)):
             if counts is not None:
                 results[i] = ("ok", chunk[i][0], (1, *counts[1:]))
     for i, (lineno, record) in enumerate(chunk):
@@ -140,10 +140,6 @@ def _pooled(chunks: Iterator[List[Tuple[int, str]]], workers: int) -> Iterator[L
     """Chunk results from a pool, reading at most POOL_CHUNKS_PER_WORKER chunks per worker ahead."""
     from multiprocessing import Pool
 
-    from . import _native
-
-    # Built and loaded once here, so the workers inherit the native walk.
-    _native.load()
     pool = Pool(processes=workers)
     try:
         pending: deque = deque()

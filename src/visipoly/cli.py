@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from . import _native
 from .batch import run_batch_file
-from .classes import Join, Raw, build_class, parse_class_spec, spec_label
+from .classes import DisjointUnion, Join, Raw, build_class, parse_class_spec, spec_label
 from .closed_forms import poly_for_class
 from .enumeration import polynomial_bruteforce, polynomial_pruned
 from .errors import FormatError, GuardrailError, ParameterError
@@ -102,11 +102,19 @@ def _walk_name() -> str:
     return "python" if _native.load() is None else "native"
 
 
+def _holds_raw(spec) -> bool:
+    """True for a raw graph, or a union holding one at any depth: the closed form walks it."""
+    if isinstance(spec, DisjointUnion):
+        return any(_holds_raw(part) for part in spec.parts)
+    return isinstance(spec, Raw)
+
+
 def _cmd_poly(args) -> int:
     graph, spec = _load_graph(args)
     count, engine = _polynomial_for(graph, spec, args)
-    # Loaded before the clock, so a cold cache's build of the walk is not timed.
-    walk = _walk_name() if engine == "pruned" else None
+    # Loaded before the clock whenever the count walks, so a cold cache's build is not timed.
+    walks = engine == "pruned" or (engine == "closed-form" and _holds_raw(spec))
+    walk = _walk_name() if walks else None
     start = time.perf_counter()
     poly = count()
     elapsed = time.perf_counter() - start

@@ -16,33 +16,9 @@ layer-only searches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, ParameterError
-
-
-class _Unreachable:
-    """Sentinel distance for vertex pairs with no connecting path.
-
-    Deliberately not an integer: ordering comparisons against it raise, so a
-    disconnected input can never silently satisfy a distance threshold.
-    """
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNREACHABLE"
-
-
-UNREACHABLE = _Unreachable()
-
-Distance = Union[int, _Unreachable]
 
 
 def iter_bits(mask: int) -> Iterator[int]:

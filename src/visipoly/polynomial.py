@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormatError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,6 @@ class Polynomial:
 
     __add__ = add
 
-    def multiply(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(tuple(out))
-
-    __mul__ = multiply
-
     def subtract_scalar(self, k: int) -> "Polynomial":
         """Lower the constant term by k; requires coefficient(0) >= k >= 0."""
         if k < 0:
@@ -76,30 +63,10 @@ class Polynomial:
             return self
         return Polynomial((c0 - k,) + self.coeffs[1:])
 
-    def evaluate(self, x: int) -> int:
-        """Exact value at an integer point (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_canonical_string(self) -> str:
-        """Deterministic grouping key: "[c0,c1,...,ck]" with no whitespace."""
+        """Deterministic grouping key: the JSON array "[c0,c1,...,ck]" with no whitespace,
+        so ``Polynomial(json.loads(key))`` reads one back."""
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-    @classmethod
-    def from_canonical_string(cls, text: str) -> "Polynomial":
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise FormatError(f"canonical polynomial must be bracketed, got {text!r}")
-        inner = body[1:-1]
-        if not inner:
-            return cls()
-        try:
-            coeffs = tuple([int(tok) for tok in inner.split(",")])
-        except ValueError:
-            raise FormatError(f"bad coefficient in {text!r}") from None
-        return cls(coeffs)
 
     def pretty(self) -> str:
         """Human-readable rendering like "1 + 4x + 6x^2 + 4x^3"."""

@@ -20,7 +20,7 @@ from math import comb
 from typing import Iterable, Mapping, Sequence, Tuple
 
 from .errors import ParameterError
-from .graph import UNREACHABLE, Distance, Graph, bfs
+from .graph import Graph, bfs
 
 
 def _visible_from_source(adj: Sequence[int], layers: Sequence[int], u: int, x_mask: int) -> bool:
@@ -67,20 +67,14 @@ class VisibilityContext:
     Instances are immutable and safe to share between workers.
     """
 
-    __slots__ = ("graph", "n", "adj", "layers", "rows")
+    __slots__ = ("n", "adj", "layers", "rows")
 
     def __init__(self, graph: Graph):
-        self.graph = graph
         self.n = graph.n
         self.adj = graph.adj
         tables = [bfs(graph.adj, src) for src in range(graph.n)]
         self.layers = tuple([layers for layers, _ in tables])
         self.rows = tuple([row for _, row in tables])
-
-    def dist(self, u: int, v: int) -> Distance:
-        """Distance from u to v, or the UNREACHABLE sentinel."""
-        d = self.rows[u][v]
-        return UNREACHABLE if d < 0 else d
 
     def is_mv(self, x_mask: int, members: Sequence[int]) -> bool:
         """Membership test for the set with bitmask x_mask and vertex list members."""
@@ -92,46 +86,19 @@ class VisibilityContext:
         return True
 
 
-def _members(ctx: VisibilityContext, x: Iterable[int]) -> list[int]:
-    """The sorted distinct vertices of x, each checked against the graph's order."""
-    members = sorted(set(x))
-    for v in members:
-        if not 0 <= v < ctx.n:
-            raise ParameterError(f"vertex {v} out of range for order {ctx.n}")
-    return members
-
-
 def is_mutual_visibility_set(ctx: VisibilityContext, x: Iterable[int]) -> bool:
     """True iff every pair in x is x-visible in the context's graph.
 
     Sets of size 0 or 1 are trivially mutual-visibility sets. Pairs lying in
     different components are never x-visible, so any such x fails.
     """
-    members = _members(ctx, x)
+    members = sorted(set(x))
     x_mask = 0
     for v in members:
+        if not 0 <= v < ctx.n:
+            raise ParameterError(f"vertex {v} out of range for order {ctx.n}")
         x_mask |= 1 << v
     return ctx.is_mv(x_mask, members)
-
-
-def induced_diameter(ctx: VisibilityContext, x: Iterable[int]) -> Distance:
-    """Maximum pairwise distance within ``x``, measured in the whole graph.
-
-    Returns UNREACHABLE as soon as ``x`` spans two components.
-    """
-    members = _members(ctx, x)
-    if not members:
-        raise ParameterError("induced diameter of the empty set is undefined")
-    best = 0
-    for i, u in enumerate(members):
-        row = ctx.rows[u]
-        for v in members[i + 1:]:
-            duv = row[v]
-            if duv < 0:
-                return UNREACHABLE
-            if duv > best:
-                best = duv
-    return best
 
 
 @dataclass(frozen=True, eq=True)
@@ -148,9 +115,6 @@ class VisStats:
     r_mu: int
     theta: Mapping[Tuple[int, int], int]
     cliques: Mapping[int, int]
-
-    def theta_count(self, k: int, d: int) -> int:
-        return self.theta.get((k, d), 0)
 
     def to_json_dict(self) -> dict:
         return {

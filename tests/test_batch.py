@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -252,11 +255,15 @@ def test_pool_starts_past_the_slice_only_for_costly_records(monkeypatch, min_rec
 
 @pytest.mark.parametrize("walk", ["native", "python"])
 def test_non_ascii_record_is_refused_on_every_walk(monkeypatch, walk):
-    """A non-ASCII record never reaches the native decoder: "Aé" must not pass as "A?"."""
+    """The native decoder declines a non-ASCII record: "Aé" must not pass as "A?".
+
+    "A\udce9" is how ``run_batch_file`` reads the byte 0xE9.
+    """
     if walk == "python":
         pin_python_walk(monkeypatch)
-    with pytest.raises(FormatError, match="^line 2: graph6 record contains non-ASCII characters$"):
-        run_batch(["A_", "Aé"], workers=1)
+    for bad in ("Aé", "A\udce9"):
+        with pytest.raises(FormatError, match="^line 2: graph6 record contains non-ASCII characters$"):
+            run_batch(["A_", bad], workers=1)
     reports = run_batch(["A_", "Aé", "A?"], workers=1, skip_bad=True, keep_histogram=True)
     assert [(r.order, r.histogram) for r in reports] == [(2, {"[1,2]": 1, "[1,2,1]": 1})]
 
@@ -289,3 +296,31 @@ def test_long_form_records_take_the_fallback_in_a_mixed_chunk(monkeypatch, poole
     with pytest.raises(GuardrailError, match=f"^line {at}: enumeration is limited to 64"):
         run_batch(lines[:at - 1] + [TOO_LARGE] + lines[at - 1:], workers=workers)
     assert started == ([2, 2] if pooled else [])
+
+
+SPAWNED_BATCH = """
+import json, multiprocessing, sys
+import visipoly._native as native
+import visipoly.batch as batch
+multiprocessing.set_start_method("spawn")
+batch.SERIAL_SLICE_S = 0
+reports = batch.run_batch(sys.stdin.read().split(), workers=2, keep_histogram=True)
+assert native._walk is native._UNSET, "this process loaded the walk"
+print(json.dumps([report.to_json_dict() for report in reports]))
+"""
+
+
+def test_spawned_workers_load_the_walk_themselves():
+    """Spawned workers inherit no loaded walk, so each one loads its own.
+
+    ``spawn`` is macOS's default start method, and Linux moves to
+    ``forkserver`` in Python 3.14. The start method is process-wide, so the
+    pooled batch runs in a child process, with no chunk counted in-process.
+    """
+    lines = [line for n in (5, 6, 7) for line in corpus_path(n).read_text("ascii").split()]
+    env = {**os.environ, "PYTHONPATH": str(native.SOURCE.parent.parent)}
+    child = subprocess.run([sys.executable, "-c", SPAWNED_BATCH], input="\n".join(lines), env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    serial = run_batch(lines, workers=1, keep_histogram=True)
+    assert json.loads(child.stdout) == [report.to_json_dict() for report in serial]

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 import visipoly
 from visipoly import (
-    UNREACHABLE,
     Graph,
     ParameterError,
     VisibilityContext,
@@ -18,7 +17,6 @@ from visipoly import (
     diamond_graph,
     disjoint_union,
     empty_graph,
-    induced_diameter,
     join,
     parse_edge_list,
     path_graph,
@@ -121,19 +119,17 @@ def test_join_paw_c6_order_and_edges():
 
 def test_distances_complete_and_cycle():
     d4 = VisibilityContext(complete_graph(4))
-    assert all(d4.dist(u, v) == 1 for u in range(4) for v in range(4) if u != v)
+    assert all(d4.rows[u][v] == 1 for u in range(4) for v in range(4) if u != v)
     d6 = VisibilityContext(cycle_graph(6))
-    assert d6.dist(0, 3) == 3
-    assert d6.dist(0, 0) == 0
+    assert d6.rows[0][3] == 3
+    assert d6.rows[0][0] == 0
 
 
 def test_distances_cross_component_unreachable():
     g = disjoint_union([path_graph(2), path_graph(2)])
     d = VisibilityContext(g)
-    assert d.dist(0, 2) is UNREACHABLE
-    assert d.dist(0, 1) == 1
-    with pytest.raises(TypeError):
-        d.dist(0, 2) <= 2  # the sentinel must not order like a number
+    assert d.rows[0][2] == -1
+    assert d.rows[0][1] == 1
 
 
 def test_package_exports_resolve_once():
@@ -172,26 +168,14 @@ def test_delete_edge():
         delete_edge(path_graph(3), 0, 2)
 
 
-def test_induced_diameter():
-    g = cycle_graph(6)
-    d = VisibilityContext(g)
-    assert induced_diameter(d, [2]) == 0
-    assert induced_diameter(d, [0, 2, 4]) == 2
-    u = disjoint_union([path_graph(2), path_graph(2)])
-    du = VisibilityContext(u)
-    assert induced_diameter(du, [0, 2]) is UNREACHABLE
-    with pytest.raises(ParameterError):
-        induced_diameter(d, [])
-
-
 @given(small_graphs())
 def test_distance_matrix_agrees_with_adjacency(g):
     d = VisibilityContext(g)
     for u in range(g.n):
-        assert d.dist(u, u) == 0
+        assert d.rows[u][u] == 0
         for v in range(g.n):
-            assert d.dist(u, v) == d.dist(v, u)
-            assert (d.dist(u, v) == 1) == g.adjacent(u, v)
+            assert d.rows[u][v] == d.rows[v][u]
+            assert (d.rows[u][v] == 1) == g.adjacent(u, v)
             assert [k for k, layer in enumerate(d.layers[u]) if (layer >> v) & 1] == (
                 [d.rows[u][v]] if d.rows[u][v] >= 0 else []
             )
@@ -214,13 +198,7 @@ def test_join_diameter_at_most_two(g, h):
     if g.n == 0 or h.n == 0:
         return
     d = VisibilityContext(join(g, h))
-    finite = [
-        d.dist(u, v)
-        for u in range(g.n + h.n)
-        for v in range(g.n + h.n)
-        if d.dist(u, v) is not UNREACHABLE
-    ]
-    assert max(finite) <= 2
+    assert max(max(row) for row in d.rows) <= 2
 
 
 @given(small_graphs())

@@ -628,10 +628,13 @@ def empty_cache(native_walk, monkeypatch, tmp_path):
 
 def fake_compiler(monkeypatch, tmp_path, refuse):
     """Make the loader build with a script that logs its arguments, one call a line,
-    and runs the real compiler; with ``refuse`` it exits 1 when given HOST_FLAG."""
+    and runs the real compiler; with ``refuse`` it refuses HOST_FLAG as gcc does."""
     log = tmp_path / "cc.log"
     script = tmp_path / "fake-cc"
-    refusal = f'case " $* " in *" {native.HOST_FLAG} "*) exit 1;; esac\n' if refuse else ""
+    flag = native.HOST_FLAG
+    refusal = (f'case " $* " in *" {flag} "*) '
+               f'echo "cc: error: unrecognized command-line option \'{flag}\'" >&2; exit 1;; esac\n'
+               if refuse else "")
     script.write_text(f'#!/bin/sh\necho "$*" >> "{log}"\n{refusal}exec "{native._compiler()}" "$@"\n')
     script.chmod(0o755)
     monkeypatch.setattr(native, "_compiler", lambda: str(script))
@@ -670,6 +673,21 @@ def test_a_refused_host_flag_is_asked_once_per_cache(empty_cache, monkeypatch, t
         assert native.load()(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
     assert len(log.read_text().splitlines()) == 2  # the first load: host refused, portable built
     assert len(list(empty_cache.iterdir())) == 1
+
+
+def test_a_failed_host_build_that_names_no_flag_caches_nothing(empty_cache, monkeypatch):
+    """A timeout is no refusal of HOST_FLAG: no portable build, and the next process tries again."""
+    calls = []
+
+    def timing_out(args, **kwargs):
+        calls.append(args)
+        raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(native, "_cpu", lambda: "model name\t: one")
+    monkeypatch.setattr(subprocess, "run", timing_out)
+    assert native.load() is None
+    assert [native.HOST_FLAG in call for call in calls] == [True]
+    assert list(empty_cache.iterdir()) == []
 
 
 def test_unnamed_cpu_gets_the_portable_build(empty_cache, monkeypatch, tmp_path):
@@ -722,6 +740,21 @@ def test_poly_json_times_the_count_not_the_build(empty_cache, monkeypatch, capsy
 
 def test_poly_json_of_a_closed_form_builds_nothing(empty_cache, monkeypatch, capsys):
     monkeypatch.setattr(native, "_build", lambda *args: pytest.fail("built the walk"))
-    payload = poly_json(capsys, "--class", "cycle:7")
-    assert (payload["engine"], payload["walk"]) == ("closed-form", None)
+    for spec in ("cycle:7", "union:cycle:5+path:3"):
+        payload = poly_json(capsys, "--class", spec)
+        assert (payload["engine"], payload["walk"]) == ("closed-form", None)
     assert not empty_cache.exists()
+
+
+def test_poly_json_times_a_raw_union_part_not_the_build(empty_cache, monkeypatch, capsys):
+    """The closed form of a union counts its raw parts by the walk, so the walk loads before the clock."""
+    build = native._build
+
+    def slow_build(*args):
+        time.sleep(0.5)
+        build(*args)
+
+    monkeypatch.setattr(native, "_build", slow_build)
+    payload = poly_json(capsys, "--class", "union:paw+path:3")
+    assert payload["engine"] == "closed-form" and payload["polynomial"] == "[1,7,9,2]"
+    assert payload["walk"] == "native" and payload["seconds"] < 0.5

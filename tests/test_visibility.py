@@ -121,17 +121,17 @@ def test_compute_stats_c6():
     assert stats.cliques[1] == 6
     assert stats.cliques[2] == 6
     assert stats.cliques[3] == 0
-    assert stats.theta_count(2, 2) == 6
-    assert stats.theta_count(3, 2) == 2
-    assert stats.theta_count(1, 0) == 6
-    assert stats.theta_count(1, 2) == 0
+    assert stats.theta.get((2, 2), 0) == 6
+    assert stats.theta.get((3, 2), 0) == 2
+    assert stats.theta.get((1, 0), 0) == 6
+    assert stats.theta.get((1, 2), 0) == 0
 
 
 def test_compute_stats_paw():
     stats = compute_stats(paw_graph())
     assert stats.cliques[3] == 1
-    assert stats.theta_count(3, 2) == 1
-    assert stats.theta_count(2, 2) == 2
+    assert stats.theta.get((3, 2), 0) == 1
+    assert stats.theta.get((2, 2), 0) == 2
 
 
 def test_compute_stats_k5():
