@@ -24,8 +24,10 @@ counts. Nothing here runs at package import.
 from __future__ import annotations
 
 import os
+import struct
 import sys
-from itertools import islice, takewhile
+from array import array
+from itertools import accumulate, takewhile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -175,16 +177,15 @@ def _bind(path: Path) -> Walk:
         n = len(adj)
         out = (word * ((n + 1) * (max(n, 1) if theta else 1)))()
         tally = (word * len(COUNTER_NAMES))()
-        if entry(n, (word * max(n, 1))(*adj), int(theta), out, tally):
+        top = entry(n, (word * max(n, 1))(*adj), int(theta), out, tally)
+        if top < 0:
             raise MemoryError("the native walk could not allocate its tables")
         _add_counters(counters, tally)
         if not theta:
             return out[:]
-        # A Theta table is zero past its largest set size, so only the entries up
-        # to its last nonzero byte become Python ints (192 of P_64's 4,160).
-        size = ctypes.sizeof(word)
-        used = (len(bytes(out).rstrip(b"\0")) + size - 1) // size
-        return {divmod(i, max(n, 1)): c for i, c in enumerate(out[:used]) if c}
+        # A Theta table is zero past the largest set size, so only the rows up to
+        # it become Python ints (192 of P_64's 4,160 entries).
+        return {divmod(i, max(n, 1)): c for i, c in enumerate(out[:(top + 1) * max(n, 1)]) if c}
 
     short = lib.visipoly_walk_graph6
     short.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
@@ -193,10 +194,10 @@ def _bind(path: Path) -> Walk:
 
     def walk_graph6(
         records: Sequence[bytes], counters: Optional[dict] = None
-    ) -> List[Optional[List[int]]]:
+    ) -> List[Optional[Tuple[int, ...]]]:
         """Counts by size of each graph6 record's graph, decoded and counted in one C call.
 
-        Per record, a list indexed by size (entry 0 stays 0), or None when
+        Per record, a tuple indexed by size (entry 0 stays 0), or None when
         the record is not a short-form record of order 0..62 that decodes in
         full; ``parse_graph6`` then names its fault or decodes it. Counters
         as for ``walk``, summed over the counted records.
@@ -205,13 +206,14 @@ def _bind(path: Path) -> Walk:
         orders = (ctypes.c_int * max(count, 1))()
         out = (word * max((SHORT_MAX_ORDER + 1) * count, 1))()
         tally = (word * len(COUNTER_NAMES))()
-        if short(count, b"".join(records), (ctypes.c_int * max(count, 1))(*map(len, records)),
-                 orders, out, tally):
+        lengths = (ctypes.c_int * count).from_buffer(array("i", map(len, records)))
+        if short(count, b"".join(records), lengths, orders, out, tally):
             raise MemoryError("the native walk could not allocate its tables")
         _add_counters(counters, tally)
-        orders = orders[:count]
-        flat = iter(out[:sum(n + 1 for n in orders if n >= 0)])
-        return [list(islice(flat, n + 1)) if n >= 0 else None for n in orders]
+        # A record of order n owns the next n + 1 entries, a declined one (order -1) none.
+        ends = list(accumulate(map((1).__add__, orders[:count]), initial=0))
+        flat = struct.unpack_from(f"{ends[-1]}Q", out)
+        return [flat[start:end] if start < end else None for start, end in zip(ends, ends[1:])]
 
     walk.graph6 = walk_graph6
     return walk

@@ -106,8 +106,9 @@
  *             (the sets of a block are counted but never popped), and
  *             candidates hidden, those a child lost to the cut and shadow
  *             filters
- * Returns 0, or -1 when the order is out of range or memory runs out; then
- * nothing is counted.
+ * Returns the largest size k of a counted set (0 when none), so the caller
+ * reads no row past k; or -1 when the order is out of range or memory runs
+ * out, and then nothing is counted.
  *
  * One call per chunk of graph6 records, decoded and counted by size:
  * visipoly_walk_graph6(count, text, lengths, orders, out, counters).
@@ -793,6 +794,16 @@ static void end_walk(Walk *w, uint64_t *counters)
     free(w);
 }
 
+/* The largest k <= n with a nonzero entry in row k of out, rows of width entries; 0 when none. */
+static int largest_size(const uint64_t *out, int n, int width)
+{
+    for (int k = n; k > 0; k--)
+        for (int d = 0; d < width; d++)
+            if (out[k * width + d])
+                return k;
+    return 0;
+}
+
 int visipoly_walk(int n, const uint64_t *adj, int theta, uint64_t *out, uint64_t *counters)
 {
     if (n < 0 || n > MAXN)
@@ -803,7 +814,7 @@ int visipoly_walk(int n, const uint64_t *adj, int theta, uint64_t *out, uint64_t
     w->out = out;
     walk_graph(w, n, adj);
     end_walk(w, counters);
-    return 0;
+    return largest_size(out, n, theta && n ? n : 1);
 }
 
 /*

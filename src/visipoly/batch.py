@@ -12,26 +12,26 @@ counting walk. Chunks run in this process until the input ends or
 worker, and only once the records so far took ``POOL_MIN_RECORD_S`` each,
 does a worker pool take the chunks that are left. On corpus-like records the
 pool would cost more than the walks it hands out, so the choice rests on the
-time the batch has taken, not on a record count. Chunks are
-merged in input order, so the first bad record decides the error. Chunks
-return count vectors, and ``run_batch`` builds one polynomial and canonical
-string per distinct vector; grouping keys are those strings, so the reports
-do not depend on input order or worker count.
+time the batch has taken, not on a record count. Chunks return a count
+tuple per counted record (entry 0 at 0 on both paths) and their refusals,
+merged in input order, so the first bad record decides the error.
+``run_batch`` tallies the tuples and builds one key, the canonical string,
+per distinct tuple, so reports do not depend on input order or worker count.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from .enumeration import _count_sets
 from .errors import FormatError, GuardrailError
 from .graph6 import iter_graph6_lines, parse_graph6
-from .polynomial import Polynomial
+from .polynomial import _canonical_text
 
 CHUNK_RECORDS = 64
 # On a 2-vCPU machine two workers forced from the start never paid on corpus
@@ -39,17 +39,17 @@ CHUNK_RECORDS = 64
 # slower than one process, as handing out a chunk costs more than counting it,
 # and the pool takes about 0.012 s to start. So the batch stays in this process
 # for its first SERIAL_SLICE_S, and after that for as long as its records took
-# under POOL_MIN_RECORD_S each. Past the slice, G(n, .5) records broke even
-# at 10-20 us each (G(9, .5): pool 1.02x the serial time, G(10, .5): 0.95x,
-# G(11, .5) at 33 us: 0.81x; 15,000-40,000 records, median of 3).
+# under POOL_MIN_RECORD_S each. Past the slice, G(n, .5) records break even
+# at 15-25 us each (pool / serial time: G(10, .5) at 9 us 1.20-1.57x, G(11, .5)
+# at 15 us 0.98-1.45x, G(12, .5) at 26-28 us 0.80-0.91x; 10,000-20,000 records).
 SERIAL_SLICE_S = 0.25
 POOL_MIN_RECORD_S = 2e-5
 # Chunks a pool holds per worker; enough that no worker waits while this
 # process merges results, few enough that the input is read as it is used.
 POOL_CHUNKS_PER_WORKER = 8
 
-# ("ok", line, counts by size with entry 0 = 1), or ("format" | "guardrail", line, message)
-Result = Tuple[str, int, Union[Tuple[int, ...], str]]
+# A chunk's count tuples, and its refusals: (FormatError or GuardrailError, line, message)
+Analysed = Tuple[List[Tuple[int, ...]], List[Tuple[Type[Exception], int, str]]]
 
 
 @dataclass
@@ -64,14 +64,9 @@ class BatchReport:
     histogram: Optional[Dict[str, int]] = field(default=None)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "order": self.order,
-            "total_graphs": self.total_graphs,
-            "group_count": self.group_count,
-            "max_group_size": self.max_group_size,
-            "max_group_polynomials": list(self.max_group_polynomials),
-        }
-        if self.histogram is not None:
+        """The fields in their order, the histogram as sorted [key, count] pairs if kept."""
+        out = dict(vars(self), max_group_polynomials=list(self.max_group_polynomials))
+        if out.pop("histogram") is not None:
             out["histogram"] = [[poly, count] for poly, count in sorted(self.histogram.items())]
         return out
 
@@ -84,41 +79,32 @@ def effective_workers(requested: Optional[int] = None) -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _analyse_chunk(chunk: List[Tuple[int, str]]) -> List[Result]:
-    """Tagged results of (line, record) pairs, in input order.
+def _analyse_chunk(chunk: List[Tuple[int, str]]) -> Analysed:
+    """The count tuples of (line, record) pairs and their refusals, each in input order.
 
-    With the native walk, one call decodes and counts every record that is a
-    short-form record in full. Every other record is parsed by
-    ``parse_graph6`` and counted by its own ``_count_sets`` call, which
-    applies the guardrail, so its error keeps its text. Format errors and
-    guardrail refusals are tagged per record, so one bad record cannot poison
-    the chunk and every path reports the same record.
+    The fallback's ``_count_sets`` applies the guardrail, so a refusal keeps
+    its text. Each refusal comes back with its line, so one bad record cannot
+    poison the chunk and every path reports the same record.
     """
     from . import _native  # not at package import, as in _count_sets
 
-    results: List[Optional[Result]] = [None] * len(chunk)
     walk = _native.load()
-    if walk is not None:
-        # A non-ASCII record encodes to bytes over 127, which the decoder declines for parse_graph6.
-        records = [record.encode("utf-8", "surrogatepass") for _, record in chunk]
-        for i, counts in enumerate(walk.graph6(records)):
-            if counts is not None:
-                results[i] = ("ok", chunk[i][0], (1, *counts[1:]))
+    # A non-ASCII record encodes to bytes over 127, which the decoder declines for parse_graph6.
+    counts = (walk.graph6([record.encode("utf-8", "surrogatepass") for _, record in chunk])
+              if walk is not None else [None] * len(chunk))
+    if None not in counts:
+        return counts, []
+    refusals: list = []
     for i, (lineno, record) in enumerate(chunk):
-        if results[i] is not None:
-            continue
-        try:
-            counts = _count_sets(parse_graph6(record), theta=False)
-        except FormatError as exc:
-            results[i] = ("format", lineno, str(exc))
-        except GuardrailError as exc:
-            results[i] = ("guardrail", lineno, str(exc))
-        else:
-            results[i] = ("ok", lineno, (1, *counts[1:]))
-    return results
+        if counts[i] is None:
+            try:
+                counts[i] = tuple(_count_sets(parse_graph6(record), theta=False))
+            except (FormatError, GuardrailError) as exc:
+                refusals.append((type(exc), lineno, str(exc)))
+    return [c for c in counts if c is not None], refusals
 
 
-def _analysed_chunks(records: Iterator[Tuple[int, str]], workers: int) -> Iterator[List[Result]]:
+def _analysed_chunks(records: Iterator[Tuple[int, str]], workers: int) -> Iterator[Analysed]:
     """Chunk results in input order: in-process until the slice runs out, then pooled.
 
     Past the slice the pool starts only once the records so far took at least
@@ -136,7 +122,7 @@ def _analysed_chunks(records: Iterator[Tuple[int, str]], workers: int) -> Iterat
         done += len(chunk)
 
 
-def _pooled(chunks: Iterator[List[Tuple[int, str]]], workers: int) -> Iterator[List[Result]]:
+def _pooled(chunks: Iterator[List[Tuple[int, str]]], workers: int) -> Iterator[Analysed]:
     """Chunk results from a pool, reading at most POOL_CHUNKS_PER_WORKER chunks per worker ahead."""
     from multiprocessing import Pool
 
@@ -167,22 +153,19 @@ def run_batch(
     enumeration guardrail always aborts, with a GuardrailError naming its
     line. Reports come back sorted by order.
     """
-    tallies: Dict[Tuple[int, ...], int] = {}
-    records = iter_graph6_lines(lines)
-    for results in _analysed_chunks(records, effective_workers(workers)):
-        for tag, lineno, value in results:
-            if tag == "ok":
-                tallies[value] = tallies.get(value, 0) + 1
-            elif tag == "format":
-                if not skip_bad:
-                    raise FormatError(value, line=lineno)
-            else:
-                raise GuardrailError(f"line {lineno}: {value}")
-    # One polynomial and canonical string per distinct count vector.
+    tallies: Counter = Counter()
+    for counts, refusals in _analysed_chunks(iter_graph6_lines(lines), effective_workers(workers)):
+        for error, lineno, message in refusals:
+            if error is GuardrailError:
+                raise GuardrailError(f"line {lineno}: {message}")
+            if not skip_bad:
+                raise FormatError(message, line=lineno)
+        tallies.update(counts)
+    # One canonical string per distinct count tuple, with entry 0 counting the empty set.
     counters: Dict[int, Dict[str, int]] = {}
     for counts, tally in tallies.items():
         groups = counters.setdefault(len(counts) - 1, {})
-        key = Polynomial(counts).to_canonical_string()
+        key = _canonical_text((1,) + counts[1:])
         groups[key] = groups.get(key, 0) + tally
     reports = []
     for order in sorted(counters):

@@ -8,6 +8,7 @@ Equality and the grouping key are bit-exact by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ParameterError
 
@@ -65,8 +66,8 @@ class Polynomial:
 
     def to_canonical_string(self) -> str:
         """Deterministic grouping key: the JSON array "[c0,c1,...,ck]" with no whitespace,
-        so ``Polynomial(json.loads(key))`` reads one back."""
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+        so ``Polynomial(json.loads(key))`` reads one back; built by ``_canonical_text``."""
+        return _canonical_text(self.coeffs)
 
     def pretty(self) -> str:
         """Human-readable rendering like "1 + 4x + 6x^2 + 4x^3"."""
@@ -85,3 +86,17 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
+
+
+@lru_cache(maxsize=None)
+def _array_format(length: int) -> str:
+    return "[" + ",".join(["%d"] * length) + "]"
+
+
+def _canonical_text(coeffs: tuple[int, ...]) -> str:
+    """The key "[c0,c1,...,ck]" of a tuple of ints, trailing zeros trimmed: of a
+    ``Polynomial``, and in ``run_batch`` of walk counts, which need no validation."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return _array_format(end) % coeffs[:end]

@@ -298,6 +298,20 @@ def test_long_form_records_take_the_fallback_in_a_mixed_chunk(monkeypatch, poole
     assert started == ([2, 2] if pooled else [])
 
 
+@pytest.mark.parametrize("pooled", [False, True])
+def test_one_graph_by_both_paths_groups_once(monkeypatch, pooled):
+    """K_4 as the short-form record C~, which the native decoder counts, and as the
+    long-form record ~??C~, which the fallback parses: one key, so one group of two."""
+    assert parse_graph6("~??C~") == parse_graph6("C~")
+    if pooled:
+        force_pool(monkeypatch)
+    started = record_pools(monkeypatch)
+    reports = run_batch(["C~", "~??C~"], workers=2 if pooled else 1, keep_histogram=True)
+    assert [(r.order, r.group_count, r.max_group_size, r.max_group_polynomials, r.histogram)
+            for r in reports] == [(4, 1, 2, ["[1,4,6,4,1]"], {"[1,4,6,4,1]": 2})]
+    assert started == ([2] if pooled else [])
+
+
 SPAWNED_BATCH = """
 import json, multiprocessing, sys
 import visipoly._native as native
