@@ -165,14 +165,15 @@ def _bind(path: Path) -> Walk:
     entry.restype = ctypes.c_int
 
     def walk(adj: Sequence[int], theta: bool, counters: Optional[dict] = None) -> Counts:
-        """Counts of the nonempty mutual-visibility sets of one graph, in one C call.
+        """Counts of the mutual-visibility sets of one graph, in one C call.
 
         ``adj`` holds the graph's neighbourhood masks. A list indexed by size
-        (entry 0 stays 0), or with ``theta`` a dict keyed by (size, diameter)
-        holding the nonzero counts. ``counters`` gains the walk counters
-        (``COUNTER_NAMES``: nodes popped, nodes closed by the shortcut,
-        membership propagations, leaf blocks of 2..9 candidates evaluated,
-        candidates hidden by the cut and shadow filters).
+        (entry 0 is 1, the empty set), or with ``theta`` a dict keyed by
+        (size, diameter) holding the nonzero counts of the nonempty sets.
+        ``counters`` gains the walk counters (``COUNTER_NAMES``: nodes popped,
+        nodes closed by the shortcut, membership propagations, leaf blocks of
+        2..9 candidates evaluated, candidates hidden by the cut and shadow
+        filters).
         """
         n = len(adj)
         out = (word * ((n + 1) * (max(n, 1) if theta else 1)))()
@@ -183,9 +184,10 @@ def _bind(path: Path) -> Walk:
         _add_counters(counters, tally)
         if not theta:
             return out[:]
-        # A Theta table is zero past the largest set size, so only the rows up to
-        # it become Python ints (192 of P_64's 4,160 entries).
-        return {divmod(i, max(n, 1)): c for i, c in enumerate(out[:(top + 1) * max(n, 1)]) if c}
+        # A Theta table is zero past the largest set size, so only rows 1 up to
+        # it become Python ints (128 of P_64's 4,160 entries); row 0 is the empty set.
+        width = max(n, 1)
+        return {divmod(i, width): c for i, c in enumerate(out[width:(top + 1) * width], width) if c}
 
     short = lib.visipoly_walk_graph6
     short.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
@@ -197,7 +199,7 @@ def _bind(path: Path) -> Walk:
     ) -> List[Optional[Tuple[int, ...]]]:
         """Counts by size of each graph6 record's graph, decoded and counted in one C call.
 
-        Per record, a tuple indexed by size (entry 0 stays 0), or None when
+        Per record, a tuple indexed by size (entry 0 is 1), or None when
         the record is not a short-form record of order 0..62 that decodes in
         full; ``parse_graph6`` then names its fault or decodes it. Counters
         as for ``walk``, summed over the counted records.

@@ -95,10 +95,10 @@
  * visipoly_walk(n, adj, theta, out, counters).
  *   n         its order, 0..64
  *   adj       its n neighbourhood masks
- *   theta     0: out holds n + 1 entries, and entry k counts the nonempty
- *             sets of size k (k = 0..n);
+ *   theta     0: out holds n + 1 entries, and entry k counts the sets of
+ *             size k (k = 0..n), so entry 0 is 1, the empty set;
  *             1: out holds (n + 1) * max(n, 1) entries, and entry k * n + d
- *             counts those of size k and diameter d
+ *             counts those of size k and diameter d, so entry 0 is 1
  *   out       zeroed by the caller
  *   counters  five entries: nodes popped, nodes closed by the shortcut,
  *             membership propagations (clear_targets() and the blocks'
@@ -106,9 +106,9 @@
  *             (the sets of a block are counted but never popped), and
  *             candidates hidden, those a child lost to the cut and shadow
  *             filters
- * Returns the largest size k of a counted set (0 when none), so the caller
- * reads no row past k; or -1 when the order is out of range or memory runs
- * out, and then nothing is counted.
+ * Returns the largest size k of a counted set (0 when the empty set is the
+ * only one), so the caller reads no row past k; or -1 when the order is out
+ * of range or memory runs out, and then nothing is counted.
  *
  * One call per chunk of graph6 records, decoded and counted by size:
  * visipoly_walk_graph6(count, text, lengths, orders, out, counters).
@@ -118,7 +118,7 @@
  *   orders    set per record: its order, or -1 when the record is declined
  *   out       zeroed by the caller, 63 entries per record suffice: a counted
  *             record of order n owns n + 1 entries, packed in turn, and entry
- *             k counts its nonempty sets of size k
+ *             k counts its sets of size k (entry 0 is 1)
  *   counters  as for visipoly_walk, summed over the counted records
  * Only a short-form record that decodes in full is counted: order 0..62
  * (first byte 63..125), every byte 63..126, exactly 1 + ceil(n(n - 1) / 12)
@@ -591,8 +591,7 @@ static void leaf_block(Walk *w, int size, uint64_t mask, int diam, uint64_t pass
 static void visit(Walk *w, int size, uint64_t mask, int diam, uint64_t cand)
 {
     w->nodes++;
-    if (size)
-        w->out[w->theta ? size * w->n + diam : size]++;
+    w->out[w->theta ? size * w->n + diam : size]++;
     if (!cand)
         return;
     const int *members = w->members;
@@ -794,7 +793,7 @@ static void end_walk(Walk *w, uint64_t *counters)
     free(w);
 }
 
-/* The largest k <= n with a nonzero entry in row k of out, rows of width entries; 0 when none. */
+/* The largest k in 1..n with a nonzero entry in row k of out, rows of width entries; else 0. */
 static int largest_size(const uint64_t *out, int n, int width)
 {
     for (int k = n; k > 0; k--)

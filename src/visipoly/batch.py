@@ -13,7 +13,7 @@ worker, and only once the records so far took ``POOL_MIN_RECORD_S`` each,
 does a worker pool take the chunks that are left. On corpus-like records the
 pool would cost more than the walks it hands out, so the choice rests on the
 time the batch has taken, not on a record count. Chunks return a count
-tuple per counted record (entry 0 at 0 on both paths) and their refusals,
+tuple per counted record (entry 0 is 1 on both paths) and their refusals,
 merged in input order, so the first bad record decides the error.
 ``run_batch`` tallies the tuples and builds one key, the canonical string,
 per distinct tuple, so reports do not depend on input order or worker count.
@@ -26,7 +26,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .enumeration import _count_sets
 from .errors import FormatError, GuardrailError
@@ -48,8 +48,8 @@ POOL_MIN_RECORD_S = 2e-5
 # process merges results, few enough that the input is read as it is used.
 POOL_CHUNKS_PER_WORKER = 8
 
-# A chunk's count tuples, and its refusals: (FormatError or GuardrailError, line, message)
-Analysed = Tuple[List[Tuple[int, ...]], List[Tuple[Type[Exception], int, str]]]
+# A chunk's count tuples, and its refusals: (line, the error its record raised)
+Analysed = Tuple[List[Tuple[int, ...]], List[Tuple[int, Union[FormatError, GuardrailError]]]]
 
 
 @dataclass
@@ -84,7 +84,8 @@ def _analyse_chunk(chunk: List[Tuple[int, str]]) -> Analysed:
 
     The fallback's ``_count_sets`` applies the guardrail, so a refusal keeps
     its text. Each refusal comes back with its line, so one bad record cannot
-    poison the chunk and every path reports the same record.
+    poison the chunk and every path reports the same record; a pool pickles
+    the error with its attributes, a format error's byte offset among them.
     """
     from . import _native  # not at package import, as in _count_sets
 
@@ -100,7 +101,7 @@ def _analyse_chunk(chunk: List[Tuple[int, str]]) -> Analysed:
             try:
                 counts[i] = tuple(_count_sets(parse_graph6(record), theta=False))
             except (FormatError, GuardrailError) as exc:
-                refusals.append((type(exc), lineno, str(exc)))
+                refusals.append((lineno, exc))
     return [c for c in counts if c is not None], refusals
 
 
@@ -155,17 +156,17 @@ def run_batch(
     """
     tallies: Counter = Counter()
     for counts, refusals in _analysed_chunks(iter_graph6_lines(lines), effective_workers(workers)):
-        for error, lineno, message in refusals:
-            if error is GuardrailError:
-                raise GuardrailError(f"line {lineno}: {message}")
+        for lineno, exc in refusals:
+            if isinstance(exc, GuardrailError):
+                raise GuardrailError(f"line {lineno}: {exc}")
             if not skip_bad:
-                raise FormatError(message, line=lineno)
+                raise exc.at_line(lineno)
         tallies.update(counts)
-    # One canonical string per distinct count tuple, with entry 0 counting the empty set.
+    # One canonical string per distinct count tuple.
     counters: Dict[int, Dict[str, int]] = {}
     for counts, tally in tallies.items():
         groups = counters.setdefault(len(counts) - 1, {})
-        key = _canonical_text((1,) + counts[1:])
+        key = _canonical_text(counts)
         groups[key] = groups.get(key, 0) + tally
     reports = []
     for order in sorted(counters):

@@ -77,7 +77,7 @@ def _load_graph(args) -> tuple[Graph, Optional[object]]:
     try:
         return parse_graph6(record), None
     except FormatError as exc:
-        raise FormatError(str(exc), line=lineno) from exc
+        raise exc.at_line(lineno) from exc
 
 
 def _polynomial_for(graph: Graph, spec, args) -> tuple[Callable[[], Polynomial], str]:
@@ -119,7 +119,7 @@ def _cmd_poly(args) -> int:
     poly = count()
     elapsed = time.perf_counter() - start
     mu = poly.degree
-    r_mu = poly.coefficient(mu) if mu >= 0 else 0
+    r_mu = poly.coefficient(mu)
     if args.json:
         print(
             json.dumps(

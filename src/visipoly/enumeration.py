@@ -60,9 +60,7 @@ def polynomial_bruteforce(g: Graph) -> Polynomial:
             f"brute force over 2^{g.n} subsets refused (limit {BRUTEFORCE_MAX_VERTICES} vertices); "
             "use polynomial_pruned or a closed form"
         )
-    counts = _bruteforce_counts(g, theta=False)
-    counts[0] = 1
-    return Polynomial(tuple(counts))
+    return Polynomial(tuple(_bruteforce_counts(g, theta=False)))
 
 
 @lru_cache(maxsize=None)
@@ -83,13 +81,14 @@ def _patterns(low: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
 
 
 def _bruteforce_counts(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int], int]]:
-    """Brute-force counts of the nonempty mutual-visibility sets, one entry of ``_count_sets``.
+    """Brute-force counts of the mutual-visibility sets, one entry of ``_count_sets``.
 
-    A list indexed by size (entry 0 left at 0), or with ``theta`` a dict
-    keyed by (size, diameter). For the diameters, each block also collects
-    per distance d the subsets holding a pair of vertices at distance d; a
-    subset of the block that holds no pair farther apart has diameter d.
-    Singletons have diameter 0. The count by size pays for none of this.
+    A list indexed by size (entry 0 is 1, the empty set), or with ``theta``
+    a dict keyed by (size, diameter) of the nonempty sets. For the
+    diameters, each block also collects per distance d the subsets holding
+    a pair of vertices at distance d; a subset of the block that holds no
+    pair farther apart has diameter d. Singletons have diameter 0. The count
+    by size pays for none of this.
     """
     n = g.n
     adj = g.adj
@@ -160,9 +159,8 @@ def _bruteforce_counts(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int
             if sets:
                 for k, pattern in enumerate(size):
                     counts[offset + k][d] += (sets & pattern).bit_count()
-    counts[0][0] = 0  # the empty set
     if theta:
-        return {(k, d): c for k, row in enumerate(counts) for d, c in enumerate(row) if c}
+        return {(k, d): c for k, row in enumerate(counts[1:], 1) for d, c in enumerate(row) if c}
     return [row[0] for row in counts]
 
 
@@ -243,13 +241,13 @@ def _check_pruned_guardrail(n: int) -> None:
 
 
 def _count_sets(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int], int]]:
-    """Counts of the nonempty mutual-visibility sets of g, by size or by (size, diameter).
+    """Counts of the mutual-visibility sets of g, by size or by (size, diameter).
 
-    A list indexed by size (entry 0 left at 0) or a dict keyed by (size,
-    diameter). The native walk counts the graph in one call when it can be
-    built. Otherwise brute force counts a graph of up to
-    ``BRUTEFORCE_MAX_VERTICES`` vertices and ``iter_mv_sets`` a larger one.
-    All of them give the same counts.
+    A list indexed by size (entry 0 is 1, the empty set) or a dict keyed by
+    (size, diameter) of the nonempty sets. The native walk counts the graph
+    in one call when it can be built. Otherwise brute force counts a graph of
+    up to ``BRUTEFORCE_MAX_VERTICES`` vertices and ``iter_mv_sets`` a larger
+    one. All of them give the same counts.
     """
     from . import _native  # not at package import: it may build the library
 
@@ -262,7 +260,7 @@ def _count_sets(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int],
     if theta:
         return dict(Counter((len(members), diam) for members, diam in iter_mv_sets(g)))
     sizes = Counter(len(members) for members, _ in iter_mv_sets(g))
-    return [sizes[k] for k in range(g.n + 1)]
+    return [1] + [sizes[k] for k in range(1, g.n + 1)]
 
 
 def polynomial_pruned(g: Graph) -> Polynomial:
@@ -270,9 +268,7 @@ def polynomial_pruned(g: Graph) -> Polynomial:
 
     Output contract is identical to polynomial_bruteforce.
     """
-    counts = _count_sets(g, theta=False)
-    counts[0] = 1
-    return Polynomial(tuple(counts))
+    return Polynomial(tuple(_count_sets(g, theta=False)))
 
 
 def count_by_size_and_diameter(g: Graph) -> Dict[Tuple[int, int], int]:

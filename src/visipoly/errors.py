@@ -19,8 +19,13 @@ class FormatError(VisipolyError, ValueError):
         if line is not None:
             detail = f"line {line}: {detail}"
         super().__init__(detail)
+        self.message = message
         self.line = line
         self.offset = offset
+
+    def at_line(self, line) -> "FormatError":
+        """This error on input line ``line``, with the same message and byte offset."""
+        return FormatError(self.message, line=line, offset=self.offset)
 
 
 class GuardrailError(VisipolyError):

@@ -129,5 +129,5 @@ def load_graph6_file(path) -> list[Graph]:
             try:
                 graphs.append(parse_graph6(record))
             except FormatError as exc:
-                raise FormatError(str(exc), line=lineno) from exc
+                raise exc.at_line(lineno) from exc
     return graphs

@@ -29,9 +29,7 @@ class Polynomial:
                 raise ParameterError(f"coefficient {c!r} is not an exact integer")
             if c < 0:
                 raise ParameterError(f"coefficient {c} is negative")
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _trimmed(coeffs))
 
     @property
     def degree(self) -> int:
@@ -93,10 +91,16 @@ def _array_format(length: int) -> str:
     return "[" + ",".join(["%d"] * length) + "]"
 
 
-def _canonical_text(coeffs: tuple[int, ...]) -> str:
-    """The key "[c0,c1,...,ck]" of a tuple of ints, trailing zeros trimmed: of a
-    ``Polynomial``, and in ``run_batch`` of walk counts, which need no validation."""
+def _trimmed(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The tuple without its trailing zeros, sliced once."""
     end = len(coeffs)
     while end and not coeffs[end - 1]:
         end -= 1
-    return _array_format(end) % coeffs[:end]
+    return coeffs[:end]
+
+
+def _canonical_text(coeffs: tuple[int, ...]) -> str:
+    """The key "[c0,c1,...,ck]" of a tuple of ints, trailing zeros trimmed: of a
+    ``Polynomial``, and in ``run_batch`` of walk counts, which need no validation."""
+    coeffs = _trimmed(coeffs)
+    return _array_format(len(coeffs)) % coeffs

@@ -136,7 +136,8 @@ def check_certificates(g: Graph, table: dict[tuple[int, int], int]) -> None:
     for k >= 2; and r_k, the sum of Theta(k, d) over d, meets the heredity
     bound k r_k <= (n - k + 1) r_{k-1}, since each k-set has k subsets of size
     k - 1, all mutual-visibility sets, and each (k - 1)-set lies in n - k + 1
-    k-sets.
+    k-sets. On a tree of n >= 2 vertices the top row is checked whole
+    (``tree_top_row``).
     """
     assert {key: count for key, count in table.items() if key[0] <= 3} == small_theta(g), g
     cliques = _clique_counts(g.adj, (1 << g.n) - 1, g.n)
@@ -145,6 +146,35 @@ def check_certificates(g: Graph, table: dict[tuple[int, int], int]) -> None:
     for (k, _), count in table.items():
         r[k] += count
     assert all(k * r[k] <= (g.n - k + 1) * r[k - 1] for k in range(1, g.n + 1)), g
+    if g.n >= 2 and g.edge_count == g.n - 1 and len(shortest_path_lengths(g, 0)) == g.n:
+        mu = max(k for k in range(g.n + 1) if r[k])
+        leaves, product = tree_top_row(g)
+        assert mu == leaves, ("a tree's mu is its number of leaves", g)
+        if leaves >= 3:
+            assert r[mu] == product, ("a tree's r_mu is the product of its pendant paths", g)
+
+
+def tree_top_row(g: Graph) -> tuple[int, int]:
+    """The number of leaves of the tree g, and the product of their pendant-path lengths.
+
+    A leaf's pendant path holds the leaf and the degree-2 vertices above it,
+    up to but not including the nearest vertex of degree 3 or more. On a
+    tree of n >= 2 vertices, mu is the number of leaves (Di Stefano, "Mutual
+    visibility in graphs", Appl. Math. Comput., 2022). With at least three
+    leaves, r_mu is the product of their lengths, as if the maximum sets were
+    exactly those taking one vertex of each pendant path; this rule is
+    checked against the walk and brute force on random trees, not taken from
+    the paper. On a path, which has no vertex of degree 3, it does not hold.
+    """
+    degree = [mask.bit_count() for mask in g.adj]
+    leaves = [v for v in range(g.n) if degree[v] == 1]
+    product = 1
+    for leaf in leaves:
+        previous, v, length = leaf, g.adj[leaf].bit_length() - 1, 1
+        while degree[v] == 2:
+            previous, v, length = v, (g.adj[v] & ~(1 << previous)).bit_length() - 1, length + 1
+        product *= length
+    return len(leaves), product
 
 
 def golden_line(record: str, poly: Polynomial, table: dict[tuple[int, int], int]) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import multiprocessing
@@ -20,6 +21,7 @@ from visipoly import (
     diamond_graph,
     empty_graph,
     encode_graph6,
+    load_graph6_file,
     parse_graph6,
     path_graph,
     polynomial_pruned,
@@ -27,7 +29,7 @@ from visipoly import (
     run_batch_file,
 )
 from visipoly.batch import CHUNK_RECORDS, effective_workers
-from visipoly.cli import main
+from visipoly.cli import _load_graph, main
 
 from conftest import GOLDEN, corpus_path, pin_python_walk
 from oracles import are_isomorphic
@@ -113,6 +115,30 @@ def test_histogram_sums_to_total():
 def test_malformed_record_aborts_with_line_number():
     with pytest.raises(FormatError, match="line 2"):
         run_batch(["A_", "A=", "B?"], workers=1)
+
+
+def test_every_reader_keeps_the_byte_offset_with_the_line(monkeypatch, tmp_path):
+    """A record's FormatError gains its line and keeps its byte offset and its text.
+
+    The readers are load_graph6_file, the CLI's --input reader and run_batch,
+    in this process and on a pool, whose workers pickle the refusal.
+    """
+    two = tmp_path / "two.g6"
+    two.write_text("A_\nA=\n")
+    one = tmp_path / "one.g6"
+    one.write_text("\nA=\n")
+    args = argparse.Namespace(format=None, g6=None, class_spec=None, input=str(one))
+    readers = [lambda: load_graph6_file(two), lambda: _load_graph(args),
+               lambda: run_batch(["A_", "A="], workers=1), lambda: run_batch(["A_", "A="], workers=2)]
+    started = record_pools(monkeypatch)
+    force_pool(monkeypatch)
+    for reader in readers:
+        with pytest.raises(FormatError) as raised:
+            reader()
+        error = raised.value
+        assert str(error) == "line 2: byte 61 outside graph6 range 63..126 (byte offset 1)"
+        assert (error.line, error.offset) == (2, 1)
+    assert started == [2]
 
 
 def test_skip_bad_keeps_going():

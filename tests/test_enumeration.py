@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from visipoly import (
+    Graph,
     GuardrailError,
     Polynomial,
     complete_bipartite_graph,
@@ -34,7 +35,14 @@ from visipoly import (
 )
 
 from conftest import GOLDEN, native_counters, pin_python_walk
-from oracles import oracle_polynomial, oracle_theta, random_graph
+from oracles import (
+    check_certificates,
+    oracle_is_mv,
+    oracle_polynomial,
+    oracle_theta,
+    random_graph,
+    tree_top_row,
+)
 
 
 def test_bruteforce_examples():
@@ -53,6 +61,39 @@ def test_pruned_examples():
 def test_empty_graph_polynomial_is_one():
     assert polynomial_pruned(empty_graph(0)) == Polynomial((1,))
     assert polynomial_bruteforce(empty_graph(0)) == Polynomial((1,))
+
+
+def spider(legs):
+    """A centre, vertex 0, with one path of each length in ``legs`` hanging from it."""
+    edges, order = [], 1
+    for length in legs:
+        path = [0] + list(range(order, order + length))
+        order += length
+        edges += list(zip(path, path[1:]))
+    return Graph.from_edges(order, edges)
+
+
+def test_tree_top_row_certificate():
+    """A tree's mu is its number of leaves and r_mu the product of its pendant-path lengths.
+
+    The spider of three legs of length 2 has the maximum set {1, 5, 6} besides
+    its leaves {4, 5, 6}. A table whose top row is one short fails, on
+    spiders whose mu is past the sizes 1..3 of ``small_theta``, so only the
+    tree rule can catch it.
+    """
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)])
+    assert polynomial_pruned(g) == polynomial_bruteforce(g) == Polynomial((1, 7, 21, 8))
+    assert tree_top_row(g) == (3, 8) and oracle_is_mv(g, (1, 5, 6))
+    assert tree_top_row(path_graph(5)) == (2, 16)  # the product rule needs three leaves: r_2 = 10
+    for legs, mu, r_mu in (((2, 2, 2, 2), 4, 16), ((1, 2, 3, 3), 4, 18), ((1, 1, 4, 2, 3), 5, 24)):
+        g = spider(legs)
+        table = count_by_size_and_diameter(g)
+        check_certificates(g, table)
+        assert polynomial_pruned(g).coeffs[mu:] == (r_mu,), legs
+        top = max(key for key in table if key[0] == mu)
+        short = {**table, top: table[top] - 1}
+        with pytest.raises(AssertionError, match="pendant paths"):
+            check_certificates(g, short)
 
 
 def test_bruteforce_guardrail():

@@ -57,6 +57,7 @@ from oracles import (
     random_graph,
     random_tree,
     relabel,
+    tree_top_row,
 )
 
 
@@ -144,8 +145,8 @@ FIXED_COUNTERS = [
 
 
 def by_size(table, n):
-    """The counts by size, entries 0..n, of a (size, diameter) table."""
-    counts = [0] * (n + 1)
+    """The counts by size, entries 0..n, of a (size, diameter) table; entry 0 is the empty set."""
+    counts = [1] + [0] * n
     for (k, _), c in table.items():
         counts[k] += c
     return counts
@@ -174,7 +175,7 @@ def test_walks_agree_on_counts_and_counters(native_walk):
         check_certificates(g, expected[True])
         if g.n > BRUTEFORCE_MAX_VERTICES:  # P_64, C_40 and P_64: the plain walk's closed forms
             closed_form = {g.n - 1: poly_path, g.n: poly_cycle}[g.edge_count](g.n)
-            assert Polynomial((1, *expected[0][1:])) == closed_form, g
+            assert Polynomial(tuple(expected[0])) == closed_form, g
         for theta in (False, True):
             counters = {}
             counts = native_walk(g.adj, theta, counters)
@@ -234,8 +235,7 @@ def shadow_graphs():
         if n > 2:
             family.append((cycle_graph(n), poly_cycle(n)))
         for g, poly in family:
-            counts = [0] * (n + 1)
-            counts[1:len(poly.coeffs)] = poly.coeffs[1:]
+            counts = list(poly.coeffs) + [0] * (n + 1 - len(poly.coeffs))
             cases.append((relabel(rng, g), counts, None))
     rng.shuffle(cases)
     return cases
@@ -312,7 +312,7 @@ def test_walk_order_is_its_own(native_walk):
                     (star_graph(63), poly_star(63))):
         for h in [g] + [relabel(rng, g) for _ in range(10)]:
             counts = native_walk(h.adj, False)
-            assert Polynomial((1, *counts[1:])) == poly, h
+            assert Polynomial(tuple(counts)) == poly, h
             table = native_walk(h.adj, True)
             assert by_size(table, 64) == counts, h
             check_certificates(h, table)
@@ -344,6 +344,17 @@ def test_closures_count_theta_as_bruteforce(native_walk):
     assert len(graphs) > 90 and closed > 1000
 
 
+def test_random_trees_meet_the_tree_rule(native_walk):
+    """On random trees of 4 to 40 vertices, mu is the number of leaves and r_mu the
+    product of the pendant-path lengths (``check_certificates``), past brute force too."""
+    rng = random.Random(20261027)
+    trees = [random_tree(rng, rng.randint(4, 40)) for _ in range(120)]
+    for g in trees:
+        check_certificates(g, native_walk(g.adj, True))
+    assert sum(tree_top_row(g)[0] >= 4 for g in trees) > 100
+    assert sum(g.n > BRUTEFORCE_MAX_VERTICES for g in trees) > 40
+
+
 def test_closures_on_a_chain_past_bruteforce(native_walk):
     """Theta of a relabelled chain of eleven K_5 (45 vertices) against independent counts.
 
@@ -356,7 +367,7 @@ def test_closures_on_a_chain_past_bruteforce(native_walk):
     g = relabel(random.Random(1), clique_chain(11))
     assert g.n == 45
     table = native_walk(g.adj, True)
-    assert Polynomial((1, *by_size(table, g.n)[1:])) == polynomial_pruned(g)
+    assert Polynomial(tuple(by_size(table, g.n))) == polynomial_pruned(g)
     check_certificates(g, table)
 
 
@@ -402,16 +413,16 @@ def test_walk_on_orders_0_1_and_64_and_the_golden_records(native_walk):
 
     The graphs of order 64 give their closed forms, and tables that meet their certificates.
     """
-    assert native_walk(empty_graph(0).adj, False) == [0]
+    assert native_walk(empty_graph(0).adj, False) == [1]
     assert native_walk(empty_graph(0).adj, True) == {}
-    assert native_walk(empty_graph(1).adj, False) == [0, 1]
+    assert native_walk(empty_graph(1).adj, False) == [1, 1]
     assert native_walk(empty_graph(1).adj, True) == {(1, 0): 1}
     order64 = [path_graph(64), complete_graph(64), cycle_graph(64), benchmark_graphs(5)[4]]
     closed_forms = [poly_path(64), poly_complete(64), poly_cycle(64), poly_path(64)]
     counters = {}
     for g, poly in zip(order64, closed_forms):
         counts = native_walk(g.adj, False, counters)
-        assert Polynomial((1, *counts[1:])) == poly
+        assert Polynomial(tuple(counts)) == poly
         table = native_walk(g.adj, True)
         assert by_size(table, 64) == counts
         check_certificates(g, table)
@@ -420,7 +431,7 @@ def test_walk_on_orders_0_1_and_64_and_the_golden_records(native_walk):
     for record in golden_records():
         adj = parse_graph6(record).adj
         counts = native_walk(adj, False)
-        lines.append(golden_line(record, Polynomial((1, *counts[1:])), native_walk(adj, True)))
+        lines.append(golden_line(record, Polynomial(tuple(counts)), native_walk(adj, True)))
     assert "\n".join(lines) + "\n" == GOLDEN.read_text("ascii")
 
 
@@ -448,6 +459,33 @@ def graph6_inputs():
         for bit in range(-(n * (n - 1) // 2) % 6):
             mutated.add(record[:-1] + bytes([record[-1] | 1 << bit]))
     return records + sorted(mutated - set(records))
+
+
+def test_every_engine_counts_the_empty_set(monkeypatch):
+    """Entry 0 of every count by size is 1, and no (size, diameter) table has a size-0 key.
+
+    On the golden graphs and orders 0, 1 and 64: the native walk and its graph6
+    entry when a compiler is found, brute force up to 25 vertices, and
+    ``_count_sets`` with the native walk and without it (brute force, and the
+    plain walk on P_64).
+    """
+    records = golden_records()
+    graphs = [parse_graph6(record) for record in records]
+    graphs += [empty_graph(0), empty_graph(1), path_graph(64)]
+    walk = native.load()
+    engines = [_count_sets]
+    if walk is not None:
+        engines.append(lambda g, theta: walk(g.adj, theta))
+    for g in graphs:
+        for engine in engines + ([_bruteforce_counts] if g.n <= BRUTEFORCE_MAX_VERTICES else []):
+            assert engine(g, False)[0] == 1, (g, engine)
+            assert all(k for k, _ in engine(g, True)), (g, engine)
+    if walk is not None:
+        assert {counts[0] for counts in walk.graph6([r.encode() for r in records])} == {1}
+    pin_python_walk(monkeypatch)
+    for g in graphs:
+        assert _count_sets(g, False)[0] == 1, g
+        assert all(k for k, _ in _count_sets(g, True)), g
 
 
 def test_graph6_entry_agrees_with_parse_graph6(native_walk):
@@ -607,13 +645,13 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     assert child.returncode == 0, child.stderr
     counts, tables, decoded = json.loads(child.stdout)
     tables = [{tuple(key): c for key, c in table} for table in tables]
-    lines = [golden_line(record, Polynomial((1, *c[1:])), table)
+    lines = [golden_line(record, Polynomial(tuple(c)), table)
              for record, c, table in zip(records, counts, tables)]
     assert "\n".join(lines) + "\n" == GOLDEN.read_text("ascii")
     rest = graphs[len(records):]
     assert counts[len(records):] == [native_walk(g.adj, False) for g in rest]
     assert tables[len(records):] == [native_walk(g.adj, True) for g in rest]
-    polys = [Polynomial((1, *c[1:])).to_canonical_string() for c in decoded[:len(records)]]
+    polys = [Polynomial(tuple(c)).to_canonical_string() for c in decoded[:len(records)]]
     assert polys == [line.split(" ")[1] for line in GOLDEN.read_text("ascii").splitlines()]
     assert [c if c is None else tuple(c) for c in decoded] == native_walk.graph6(inputs)
 
@@ -646,7 +684,7 @@ def test_build_into_empty_cache(empty_cache, monkeypatch):
     assert walk is not None
     (built,) = empty_cache.iterdir()  # the temporary file is gone
     assert built.name.startswith("walk-") and built.suffix == ".so"
-    assert walk(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+    assert walk(cycle_graph(7).adj, False) == [1, 7, 21, 14, 0, 0, 0, 0]
     stamp = built.stat().st_mtime_ns
     assert native._library() == built and built.stat().st_mtime_ns == stamp
     monkeypatch.setattr(native, "FLAGS", ("-O1", *native.FLAGS[1:]))
@@ -659,7 +697,7 @@ def test_compiler_refusing_the_host_flag_gets_the_portable_build(empty_cache, mo
     monkeypatch.setattr(native, "_cpu", lambda: "model name\t: one")
     walk = native.load()
     assert walk is not None
-    assert walk(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+    assert walk(cycle_graph(7).adj, False) == [1, 7, 21, 14, 0, 0, 0, 0]
     assert len(list(empty_cache.iterdir())) == 1
     assert [native.HOST_FLAG in call.split() for call in log.read_text().splitlines()] == [True, False]
 
@@ -670,7 +708,7 @@ def test_a_refused_host_flag_is_asked_once_per_cache(empty_cache, monkeypatch, t
     monkeypatch.setattr(native, "_cpu", lambda: "model name\t: one")
     for _ in range(3):  # three fresh processes on one cache
         monkeypatch.setattr(native, "_walk", native._UNSET)
-        assert native.load()(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+        assert native.load()(cycle_graph(7).adj, False) == [1, 7, 21, 14, 0, 0, 0, 0]
     assert len(log.read_text().splitlines()) == 2  # the first load: host refused, portable built
     assert len(list(empty_cache.iterdir())) == 1
 
@@ -693,7 +731,7 @@ def test_a_failed_host_build_that_names_no_flag_caches_nothing(empty_cache, monk
 def test_unnamed_cpu_gets_the_portable_build(empty_cache, monkeypatch, tmp_path):
     log = fake_compiler(monkeypatch, tmp_path, refuse=False)
     monkeypatch.setattr(native, "_cpu", lambda: None)
-    assert native.load()(cycle_graph(7).adj, False) == [0, 7, 21, 14, 0, 0, 0, 0]
+    assert native.load()(cycle_graph(7).adj, False) == [1, 7, 21, 14, 0, 0, 0, 0]
     (call,) = log.read_text().splitlines()
     assert native.HOST_FLAG not in call.split()
 
