@@ -27,6 +27,7 @@ import os
 import struct
 import sys
 from array import array
+from functools import cache
 from itertools import accumulate, takewhile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -44,22 +45,17 @@ CPU_FIELDS = ("vendor_id", "model name", "flags", "Features", "CPU part")
 Counts = Union[List[int], Dict[Tuple[int, int], int]]
 Walk = Callable[[Sequence[int], bool, Optional[dict]], Counts]
 
-_UNSET = object()
-_walk: object = _UNSET
 
-
+@cache
 def load() -> Optional[Walk]:
     """The native counting walk, built on first use; None when it cannot be built.
 
     Its attribute ``graph6`` decodes and counts graph6 records in one call.
     """
-    global _walk
-    if _walk is _UNSET:
-        try:
-            _walk = _bind(_library())
-        except (OSError, RuntimeError):
-            _walk = None
-    return _walk
+    try:
+        return _bind(_library())
+    except (OSError, RuntimeError):
+        return None
 
 
 def _compiler() -> Optional[str]:

@@ -213,12 +213,10 @@ static uint64_t clear_targets(const Walk *w, int u, uint64_t x_mask, uint64_t ta
         uint64_t layer = layers[d];
         uint64_t cleared = neighbours(w, frontier) & layer;
         uint64_t reached = targets & layer;
-        if (reached) {
-            clear |= reached & cleared;
-            targets ^= reached;
-            if (!targets)
-                break;
-        }
+        clear |= reached & cleared;
+        targets ^= reached;
+        if (!targets)
+            break;
         frontier = cleared & allowed;
         if (!frontier)
             break;
@@ -230,17 +228,13 @@ static uint64_t clear_targets(const Walk *w, int u, uint64_t x_mask, uint64_t ta
  * The interior of I(u, v), and the vertices no set holding u and v can take:
  * those alone at their distance from u in I(u, v), and the shadows of u and v
  * on each other. The shadows lie outside I(u, v), so the leaf block, which
- * reads this mask only inside intervals, never sees them.
+ * reads this mask only inside intervals, never sees them. Both masks are
+ * empty when v is unreachable from u.
  */
 static inline void interval(Walk *w, int u, int v, uint64_t *inner, uint64_t *cuts)
 {
     if (!w->known[u][v]) {
         int span = w->dist[u][v];
-        if (span < 0) {
-            *inner = 0;
-            *cuts = ~0ULL;
-            return;
-        }
         uint64_t in = 0, cut = 0;
         for (int d = 1; d < span; d++) {
             uint64_t layer = w->layers[u][d] & w->layers[v][span - d];
@@ -363,8 +357,6 @@ static void count_closed_theta(Walk *w, int size, int diam, uint64_t passed)
         uint64_t vertices = passed;
         for (int i = 0; i < size; i++)
             vertices &= w->balls[d][w->members[i]];
-        if (!vertices) /* and so is every lower level */
-            continue;
         memset(cliques, 0, sizeof(uint64_t) * (size_t)(p + 1));
         clique_counts(w, w->balls[d], vertices, 0, 0, cliques);
         for (int j = 1; j <= p; j++)
@@ -509,8 +501,6 @@ block_words(Walk *w, int size, uint64_t mask, int diam, uint64_t passed, const i
         for (int k = 0; k < p; k++) {
             interval(w, members[i], cands[k], &inner, &cuts);
             uint64_t between = inner & passed;
-            if (!between)
-                continue;
             for (uint64_t c = between & cuts; c; c &= c - 1)
                 SEED(bad, 1 << k | 1 << slot[LOW(c)]);
             if (between & ~cuts)

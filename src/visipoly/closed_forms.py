@@ -117,15 +117,15 @@ def poly_disconnected(polys: Sequence[Polynomial]) -> Polynomial:
     return acc.subtract_scalar(len(polys) - 1)
 
 
-def _q_vector(g: Graph) -> List[int]:
+def _q_vector(g: Graph, binomials: List[int]) -> List[int]:
     """q_k(G) for k = 0..|G|: k-sets whose nonadjacent pairs share an outside neighbour.
 
     Such a set is a clique or a mutual-visibility set of diameter 2, so
     q_0 = 1 and q_k = Theta(k, 0) + Theta(k, 1) + Theta(k, 2). A complete graph
-    has q_k = C(|G|, k), with no walk.
+    has q_k = C(|G|, k), the list ``binomials`` itself, with no walk.
     """
     if g.is_complete:
-        return [comb(g.n, k) for k in range(g.n + 1)]
+        return binomials
     q = [1] + [0] * g.n
     for (k, d), c in count_by_size_and_diameter(g).items():
         if d <= 2:
@@ -153,13 +153,12 @@ def poly_join(g: Graph, h: Graph) -> Polynomial:
             return Polynomial((1,))
         return poly_complete(other.n) if other.is_complete else polynomial_pruned(other)
     m, n = g.n, h.n
-    qg, qh = _q_vector(g), _q_vector(h)
+    cg, ch = ([comb(order, k) for k in range(order + 1)] for order in (m, n))
+    qg, qh = _q_vector(g, cg), _q_vector(h, ch)
     coeffs = [0] * (m + n + 1)
     for k in range(m + 1):
         for l in range(n + 1):
-            coeffs[k + l] += (qg[k] if l == n else comb(m, k)) * (
-                qh[l] if k == m else comb(n, l)
-            )
+            coeffs[k + l] += (qg[k] if l == n else cg[k]) * (qh[l] if k == m else ch[l])
     return Polynomial(tuple(coeffs))
 
 

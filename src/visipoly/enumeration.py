@@ -249,7 +249,7 @@ def _count_sets(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int],
     up to ``BRUTEFORCE_MAX_VERTICES`` vertices and ``iter_mv_sets`` a larger
     one. All of them give the same counts.
     """
-    from . import _native  # not at package import: it may build the library
+    from . import _native  # here, so that `import visipoly` does not load _native too
 
     _check_pruned_guardrail(g.n)
     walk = _native.load()

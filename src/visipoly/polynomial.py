@@ -58,8 +58,6 @@ class Polynomial:
         c0 = self.coefficient(0)
         if c0 < k:
             raise ParameterError(f"constant term {c0} is smaller than {k}")
-        if k == 0:
-            return self
         return Polynomial((c0 - k,) + self.coeffs[1:])
 
     def to_canonical_string(self) -> str:
@@ -69,8 +67,6 @@ class Polynomial:
 
     def pretty(self) -> str:
         """Human-readable rendering like "1 + 4x + 6x^2 + 4x^3"."""
-        if not self.coeffs:
-            return "0"
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:

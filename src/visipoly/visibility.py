@@ -32,9 +32,7 @@ def _visible_from_source(adj: Sequence[int], layers: Sequence[int], u: int, x_ma
     """
     ubit = 1 << u
     remaining = x_mask & ~ubit
-    if not remaining:
-        return True
-    allowed = ~(x_mask & ~ubit)
+    allowed = ~remaining
     frontier = ubit
     for d in range(1, len(layers)):
         layer = layers[d]

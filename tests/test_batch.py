@@ -345,7 +345,7 @@ import visipoly.batch as batch
 multiprocessing.set_start_method("spawn")
 batch.SERIAL_SLICE_S = 0
 reports = batch.run_batch(sys.stdin.read().split(), workers=2, keep_histogram=True)
-assert native._walk is native._UNSET, "this process loaded the walk"
+assert native.load.cache_info().currsize == 0, "this process loaded the walk"
 print(json.dumps([report.to_json_dict() for report in reports]))
 """
 

@@ -64,6 +64,8 @@ def test_invalid_parameters():
         build_class(DisjointUnion(()))
     with pytest.raises(ParameterError):
         build_class(Join(Cycle(2), Path(3)))
+    with pytest.raises(ParameterError, match="^unknown class spec 'cycle:7'$"):
+        build_class("cycle:7")
 
 
 def test_parse_class_spec():
@@ -82,6 +84,20 @@ def test_parse_class_spec_errors():
     for bad in ("cycle", "cycle:x", "bipartite:3", "wat:3", "union:"):
         with pytest.raises(FormatError):
             parse_class_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("paw:1", "paw takes no arguments, got 'paw:1'"),
+        ("empty:1,2", "empty takes exactly one argument, got 'empty:1,2'"),
+        ("empty:-1", "empty graph order must be nonnegative"),
+    ],
+)
+def test_parse_class_spec_names_the_fault(text, message):
+    with pytest.raises(FormatError) as caught:
+        parse_class_spec(text)
+    assert str(caught.value) == message
 
 
 def test_spec_labels():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import visipoly._native as native
-from visipoly import cli
+from visipoly import Polynomial, cli, verify
 from visipoly.cli import main
 
 from conftest import corpus_path, pin_python_walk
@@ -79,6 +79,14 @@ def test_poly_and_stats_refuse_several_records(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert "line 2:" in err and "more than one graph6 record" in err
+
+
+def test_poly_input_without_a_record_exits_2(capsys, tmp_path):
+    path = tmp_path / "header-only.g6"
+    path.write_text(">>graph6<<\n\n")
+    code, out, err = run_cli(capsys, "poly", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: no graph6 record in {path}\n"
 
 
 def test_poly_input_format_error_names_the_line(capsys, tmp_path):
@@ -256,6 +264,14 @@ def test_verify_suite(capsys):
     assert "2/2 instances passed" in out
 
 
+def test_verify_reports_a_mismatch_and_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "poly_for_class", lambda spec: Polynomial((1, 6, 15)))
+    code, out, _ = run_cli(capsys, "verify", "--spec", "cycle:6")
+    assert code == 3
+    assert out == ("FAIL cycle:6: [1,6,15] (pruned [1,6,15,14], brute [1,6,15,14])\n"
+                   "0/1 instances passed\n")
+
+
 def test_verify_paper_suite_passes(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
@@ -390,6 +406,17 @@ def test_join_with_check(capsys):
     assert code == 0
     assert "[1,10,45,120,210,252,207,102,30,2]" in out
     assert "check: PASS" in out
+
+
+def test_join_check_reports_a_mismatch_and_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "poly_for_class", lambda spec: Polynomial((1,)))
+    code, out, _ = run_cli(capsys, "join", "--left", "paw", "--right", "cycle:6", "--check")
+    assert code == 3
+    assert out.splitlines()[1:] == [
+        "polynomial: [1]",
+        "pretty: 1",
+        "check: FAIL (enumeration gives [1,10,45,120,210,252,207,102,30,2])",
+    ]
 
 
 def test_join_beyond_the_guardrail(capsys):

@@ -277,6 +277,7 @@ def test_poly_join_beyond_the_guardrail_matches_closed_forms(monkeypatch):
 def test_poly_join_empty_operand():
     assert poly_join(complete_graph(0), cycle_graph(5)) == poly_cycle(5)
     assert poly_join(complete_graph(3), complete_graph(0)) == poly_complete(3)
+    assert poly_join(empty_graph(0), empty_graph(0)) == Polynomial((1,))
 
 
 def test_join_set_classification_lemma():

@@ -81,6 +81,28 @@ def test_graph_validation_names_the_first_fault_in_vertex_order():
     assert Graph(4, (0b0110, 0b0101, 0b0011, 0b0000)).edge_count == 3
 
 
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (Graph, (-1, ()), "vertex count must be nonnegative"),
+        (Graph, (2, (0,)), "expected 2 adjacency masks, got 1"),
+        (delete_edge, (path_graph(3), 0, 3), "vertex pair (0, 3) out of range for order 3"),
+        (empty_graph, (-1,), "order must be nonnegative"),
+        (path_graph, (0,), "a path needs at least one vertex"),
+        (cycle_graph, (2,), "a cycle needs at least three vertices"),
+        (complete_graph, (-1,), "order must be nonnegative"),
+        (star_graph, (-1,), "leaf count must be nonnegative"),
+        (complete_bipartite_graph, (0, 3), "both parts need at least one vertex"),
+        (complete_bipartite_graph, (3, 0), "both parts need at least one vertex"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_argument_errors_name_the_fault(build, args, message):
+    with pytest.raises(ParameterError) as caught:
+        build(*args)
+    assert str(caught.value) == message
+
+
 def test_complete_graph_k4():
     g = complete_graph(4)
     assert g.edge_count == 6
@@ -254,6 +276,7 @@ def test_parse_edge_list_errors():
         ("3 2\n\n2 2\n0 1\n", "line 3: self-loop at vertex 2"),
         ("-1 0\n0 1\n", "line 1: header counts must be nonnegative"),
         ("3 2\n0 1\n", "header announced 2 edges, found 1"),
+        ("3 1\n0 1 2\n", "line 2: expected two integers, got '0 1 2'"),
     ],
 )
 def test_parse_edge_list_names_the_faulty_line(text, message):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -99,6 +100,10 @@ def test_round_trip_on_seeded_random_graphs_up_to_order_70():
 def test_wide_order_rejected():
     with pytest.raises(FormatError, match="18 bits"):
         parse_graph6(chr(126) + chr(126) + "????")
+    # encode_graph6 checks the order before it reads a mask, so a stand-in with
+    # no masks serves: building a Graph of 2^18 vertices takes seconds.
+    with pytest.raises(FormatError, match="^order 262144 too large for an 18-bit graph6 record$"):
+        encode_graph6(SimpleNamespace(n=1 << 18, adj=()))
 
 
 @st.composite

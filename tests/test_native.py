@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -524,7 +525,7 @@ def test_fallback_without_compiler_gives_identical_results(monkeypatch, capsys):
     before = poly_json(capsys, "--g6", "Ch")
 
     monkeypatch.setattr(native, "_compiler", lambda: None)
-    monkeypatch.setattr(native, "_walk", native._UNSET)
+    monkeypatch.setattr(native, "load", cache(native.load.__wrapped__))
     assert native.load() is None
     assert [(polynomial_pruned(g), compute_stats(g)) for g in graphs] == built
     after = poly_json(capsys, "--g6", "Ch")
@@ -536,7 +537,7 @@ def test_unwritable_cache_falls_back(monkeypatch, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setattr(native, "cache_dir", lambda: blocker / "visipoly")
-    monkeypatch.setattr(native, "_walk", native._UNSET)
+    monkeypatch.setattr(native, "load", cache(native.load.__wrapped__))
     assert native.load() is None
     assert polynomial_pruned(cycle_graph(7)).coeffs == (1, 7, 21, 14)
 
@@ -658,10 +659,10 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
 
 @pytest.fixture
 def empty_cache(native_walk, monkeypatch, tmp_path):
-    cache = tmp_path / "cache"
-    monkeypatch.setattr(native, "cache_dir", lambda: cache)
-    monkeypatch.setattr(native, "_walk", native._UNSET)
-    return cache
+    directory = tmp_path / "cache"
+    monkeypatch.setattr(native, "cache_dir", lambda: directory)
+    monkeypatch.setattr(native, "load", cache(native.load.__wrapped__))
+    return directory
 
 
 def fake_compiler(monkeypatch, tmp_path, refuse):
@@ -707,7 +708,7 @@ def test_a_refused_host_flag_is_asked_once_per_cache(empty_cache, monkeypatch, t
     log = fake_compiler(monkeypatch, tmp_path, refuse=True)
     monkeypatch.setattr(native, "_cpu", lambda: "model name\t: one")
     for _ in range(3):  # three fresh processes on one cache
-        monkeypatch.setattr(native, "_walk", native._UNSET)
+        monkeypatch.setattr(native, "load", cache(native.load.__wrapped__))
         assert native.load()(cycle_graph(7).adj, False) == [1, 7, 21, 14, 0, 0, 0, 0]
     assert len(log.read_text().splitlines()) == 2  # the first load: host refused, portable built
     assert len(list(empty_cache.iterdir())) == 1

@@ -24,6 +24,8 @@ def test_degree_and_coefficient():
     assert p.coefficient(2) == 6
     assert p.coefficient(9) == 0
     assert Polynomial(()).degree == -1
+    with pytest.raises(ParameterError, match="^coefficient index must be nonnegative$"):
+        p.coefficient(-1)
 
 
 def test_rejects_bad_coefficients():
