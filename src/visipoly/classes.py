@@ -152,15 +152,16 @@ def parse_class_spec(text: str) -> ClassSpec:
 
     Accepted forms: ``path:N``, ``cycle:N``, ``complete:N``, ``star:N``,
     ``bipartite:M,N`` (alias ``complete_bipartite``), ``empty:N``, the named
-    graphs ``paw`` and ``diamond``, and ``union:SPEC+SPEC+...``.
+    graphs ``paw`` and ``diamond``, and ``union:SPEC+SPEC+...``. Names are
+    case-insensitive.
     """
     text = text.strip()
-    if text in _NAMED_GRAPHS:
-        return Raw(_NAMED_GRAPHS[text](), text)
     name, sep, args = text.partition(":")
     name = name.strip().lower()
     if name in _NAMED_GRAPHS:
-        raise FormatError(f"{name} takes no arguments, got {text!r}")
+        if sep:
+            raise FormatError(f"{name} takes no arguments, got {text!r}")
+        return Raw(_NAMED_GRAPHS[name](), name)
     if not sep:
         raise FormatError(f"class spec {text!r} needs arguments, e.g. 'cycle:7'")
     if name == "union":

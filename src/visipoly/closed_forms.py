@@ -111,10 +111,11 @@ def poly_disconnected(polys: Sequence[Polynomial]) -> Polynomial:
     """
     if not polys:
         raise ParameterError("disjoint union composition needs at least one part")
-    acc = polys[0]
-    for p in polys[1:]:
-        acc = acc.add(p)
-    return acc.subtract_scalar(len(polys) - 1)
+    coeffs = [1 - len(polys)] + [0] * max(len(p.coeffs) for p in polys)
+    for p in polys:
+        for i, c in enumerate(p.coeffs):
+            coeffs[i] += c
+    return Polynomial(tuple(coeffs))
 
 
 def _q_vector(g: Graph, binomials: List[int]) -> List[int]:

@@ -91,10 +91,10 @@ def _count_edges_checked(adj: Sequence[int]) -> int:
     Raises ``ParameterError`` for the first fault: a mask out of range, a
     self-loop or an asymmetric pair.
     """
-    full = (1 << len(adj)) - 1
+    n = len(adj)
     degree_total = 0
     for u, mask in enumerate(adj):
-        if mask & ~full:
+        if mask >> n:
             raise ParameterError(f"adjacency mask of vertex {u} is out of range")
         if (mask >> u) & 1:
             raise ParameterError(f"self-loop at vertex {u}")

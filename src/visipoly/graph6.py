@@ -33,7 +33,7 @@ def parse_graph6(line) -> Graph:
     """Decode one graph6 record (str or bytes, optional header prefix)."""
     data = _record_bytes(line).strip()
     if data.startswith(HEADER.encode("ascii")):
-        data = data[len(HEADER):]
+        data = data[len(HEADER):].strip()
     if not data:
         raise FormatError("empty graph6 record")
     if min(data) < 63 or max(data) > 126:

@@ -40,26 +40,6 @@ class Polynomial:
             raise ParameterError("coefficient index must be nonnegative")
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
-    def add(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(tuple(out))
-
-    __add__ = add
-
-    def subtract_scalar(self, k: int) -> "Polynomial":
-        """Lower the constant term by k; requires coefficient(0) >= k >= 0."""
-        if k < 0:
-            raise ParameterError("scalar must be nonnegative")
-        c0 = self.coefficient(0)
-        if c0 < k:
-            raise ParameterError(f"constant term {c0} is smaller than {k}")
-        return Polynomial((c0 - k,) + self.coeffs[1:])
-
     def to_canonical_string(self) -> str:
         """Deterministic grouping key: the JSON array "[c0,c1,...,ck]" with no whitespace,
         so ``Polynomial(json.loads(key))`` reads one back; built by ``_canonical_text``."""

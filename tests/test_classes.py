@@ -90,6 +90,8 @@ def test_parse_class_spec_errors():
     "text, message",
     [
         ("paw:1", "paw takes no arguments, got 'paw:1'"),
+        ("paw:", "paw takes no arguments, got 'paw:'"),
+        ("Diamond:", "diamond takes no arguments, got 'Diamond:'"),
         ("empty:1,2", "empty takes exactly one argument, got 'empty:1,2'"),
         ("empty:-1", "empty graph order must be nonnegative"),
     ],
@@ -109,8 +111,12 @@ def test_spec_labels():
 
 def test_raw_spec_keeps_the_name_it_was_parsed_from():
     for text, label in (("paw", "paw"), ("diamond", "diamond"), ("empty:4", "empty:4"),
-                        (" empty: 4 ", "empty:4"), ("union:paw+empty:2", "union:paw+empty:2")):
+                        (" empty: 4 ", "empty:4"), ("union:paw+empty:2", "union:paw+empty:2"),
+                        # names ignore case, the named graphs' as the families'
+                        ("PAW", "paw"), ("Paw", "paw"), (" DIAMOND ", "diamond"),
+                        ("union:PAW+path:2", "union:paw+path:2")):
         assert spec_label(parse_class_spec(text)) == label
+        assert parse_class_spec(text) == parse_class_spec(label)
     assert spec_label(Raw(paw_graph())) == "graph(n=4, m=4)"
     assert parse_class_spec("paw") == Raw(paw_graph())  # the name is not part of equality
 

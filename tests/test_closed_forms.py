@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -11,6 +12,7 @@ from visipoly import (
     CompleteBipartite,
     Cycle,
     DisjointUnion,
+    Graph,
     Join,
     ParameterError,
     Path,
@@ -20,10 +22,12 @@ from visipoly import (
     VisibilityContext,
     build_class,
     complement,
+    components,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     diamond_graph,
+    disjoint_union,
     empty_graph,
     is_mutual_visibility_set,
     join,
@@ -45,7 +49,7 @@ from visipoly import (
 )
 
 from conftest import corpus_path, pin_python_walk
-from oracles import oracle_polynomial
+from oracles import oracle_polynomial, random_graph, relabel
 
 
 def test_poly_path_values():
@@ -71,10 +75,8 @@ def test_poly_star_values_resolved_by_enumeration():
     # degenerate stars reduce to a vertex and an edge
     assert poly_star(0) == oracle_polynomial(star_graph(0)) == Polynomial((1, 1))
     assert poly_star(1) == oracle_polynomial(star_graph(1)) == Polynomial((1, 2, 1))
-    expected5 = Polynomial((0, 1)).add(Polynomial((0, 0, 5))).add(
-        Polynomial(tuple(comb(5, i) for i in range(6)))
-    )
-    assert poly_star(5) == expected5
+    # x + 5x^2 + (1+x)^5
+    assert poly_star(5) == Polynomial((1, 6, 15, 10, 5, 1))
 
 
 def test_poly_cycle_values():
@@ -182,8 +184,34 @@ def test_poly_disconnected():
     single = poly_cycle(5)
     assert poly_disconnected([single]) == single
     assert poly_disconnected([poly_path(3), poly_path(2)]) == Polynomial((1, 5, 4))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^disjoint union composition needs at least one part$"):
         poly_disconnected([])
+
+
+def _induced(g, vertices):
+    """The subgraph of g induced by one of its components, relabelled 0..len - 1."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return Graph.from_edges(len(vertices), [(index[u], index[v]) for u, v in g.edges() if u in index])
+
+
+def test_union_law_on_raw_graphs(random_small_graphs, monkeypatch):
+    # the disconnected sample graphs, and relabelled unions of 2-4 random
+    # parts of at most 25 vertices in all, composed from their components
+    rng = random.Random(2929)
+    graphs = [g for g in random_small_graphs if len(components(g)) > 1]
+    for _ in range(40):
+        count = rng.randint(2, 4)
+        parts = [random_graph(rng, rng.randint(1, 25 // count), rng.choice((0.2, 0.5, 0.8)))
+                 for _ in range(count)]
+        graphs.append(relabel(rng, disjoint_union(parts)))
+    expected = [polynomial_bruteforce(g) for g in graphs]
+    # The native walk when it can be built, then brute force.
+    for pinned in (False, True):
+        if pinned:
+            pin_python_walk(monkeypatch)
+        for g, poly in zip(graphs, expected):
+            parts = [polynomial_pruned(_induced(g, c)) for c in components(g)]
+            assert poly_disconnected(parts) == polynomial_pruned(g) == poly, g.edges()
 
 
 def test_path_edge_deletion_drops_cross_pairs():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -17,6 +16,7 @@ from visipoly import (
     load_graph6_file,
     parse_graph6,
 )
+from visipoly.graph6 import iter_graph6_lines
 
 from conftest import corpus_path
 from oracles import random_graph
@@ -100,10 +100,23 @@ def test_round_trip_on_seeded_random_graphs_up_to_order_70():
 def test_wide_order_rejected():
     with pytest.raises(FormatError, match="18 bits"):
         parse_graph6(chr(126) + chr(126) + "????")
-    # encode_graph6 checks the order before it reads a mask, so a stand-in with
-    # no masks serves: building a Graph of 2^18 vertices takes seconds.
     with pytest.raises(FormatError, match="^order 262144 too large for an 18-bit graph6 record$"):
-        encode_graph6(SimpleNamespace(n=1 << 18, adj=()))
+        encode_graph6(empty_graph(1 << 18))
+
+
+@pytest.mark.parametrize(
+    "record", ["A_", "B?", "DQc", encode_graph6(cycle_graph(65))], ids=["K2", "E3", "n5", "C65"]
+)
+@pytest.mark.parametrize(
+    "line",
+    ["{}", ">>graph6<<{}", ">>graph6<< {}", ">>graph6<<\t{} ", "  >>graph6<<  {}\n"],
+)
+def test_header_rule_matches_the_line_reader(line, record):
+    # one header rule for a --g6 argument and for a line of a file or batch stream
+    line = line.format(record)
+    ((_, read),) = iter_graph6_lines([line])
+    assert read == record
+    assert parse_graph6(line) == parse_graph6(read) == parse_graph6(line.encode("ascii"))
 
 
 @st.composite

@@ -5,11 +5,17 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from visipoly import ParameterError, Polynomial, poly_complete
+from visipoly import ParameterError, Polynomial, poly_complete, poly_disconnected
 
 polys = st.builds(
     Polynomial,
     st.lists(st.integers(min_value=0, max_value=50), max_size=6).map(tuple),
+)
+# polynomials with constant term 1, as every visibility polynomial has
+parts = st.lists(
+    st.lists(st.integers(min_value=0, max_value=50), max_size=5).map(lambda t: Polynomial((1, *t))),
+    min_size=1,
+    max_size=4,
 )
 
 
@@ -39,14 +45,16 @@ def test_disconnected_composition_example():
     # visibility polynomials of P3 and P2, composed for their disjoint union
     p3 = Polynomial((1, 3, 3))
     p2 = Polynomial((1, 2, 1))
-    assert p3.add(p2).subtract_scalar(1) == Polynomial((1, 5, 4))
+    assert poly_disconnected([p3, p2]) == Polynomial((1, 5, 4))
 
 
-def test_subtract_scalar_guard():
-    with pytest.raises(ParameterError):
-        Polynomial((1, 1)).subtract_scalar(2)
-    with pytest.raises(ParameterError):
-        Polynomial((3,)).subtract_scalar(-1)
+def test_disconnected_parts_must_absorb_the_shared_empty_set():
+    # the constant terms lose parts - 1 in all, and no coefficient may go negative
+    assert poly_disconnected([Polynomial((2, 1)), Polynomial((0, 3))]) == Polynomial((1, 4))
+    for bad in ([Polynomial((1, 1)), Polynomial((0, 1)), Polynomial((0, 2))],
+                [Polynomial(()), Polynomial(())]):
+        with pytest.raises(ParameterError, match="^coefficient -1 is negative$"):
+            poly_disconnected(bad)
 
 
 def test_canonical_string():
@@ -67,14 +75,18 @@ def test_huge_coefficients_stay_exact():
     assert poly_complete(64).coefficient(32) == comb(64, 32)
 
 
-@given(polys, polys)
-def test_add_commutes(p, q):
-    assert p.add(q) == q.add(p)
+@given(parts, st.randoms(use_true_random=False))
+def test_disconnected_part_order_irrelevant(ps, rng):
+    shuffled = list(ps)
+    rng.shuffle(shuffled)
+    assert poly_disconnected(shuffled) == poly_disconnected(ps)
 
 
-@given(polys, polys, polys)
-def test_add_and_multiply_associate(p, q, r):
-    assert p.add(q).add(r) == p.add(q.add(r))
+@given(parts, parts)
+def test_disconnected_composes_in_stages(ps, qs):
+    # a union of unions is the union of all their parts
+    staged = poly_disconnected([poly_disconnected(ps), poly_disconnected(qs)])
+    assert staged == poly_disconnected(ps + qs)
 
 
 @given(polys)
