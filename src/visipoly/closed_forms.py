@@ -11,7 +11,7 @@ are exact integers.
 from __future__ import annotations
 
 from math import comb
-from typing import List, Sequence
+from typing import List, Sequence, Tuple, Union
 
 from .classes import (
     ClassSpec,
@@ -118,23 +118,25 @@ def poly_disconnected(polys: Sequence[Polynomial]) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _q_vector(g: Graph, binomials: List[int]) -> List[int]:
-    """q_k(G) for k = 0..|G|: k-sets whose nonadjacent pairs share an outside neighbour.
+def _join_rows(operand: Union[Graph, Complete]) -> Tuple[List[int], List[int]]:
+    """C(|G|, k) and q_k(G) for k = 0..|G|, the two rows the join law reads of G.
 
-    Such a set is a clique or a mutual-visibility set of diameter 2, so
-    q_0 = 1 and q_k = Theta(k, 0) + Theta(k, 1) + Theta(k, 2). A complete graph
-    has q_k = C(|G|, k), the list ``binomials`` itself, with no walk.
+    q_k counts the k-sets whose nonadjacent pairs share an outside neighbour:
+    the cliques and the mutual-visibility sets of diameter 2, so q_0 = 1 and
+    q_k = Theta(k, 0) + Theta(k, 1) + Theta(k, 2). A complete operand, graph
+    or ``Complete`` spec, has q_k = C(|G|, k) and is not walked.
     """
-    if g.is_complete:
-        return binomials
-    q = [1] + [0] * g.n
-    for (k, d), c in count_by_size_and_diameter(g).items():
+    binomials = [comb(operand.n, k) for k in range(operand.n + 1)]
+    if isinstance(operand, Complete) or operand.is_complete:
+        return binomials, binomials
+    q = [1] + [0] * operand.n
+    for (k, d), c in count_by_size_and_diameter(operand).items():
         if d <= 2:
             q[k] += c
-    return q
+    return binomials, q
 
 
-def poly_join(g: Graph, h: Graph) -> Polynomial:
+def poly_join(g: Union[Graph, Complete], h: Union[Graph, Complete]) -> Polynomial:
     """Visibility polynomial of the join of two graphs, for every operand pair.
 
     Take a set A + B with A in G and B in H. Pairs across the join are
@@ -145,17 +147,18 @@ def poly_join(g: Graph, h: Graph) -> Polynomial:
     (q_k(G) if l = |H| else C(|G|, k)) * (q_l(H) if k = |G| else C(|H|, l)).
     The joined graph is never built: only non-complete operands are walked,
     each under the 64-vertex guardrail of ``count_by_size_and_diameter``. A
-    join with the order-0 graph is the other operand itself, which the law
-    does not cover.
+    complete operand may be its ``Complete`` spec, so K_m is not built
+    either. A join with the order-0 graph is the other operand itself.
     """
     if g.n == 0 or h.n == 0:
         other = h if g.n == 0 else g
         if other.n == 0:
             return Polynomial((1,))
-        return poly_complete(other.n) if other.is_complete else polynomial_pruned(other)
+        if isinstance(other, Complete) or other.is_complete:
+            return poly_complete(other.n)
+        return polynomial_pruned(other)
     m, n = g.n, h.n
-    cg, ch = ([comb(order, k) for k in range(order + 1)] for order in (m, n))
-    qg, qh = _q_vector(g, cg), _q_vector(h, ch)
+    (cg, qg), (ch, qh) = _join_rows(g), _join_rows(h)
     coeffs = [0] * (m + n + 1)
     for k in range(m + 1):
         for l in range(n + 1):
@@ -177,12 +180,14 @@ def poly_for_class(spec: ClassSpec) -> Polynomial:
     """Dispatch a class spec to its closed form or composition law.
 
     The result is always the true visibility polynomial. Only ``Raw`` specs
-    and the non-complete operands of a ``Join`` are enumerated.
+    and the non-complete operands of a ``Join`` are enumerated, and a
+    ``Complete`` operand of a ``Join`` is not built.
     """
     if type(spec) in _CLOSED_FORMS:
         return _CLOSED_FORMS[type(spec)](*family_args(spec))
     if isinstance(spec, Join):
-        return poly_join(build_class(spec.left), build_class(spec.right))
+        parts = spec.left, spec.right
+        return poly_join(*[p if isinstance(p, Complete) else build_class(p) for p in parts])
     if isinstance(spec, DisjointUnion):
         return poly_disconnected([poly_for_class(part) for part in spec.parts])
     return polynomial_pruned(build_class(spec))

@@ -4,18 +4,20 @@ Brute force tests every subset of every size, exactly the shape whose total
 cost is O(|V| (|V|+|E|) 2^|V|). It tests them in bit slices: the 2^14
 subsets of the low 14 vertices are the bit positions of one integer, each
 vertex's membership and each subset size is a fixed pattern over those bits,
-and one clear-set propagation per source, made of integer ORs and ANDs, tests
-every subset of a block at once; the high vertices are fixed per block. For
-the (size, diameter) table it also marks, per distance d, the subsets that
-hold a pair at distance d: a passing subset with two or more vertices has
-the largest such d as its diameter.
+and one clear-set propagation per source (``visibility._bad_subsets``, made
+of integer ORs and ANDs) tests every subset of a block at once; the high
+vertices are fixed per block. For the (size, diameter) table it also marks,
+per distance d, the subsets that hold a pair at distance d: a passing subset
+with two or more vertices has the largest such d as its diameter.
 
 The pruned engine walks a depth-first set-enumeration tree instead: a node
 holds a mutual-visibility set and extends it only with vertices above its
 maximum that passed at its parent, and a child that fails the membership
 test is cut off together with its whole subtree. The pruning is sound
 because the property is hereditary: every subset of a mutual-visibility set
-is one, so no failing set has a passing superset.
+is one, so no failing set has a passing superset. The plain walk of
+``iter_mv_sets`` tests all children of a node with one run of the same
+propagation, one child per bit.
 
 The counting calls (``polynomial_pruned``, ``count_by_size_and_diameter``,
 ``run_batch``) run that walk in C, with the candidate filters and the
@@ -32,12 +34,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 from .errors import GuardrailError
 from .graph import Graph, iter_bits
 from .polynomial import Polynomial
-from .visibility import VisibilityContext
+from .visibility import VisibilityContext, _bad_subsets, _search
 
 BRUTEFORCE_MAX_VERTICES = 25
 SLICE_VERTICES = 14  # brute force tests the 2^14 subsets of one block at once
@@ -91,49 +93,22 @@ def _bruteforce_counts(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int
     by size pays for none of this.
     """
     n = g.n
-    adj = g.adj
     low = min(n, SLICE_VERTICES)
     low_member, size = _patterns(low)
     full = (1 << (1 << low)) - 1
 
-    # For each source u: every vertex w it reaches, in BFS order, with w's
-    # predecessors one layer closer to u (the first apart), and the later
-    # vertices it does not reach. With theta, per distance d from u, the low
-    # later vertices as one pattern and the high ones as block-index bits.
-    steps = []
+    # With theta, per source u and distance d from u, the low later vertices
+    # as one pattern and the high ones as block-index bits.
+    all_layers, steps = _search(g.adj)
     rings: List[List[Tuple[int, int]]] = []
-    for u in range(n):
-        order = []
+    for u, layers in enumerate(all_layers if theta else ()):
         ring = []
-        seen = previous = 1 << u
-        reach = adj[u]
-        while reach & ~seen:
-            layer = reach & ~seen
-            seen |= layer
-            reach = 0
-            m = layer
-            while m:
-                wbit = m & -m
-                m ^= wbit
-                w = wbit.bit_length() - 1
-                reach |= adj[w]
-                preds = adj[w] & previous
-                first = preds & -preds
-                preds ^= first
-                rest = []
-                while preds:
-                    p = preds & -preds
-                    rest.append(p.bit_length() - 1)
-                    preds ^= p
-                order.append((w, first.bit_length() - 1, rest))
-            if theta:
-                later = layer >> (u + 1) << (u + 1)
-                pattern = 0
-                for w in iter_bits(later & ((1 << low) - 1)):
-                    pattern |= low_member[w]
-                ring.append((pattern, later >> low))
-            previous = layer
-        steps.append((order, list(iter_bits(((1 << n) - 1) & ~seen & ~((2 << u) - 1)))))
+        for layer in layers[1:]:
+            later = layer >> (u + 1) << (u + 1)
+            pattern = 0
+            for w in iter_bits(later & ((1 << low) - 1)):
+                pattern |= low_member[w]
+            ring.append((pattern, later >> low))
         rings.append(ring)
 
     counts = [[0] * max(n, 1) for _ in range(n + 1)]  # by size, then diameter
@@ -164,72 +139,38 @@ def _bruteforce_counts(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int
     return [row[0] for row in counts]
 
 
-def _bad_subsets(
-    member: Sequence[int],
-    full: int,
-    steps: Sequence[Tuple[List[Tuple[int, int, List[int]]], List[int]]],
-) -> int:
-    """The subsets of one block that are not mutual-visibility sets, as a bit slice.
-
-    ``member[w]`` has bit s set when vertex w is in subset s, and ``full``
-    has one bit per subset of the block. From each source u, clear[w] holds
-    the subsets with a shortest u-w path whose interior avoids the set: the
-    union, over the BFS predecessors p of w, of clear[p] without the subsets
-    that hold p, where the source itself never blocks. A subset is bad when
-    it holds some u < w with w not clear from u. A vertex in no subset of
-    the block (a high vertex left out) is neither a source nor a blocker.
-    """
-    n = len(member)
-    opened = [full ^ m for m in member]
-    passes = [0] * n
-    bad = 0
-    for u, (order, unreached) in enumerate(steps):
-        mu = member[u]
-        if not mu:
-            continue
-        passes[u] = full
-        missed = 0
-        for w in unreached:
-            missed |= member[w]
-        for w, first, rest in order:
-            clear = passes[first]
-            for p in rest:
-                clear |= passes[p]
-            mw = member[w]
-            if mw:
-                passes[w] = clear & opened[w]
-                if w > u:
-                    missed |= mw & ~clear
-            else:
-                passes[w] = clear
-        bad |= mu & missed
-    return bad
-
-
 def iter_mv_sets(g: Graph) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """Yield (vertices, diameter) for every nonempty mutual-visibility set.
 
     The plain walk of the set-enumeration tree. A node holds a set X and
     its candidates, the vertices above its maximum that passed at its
-    parent; a candidate v passes when X + v passes the membership test from
-    every member. Sets come in lexicographic order of their sorted vertex
-    tuples, the pre-order of the tree. Members of one set always sit in one
-    component, so the diameters are finite.
+    parent; a candidate v passes when X + v is a mutual-visibility set. One
+    ``_bad_subsets`` slice tests all children: the members are in every set
+    and candidate i only in set i. Every candidate lies above every member,
+    so only the members run as sources. Sets come in lexicographic order of
+    their sorted vertex tuples, the pre-order of the tree. Members of one
+    set always sit in one component, so the diameters are finite.
     """
     _check_pruned_guardrail(g.n)
     ctx = VisibilityContext(g)
-    stack = [((), 0, 0, (1 << g.n) - 1)]
+    stack = [((), 0, list(range(g.n)))]
     while stack:
-        members, mask, diam, cand = stack.pop()
+        members, diam, cand = stack.pop()
         if members:
             yield members, diam
-        passed = 0
-        for v in iter_bits(cand):
-            if ctx.is_mv(mask | 1 << v, members + (v,)):
-                passed |= 1 << v
-        for v in reversed(list(iter_bits(passed))):
+        if not cand:
+            continue
+        full = (1 << len(cand)) - 1
+        member = [0] * g.n
+        for u in members:
+            member[u] = full
+        for i, v in enumerate(cand):
+            member[v] = 1 << i
+        bad = _bad_subsets(member, full, ctx.steps)
+        passed = [v for i, v in enumerate(cand) if not bad >> i & 1]
+        for i, v in reversed(list(enumerate(passed))):
             child_diam = max([diam] + [ctx.rows[v][u] for u in members])
-            stack.append((members + (v,), mask | 1 << v, child_diam, passed & ~((2 << v) - 1)))
+            stack.append((members + (v,), child_diam, passed[i + 1:]))
 
 
 def _check_pruned_guardrail(n: int) -> None:

@@ -1,4 +1,4 @@
-"""Immutable bitset-backed simple graphs and their breadth-first search.
+"""Immutable bitset-backed simple graphs.
 
 Vertices are 0..n-1 and adjacency is one integer bitmask per vertex, so
 membership tests and neighbourhood unions are single integer operations for
@@ -6,11 +6,8 @@ graphs up to machine-word size. Every operation is a pure function over
 immutable values; editors such as ``complement`` and ``delete_edge`` return
 new graphs, which makes everything safe to share between workers.
 
-``bfs`` is the package's general breadth-first search: a single pass from a
-source gives both its distance layers as bitmasks and its distance row. The
-per-graph table of both, one pass per source, is
-``visibility.VisibilityContext``. Brute force and the C walk run their own
-layer-only searches.
+The breadth-first search from each source, with the distances read from it,
+lives in ``visibility``; the C walk runs its own.
 """
 
 from __future__ import annotations
@@ -19,6 +16,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, ParameterError
+
+# The largest order a graph file may announce: graph6's 18-bit order field.
+MAX_ORDER = (1 << 18) - 1
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -108,36 +108,6 @@ def _count_edges_checked(adj: Sequence[int]) -> int:
     return degree_total // 2
 
 
-def bfs(adj: Sequence[int], source: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Breadth-first search from ``source`` in one pass.
-
-    Returns the layers as bitmasks (index = distance) and the distance row,
-    with -1 marking the vertices that ``source`` cannot reach.
-    """
-    row = [-1] * len(adj)
-    row[source] = 0
-    seen = frontier = 1 << source
-    layers = [frontier]
-    while True:
-        reach = 0
-        m = frontier
-        while m:
-            low = m & -m
-            reach |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = reach & ~seen
-        if not frontier:
-            return tuple(layers), tuple(row)
-        d = len(layers)
-        layers.append(frontier)
-        seen |= frontier
-        m = frontier
-        while m:
-            low = m & -m
-            row[low.bit_length() - 1] = d
-            m ^= low
-
-
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by least vertex."""
     seen = 0
@@ -145,9 +115,11 @@ def components(g: Graph) -> list[tuple[int, ...]]:
     for v in range(g.n):
         if (seen >> v) & 1:
             continue
-        mask = 0
-        for layer in bfs(g.adj, v)[0]:
-            mask |= layer
+        mask, grown = 0, 1 << v
+        while grown != mask:
+            mask = grown
+            for w in iter_bits(mask):
+                grown |= g.adj[w]
         seen |= mask
         out.append(tuple(iter_bits(mask)))
     return out
@@ -249,8 +221,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header line "n m", then m lines "u v".
 
     Blank lines and lines starting with "#" are ignored. 0-based endpoints.
-    An endpoint out of range, a self-loop or a repeated edge is refused with
-    its line number.
+    An order above ``MAX_ORDER``, an endpoint out of range, a self-loop or a
+    repeated edge is refused with its line number.
     """
     header = None
     edges: dict[tuple[int, int], int] = {}  # each edge, low end first -> its line
@@ -268,6 +240,8 @@ def parse_edge_list(text: str) -> Graph:
         if header is None:
             if a < 0 or b < 0:
                 raise FormatError("header counts must be nonnegative", line=lineno)
+            if a > MAX_ORDER:
+                raise FormatError(f"order {a} above the limit {MAX_ORDER}", line=lineno)
             header = (a, b)
             continue
         n = header[0]

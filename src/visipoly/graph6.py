@@ -12,10 +12,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import FormatError
-from .graph import Graph
+from .graph import MAX_ORDER, Graph
 
 HEADER = ">>graph6<<"
-_MAX_LONG_ORDER = (1 << 18) - 1
 # The six bits of each byte 63..126, last bit first.
 _REVERSED_BITS = [""] * 63 + [format(value, "06b")[::-1] for value in range(64)]
 
@@ -86,7 +85,7 @@ def parse_graph6(line) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 record (no header, no newline)."""
     n = g.n
-    if n > _MAX_LONG_ORDER:
+    if n > MAX_ORDER:
         raise FormatError(f"order {n} too large for an 18-bit graph6 record")
     if n <= 62:
         out = [n + 63]

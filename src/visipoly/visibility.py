@@ -1,87 +1,142 @@
 """Mutual-visibility membership testing and per-graph statistics.
 
 A set X is a mutual-visibility set when every pair u, v in X has some
-shortest u-v path whose internal vertices all avoid X. The membership test
-runs one BFS per source u in X and then clears vertices in nondecreasing
-distance order: a vertex is clear when some neighbour one layer closer to u
-is clear and is not an element of X other than u itself. The pair (u, v) is
-u-visible exactly when v ends up clear. Layers are bitmasks, so each layer
-step is a handful of integer operations.
-
-``VisibilityContext`` is the one per-graph distance table: a single BFS
-pass per source gives both the layer masks the test runs over and the
-distance rows that diameters and intervals are read from.
+shortest u-v path whose internal vertices all avoid X. ``_bad_subsets`` is
+the package's one membership test. It tests many sets at once, one per bit,
+clearing vertices from each source in the BFS order of ``_search``, the
+package's one breadth-first search. Brute force tests the subsets of 14
+vertices in one slice, the plain walk all children of a node, and
+``VisibilityContext.is_mv`` a single set. ``VisibilityContext`` is the
+per-graph table of the searches, with the distance rows that diameters and
+intervals are read from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import ParameterError
-from .graph import Graph, bfs
+from .graph import Graph, iter_bits
+
+Steps = Tuple[List[Tuple[int, int, Sequence[int]]], List[int]]
 
 
-def _visible_from_source(adj: Sequence[int], layers: Sequence[int], u: int, x_mask: int) -> bool:
-    """True when every member of x_mask is clear from source u.
+def _search(adj: Sequence[int]) -> Tuple[List[List[int]], List[Steps]]:
+    """One breadth-first search from each source: its layer masks and its steps.
 
-    ``layers`` are the BFS layer masks from u. Propagation stops early once
-    all members are cleared, a member's layer is reached without clearing it,
-    or the clear frontier dies out.
+    ``layers[u][d]`` holds the vertices at distance d from u. ``steps[u]``
+    lists every vertex w that u reaches, in BFS order, with w's predecessors
+    one layer closer to u (the first apart), and then the vertices above u
+    that u does not reach.
     """
-    ubit = 1 << u
-    remaining = x_mask & ~ubit
-    allowed = ~remaining
-    frontier = ubit
-    for d in range(1, len(layers)):
-        layer = layers[d]
-        cleared = 0
-        m = frontier
-        while m:
-            low = m & -m
-            cleared |= adj[low.bit_length() - 1]
-            m ^= low
-        cleared &= layer
-        targets = remaining & layer
-        if targets & ~cleared:
-            return False
-        remaining &= ~targets
-        if not remaining:
-            return True
-        if not cleared:
-            return False
-        frontier = cleared & allowed
-    return not remaining
+    n = len(adj)
+    all_layers = []
+    all_steps = []
+    for u in range(n):
+        layers = [1 << u]
+        order = []
+        seen = previous = 1 << u
+        reach = adj[u]
+        while reach & ~seen:
+            layer = reach & ~seen
+            layers.append(layer)
+            seen |= layer
+            reach = 0
+            m = layer
+            while m:
+                wbit = m & -m
+                m ^= wbit
+                w = wbit.bit_length() - 1
+                reach |= adj[w]
+                preds = adj[w] & previous
+                first = preds & -preds
+                preds ^= first
+                rest = ()  # shared while w has one predecessor, the common case
+                if preds:
+                    rest = []
+                    while preds:
+                        p = preds & -preds
+                        rest.append(p.bit_length() - 1)
+                        preds ^= p
+                order.append((w, first.bit_length() - 1, rest))
+            previous = layer
+        all_layers.append(layers)
+        all_steps.append((order, list(iter_bits(((1 << n) - 1) & ~seen & ~((2 << u) - 1)))))
+    return all_layers, all_steps
+
+
+def _bad_subsets(member: Sequence[int], full: int, steps: Sequence[Steps]) -> int:
+    """The sets of one slice that are not mutual-visibility sets, as a bit slice.
+
+    ``member[w]`` has bit s set when vertex w is in set s, ``full`` has one
+    bit per set of the slice, and ``steps[u]`` comes from ``_search``. From
+    each source u, clear[w] holds the sets with a shortest u-w path whose
+    interior avoids the set: the union, over the BFS predecessors p of w, of
+    clear[p] without the sets that hold p, where the source itself never
+    blocks. A set is bad when it holds some u < w with w not clear from u,
+    so a source runs only for the sets that also hold a later vertex. A
+    vertex in no set of the slice is neither a source nor a blocker.
+    """
+    n = len(member)
+    opened = [full ^ m for m in member]
+    passes = [0] * n
+    later = 0  # the sets holding a vertex above u
+    bad = 0
+    for u in range(n - 1, -1, -1):
+        mu = member[u]
+        if mu & later:
+            order, unreached = steps[u]
+            passes[u] = full
+            missed = 0
+            for w in unreached:
+                missed |= member[w]
+            for w, first, rest in order:
+                clear = passes[first]
+                for p in rest:
+                    clear |= passes[p]
+                mw = member[w]
+                if mw:
+                    passes[w] = clear & opened[w]
+                    if w > u:
+                        missed |= mw & ~clear
+                else:
+                    passes[w] = clear
+            bad |= mu & missed
+        later |= mu
+    return bad
 
 
 class VisibilityContext:
     """The per-graph distance table, reused across many membership tests.
 
-    Building the context costs one BFS per vertex, which yields both tables:
-    ``layers[u]`` holds the BFS layer masks from u (index = distance) and
-    ``rows[u]`` the distances from u, with -1 marking unreachable vertices.
-    Afterwards each test is a short pass over the precomputed layer masks.
-    Instances are immutable and safe to share between workers.
+    Building the context costs one ``_search``: ``layers[u]`` holds the BFS
+    layer masks from u (index = distance), ``rows[u]`` the distances from
+    u, with -1 marking unreachable vertices, and ``steps[u]`` what
+    ``_bad_subsets`` runs over from u. Instances are immutable and safe to
+    share between workers.
     """
 
-    __slots__ = ("n", "adj", "layers", "rows")
+    __slots__ = ("n", "layers", "rows", "steps")
 
     def __init__(self, graph: Graph):
-        self.n = graph.n
-        self.adj = graph.adj
-        tables = [bfs(graph.adj, src) for src in range(graph.n)]
-        self.layers = tuple([layers for layers, _ in tables])
-        self.rows = tuple([row for _, row in tables])
+        self.n = n = graph.n
+        layers, steps = _search(graph.adj)
+        self.layers = tuple([tuple(row) for row in layers])
+        self.steps = tuple(steps)
+        rows = []
+        for source in layers:
+            row = [-1] * n
+            for d, layer in enumerate(source):
+                for w in iter_bits(layer):
+                    row[w] = d
+            rows.append(tuple(row))
+        self.rows = tuple(rows)
 
     def is_mv(self, x_mask: int, members: Sequence[int]) -> bool:
-        """Membership test for the set with bitmask x_mask and vertex list members."""
-        adj = self.adj
-        layers = self.layers
-        for u in members:
-            if not _visible_from_source(adj, layers[u], u, x_mask):
-                return False
-        return True
+        """Membership test for the set x_mask (vertex list members), a one-bit slice."""
+        return not _bad_subsets([x_mask >> w & 1 for w in range(self.n)], 1, self.steps)
 
 
 def is_mutual_visibility_set(ctx: VisibilityContext, x: Iterable[int]) -> bool:

@@ -155,6 +155,14 @@ def test_poly_edgelist_repeated_edge_exits_2(capsys, tmp_path):
     assert err == "error: line 3: edge (1, 0) repeats line 2\n"
 
 
+def test_poly_edgelist_order_above_the_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "wide.edges"
+    path.write_text("2000000 0\n")
+    code, out, err = run_cli(capsys, "poly", "--input", str(path), "--format", "edgelist")
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: order 2000000 above the limit 262143\n"
+
+
 def test_poly_format_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "poly", "--g6", "A=")
     assert code == 2

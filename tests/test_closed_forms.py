@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import visipoly.classes as classes
 import visipoly.closed_forms as closed_forms
 from visipoly import (
     Complete,
@@ -380,6 +381,27 @@ def test_poly_for_class_dispatch():
     assert poly_for_class(union) == Polynomial((1, 5, 4))
     joined = Join(Raw(paw_graph()), Cycle(6))
     assert poly_for_class(joined) == poly_join(paw_graph(), cycle_graph(6))
+
+
+def test_join_reads_a_complete_spec_without_building_it(monkeypatch):
+    others = [Cycle(6), Path(4), Star(3), Complete(2), Raw(paw_graph()), Raw(empty_graph(0))]
+    others.append(DisjointUnion((Path(2), Raw(empty_graph(3)))))
+    expected = {
+        (m, other): poly_join(complete_graph(m), build_class(other))
+        for m in range(1, 6)
+        for other in others
+    }
+
+    def refuse(n):
+        raise AssertionError(f"complete_graph({n}) was built")
+
+    name, _, least, error = classes._FAMILIES[Complete]
+    monkeypatch.setitem(classes._FAMILIES, Complete, (name, refuse, least, error))
+    with pytest.raises(AssertionError):
+        build_class(Complete(3))
+    for (m, other), poly in expected.items():
+        assert poly_for_class(Join(Complete(m), other)) == poly, (m, other)
+        assert poly_for_class(Join(other, Complete(m))) == poly, (m, other)
 
 
 def test_poly_for_class_bipartite_small_parts():

@@ -37,10 +37,15 @@ from visipoly import (
 from conftest import GOLDEN, native_counters, pin_python_walk
 from oracles import (
     check_certificates,
+    glued_blocks,
     oracle_is_mv,
+    oracle_mv_sets,
     oracle_polynomial,
     oracle_theta,
     random_graph,
+    random_tree,
+    relabel,
+    shortest_path_lengths,
     tree_top_row,
 )
 
@@ -339,6 +344,25 @@ def test_iter_mv_sets_in_lexicographic_order(random_small_graphs):
         sets = [members for members, _ in iter_mv_sets(g)]
         assert all(a < b for a, b in zip(sets, sets[1:])), g
         assert all(list(members) == sorted(set(members)) for members in sets), g
+
+
+def test_iter_mv_sets_yields_the_oracle_sets(random_small_graphs):
+    # The plain walk shares its membership test with brute force, so it is
+    # checked against the all-paths oracle: the same sets, in lexicographic
+    # order, with BFS diameters.
+    rng = random.Random(20261020)
+    sparse = []
+    for _ in range(5):
+        n = rng.randint(9, 12)
+        sparse += [random_tree(rng, n), glued_blocks(rng, n), relabel(rng, cycle_graph(n))]
+        sparse.append(relabel(rng, random_graph(rng, n, 0.2)))
+    graphs = random_small_graphs + sparse
+    assert sum(len(components(g)) > 1 for g in graphs) > 50
+    for g in graphs:
+        dist = [shortest_path_lengths(g, u) for u in range(g.n)]
+        expected = sorted(tuple(sorted(x)) for x in oracle_mv_sets(g) if x)
+        expected = [(x, max(dist[u][v] for u in x for v in x)) for x in expected]
+        assert list(iter_mv_sets(g)) == expected, g.edges()
 
 
 @pytest.mark.parametrize(

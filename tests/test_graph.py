@@ -24,6 +24,7 @@ from visipoly import (
     star_graph,
 )
 from visipoly.errors import FormatError
+from visipoly.graph import MAX_ORDER
 
 from oracles import add_edge
 
@@ -253,6 +254,9 @@ def test_parse_edge_list():
     assert g.n == 4
     assert g.edge_count == 3
     assert components(g) == [(0, 1, 2), (3,)]
+    # the largest order a graph6 record holds
+    g = parse_edge_list(f"{MAX_ORDER} 1\n0 {MAX_ORDER - 1}\n")
+    assert (MAX_ORDER, g.n, g.edge_count) == ((1 << 18) - 1, MAX_ORDER, 1)
 
 
 def test_parse_edge_list_errors():
@@ -275,6 +279,8 @@ def test_parse_edge_list_errors():
         ("3 1\n-1 2\n", "line 2: edge (-1, 2) out of range for order 3"),
         ("3 2\n\n2 2\n0 1\n", "line 3: self-loop at vertex 2"),
         ("-1 0\n0 1\n", "line 1: header counts must be nonnegative"),
+        ("# big\n2000000 0\n", "line 2: order 2000000 above the limit 262143"),
+        ("262144 1\n0 1\n", "line 1: order 262144 above the limit 262143"),
         ("3 2\n0 1\n", "header announced 2 edges, found 1"),
         ("3 1\n0 1 2\n", "line 2: expected two integers, got '0 1 2'"),
     ],

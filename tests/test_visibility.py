@@ -24,7 +24,7 @@ from visipoly import (
 )
 
 from conftest import pin_python_walk
-from oracles import check_certificates, oracle_is_mv, oracle_mv_sets, random_graph
+from oracles import check_certificates, oracle_is_mv, oracle_mv_sets, random_graph, relabel
 
 
 def mv(g, x):
@@ -94,6 +94,26 @@ def test_agrees_with_path_oracle_on_class_graphs():
         for k in range(g.n + 1):
             for x in combinations(range(g.n), k):
                 assert is_mutual_visibility_set(d, x) == oracle_is_mv(g, x), (g, x)
+
+
+def test_sets_straddling_components_match_the_oracle():
+    # Every set with members in two or more components, on relabelled unions
+    # of 2-3 random parts, so that a component's vertices interleave.
+    from visipoly import components
+
+    rng = random.Random(20261021)
+    checked = 0
+    for _ in range(40):
+        parts = [random_graph(rng, rng.randint(1, 4), 0.6) for _ in range(rng.randint(2, 3))]
+        g = relabel(rng, disjoint_union(parts))
+        d = VisibilityContext(g)
+        part_of = {v: i for i, part in enumerate(components(g)) for v in part}
+        for k in range(2, g.n + 1):
+            for x in combinations(range(g.n), k):
+                if len({part_of[v] for v in x}) > 1:
+                    assert is_mutual_visibility_set(d, x) == oracle_is_mv(g, x), (g.edges(), x)
+                    checked += 1
+    assert checked > 2000
 
 
 def test_within_component_pairs_always_mv(random_small_graphs):
