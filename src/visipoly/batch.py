@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import os
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .enumeration import _count_sets
-from .errors import FormatError, GuardrailError
+from .errors import FormatError, GuardrailError, _Record
 from .graph6 import iter_graph6_lines, parse_graph6
 from .polynomial import _canonical_text
 
@@ -52,20 +51,21 @@ POOL_CHUNKS_PER_WORKER = 8
 Analysed = Tuple[List[Tuple[int, ...]], List[Tuple[int, Union[FormatError, GuardrailError]]]]
 
 
-@dataclass
-class BatchReport:
+class BatchReport(_Record, frozen=False):
     """Polynomial-collision summary for all processed graphs of one order."""
 
-    order: int
-    total_graphs: int
-    group_count: int
-    max_group_size: int
-    max_group_polynomials: List[str]
-    histogram: Optional[Dict[str, int]] = field(default=None)
+    __slots__ = ("order", "total_graphs", "group_count", "max_group_size",
+                 "max_group_polynomials", "histogram")
+
+    def __init__(self, order: int, total_graphs: int, group_count: int, max_group_size: int,
+                 max_group_polynomials: List[str], histogram: Optional[Dict[str, int]] = None):
+        self._set(order, total_graphs, group_count, max_group_size, max_group_polynomials,
+                  histogram)
 
     def to_json_dict(self) -> dict:
         """The fields in their order, the histogram as sorted [key, count] pairs if kept."""
-        out = dict(vars(self), max_group_polynomials=list(self.max_group_polynomials))
+        out = {name: getattr(self, name) for name in self._fields}
+        out["max_group_polynomials"] = list(self.max_group_polynomials)
         if out.pop("histogram") is not None:
             out["histogram"] = [[poly, count] for poly, count in sorted(self.histogram.items())]
         return out

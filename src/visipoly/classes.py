@@ -1,20 +1,19 @@
 """Parameterized descriptions of graph families.
 
-A class spec names a graph family instance (path, cycle, complete, star,
-complete bipartite) or composes specs by join and disjoint union; ``Raw``
-wraps an explicit graph. Each family is one row of ``_FAMILIES``, and its
-spec's fields are its arguments, both in the spec syntax and to its builder.
-Specs drive both graph construction and the closed-form dispatch, and have
-a small textual syntax for the command line ("cycle:7", "bipartite:3,4",
-"union:path:3+path:2", "paw").
+A class spec, a frozen value on ``errors._Record``, names a graph family
+instance (path, cycle, complete, star, complete bipartite) or composes specs
+by join and disjoint union; ``Raw`` wraps an explicit graph. Each family is
+one row of ``_FAMILIES``, and its spec's field tuple ``_fields`` lists its
+arguments, in the spec syntax and to its builder. Specs drive graph
+construction and the closed-form dispatch, with a small command-line syntax
+("cycle:7", "bipartite:3,4", "union:path:3+path:2", "paw").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _Record
 from .graph import (
     Graph,
     complete_bipartite_graph,
@@ -30,49 +29,49 @@ from .graph import (
 from .graph import join as graph_join
 
 
-class _Family:
-    """A family spec: every field must reach the least argument of its ``_FAMILIES`` row."""
+class _Family(_Record):
+    """A family spec: each argument (one, ``n``, unless redefined) reaches its row's least."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, n: int):
+        self._set(n)
+
+    def _set(self, *args):
         _, _, least, error = _FAMILIES[type(self)]
-        if min(family_args(self)) < least:
+        if min(args) < least:
             raise ParameterError(error)
+        super()._set(*args)
 
 
 def family_args(spec: _Family) -> tuple:
-    """The fields of a family spec in order: its builder's and closed form's arguments.
-
-    A shallow ``dataclasses.astuple``, which would deep-copy every field.
-    """
-    return tuple(getattr(spec, field.name) for field in fields(spec))
+    """The fields of a family spec in order: its builder's and closed form's arguments."""
+    return tuple([getattr(spec, name) for name in spec._fields])
 
 
-@dataclass(frozen=True)
 class Path(_Family):
-    n: int
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
 class Cycle(_Family):
-    n: int
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
 class Complete(_Family):
-    n: int
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
 class Star(_Family):
     """Star with n leaves; order n+1, centre at index n."""
 
-    n: int
+    __slots__ = ("n",)
 
 
-@dataclass(frozen=True)
 class CompleteBipartite(_Family):
-    m: int
-    n: int
+    __slots__ = ("m", "n")
+
+    def __init__(self, m: int, n: int):
+        self._set(m, n)
 
 
 # spec type -> (name in the spec syntax, builder, least legal argument, error text)
@@ -89,28 +88,30 @@ _FAMILY_BY_NAME = {row[0]: spec_type for spec_type, row in _FAMILIES.items()}
 _FAMILY_BY_NAME["complete_bipartite"] = CompleteBipartite
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "ClassSpec"
-    right: "ClassSpec"
+class Join(_Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "ClassSpec", right: "ClassSpec"):
+        self._set(left, right)
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
-    parts: tuple["ClassSpec", ...]
+class DisjointUnion(_Record):
+    __slots__ = ("parts",)
 
     def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(parts))
+        self._set(tuple(parts))
         if not self.parts:
             raise ParameterError("disjoint union needs at least one part")
 
 
-@dataclass(frozen=True)
-class Raw:
+class Raw(_Record):
     """An explicit graph; ``name`` is the spec text it was parsed from, kept for labels only."""
 
-    graph: Graph
-    name: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("graph", "name")
+    _compared = ("graph",)
+
+    def __init__(self, graph: Graph, name: Optional[str] = None):
+        self._set(graph, name)
 
 
 ClassSpec = Union[Path, Cycle, Complete, Star, CompleteBipartite, Join, DisjointUnion, Raw]
@@ -174,7 +175,7 @@ def parse_class_spec(text: str) -> ClassSpec:
     except ValueError:
         raise FormatError(f"non-integer argument in class spec {text!r}") from None
     if (spec_type := _FAMILY_BY_NAME.get(name)) is not None:
-        arity = len(fields(spec_type))
+        arity = len(spec_type._fields)
         if len(values) != arity:
             count = "exactly one argument" if arity == 1 else f"{arity} arguments"
             raise FormatError(f"{name} takes {count}, got {text!r}")

@@ -12,10 +12,9 @@ lives in ``visibility``; the C walk runs its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _Record
 
 # The largest order a graph file may announce: graph6's 18-bit order field.
 MAX_ORDER = (1 << 18) - 1
@@ -29,26 +28,22 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
     ``adj[u]`` is the neighbourhood of u as a bitmask. The adjacency relation
-    is validated to be symmetric and irreflexive; ``edge_count`` is derived.
+    is validated to be symmetric and irreflexive; ``edge_count`` is derived and not compared.
     """
 
-    n: int
-    adj: tuple[int, ...]
-    edge_count: int = field(init=False, compare=False)
+    __slots__ = ("n", "adj", "edge_count")
+    _fields = ("n", "adj")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if n < 0:
             raise ParameterError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
-            raise ParameterError(
-                f"expected {self.n} adjacency masks, got {len(self.adj)}"
-            )
-        object.__setattr__(self, "edge_count", _count_edges_checked(self.adj))
+        if len(adj) != n:
+            raise ParameterError(f"expected {n} adjacency masks, got {len(adj)}")
+        self._set(n, adj, _count_edges_checked(adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

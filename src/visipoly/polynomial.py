@@ -7,29 +7,27 @@ Equality and the grouping key are bit-exact by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParameterError
+from .errors import ParameterError, _Record
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record):
     """Coefficient vector by ascending degree, trailing zeros trimmed.
 
     The zero polynomial has an empty vector and degree -1.
     """
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        coeffs = tuple(coeffs)
         for c in coeffs:
             if not isinstance(c, int):
                 raise ParameterError(f"coefficient {c!r} is not an exact integer")
             if c < 0:
                 raise ParameterError(f"coefficient {c} is negative")
-        object.__setattr__(self, "coeffs", _trimmed(coeffs))
+        self._set(_trimmed(coeffs))
 
     @property
     def degree(self) -> int:

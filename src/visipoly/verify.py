@@ -8,7 +8,6 @@ and the brute-force enumerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from .classes import (
@@ -26,17 +25,17 @@ from .classes import (
 )
 from .closed_forms import poly_for_class
 from .enumeration import polynomial_bruteforce, polynomial_pruned
+from .errors import _Record
 from .graph import paw_graph
 from .polynomial import Polynomial
 
 
-@dataclass
-class VerifyResult:
-    label: str
-    passed: bool
-    closed_form: Polynomial
-    pruned: Polynomial
-    bruteforce: Polynomial
+class VerifyResult(_Record, frozen=False):
+    __slots__ = ("label", "passed", "closed_form", "pruned", "bruteforce")
+
+    def __init__(self, label: str, passed: bool, closed_form: Polynomial, pruned: Polynomial,
+                 bruteforce: Polynomial):
+        self._set(label, passed, closed_form, pruned, bruteforce)
 
 
 def paper_suite() -> List[ClassSpec]:

@@ -13,11 +13,10 @@ intervals are read from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
-from .errors import ParameterError
+from .errors import ParameterError, _Record
 from .graph import Graph, iter_bits
 
 Steps = Tuple[List[Tuple[int, int, Sequence[int]]], List[int]]
@@ -154,8 +153,7 @@ def is_mutual_visibility_set(ctx: VisibilityContext, x: Iterable[int]) -> bool:
     return ctx.is_mv(x_mask, members)
 
 
-@dataclass(frozen=True, eq=True)
-class VisStats:
+class VisStats(_Record):
     """Per-graph mutual-visibility statistics.
 
     ``theta`` maps (size, diameter) to the number of mutual-visibility sets
@@ -164,10 +162,11 @@ class VisStats:
     the k-clique count for every k up to the requested bound.
     """
 
-    mu: int
-    r_mu: int
-    theta: Mapping[Tuple[int, int], int]
-    cliques: Mapping[int, int]
+    __slots__ = ("mu", "r_mu", "theta", "cliques")
+
+    def __init__(self, mu: int, r_mu: int, theta: Mapping[Tuple[int, int], int],
+                 cliques: Mapping[int, int]):
+        self._set(mu, r_mu, theta, cliques)
 
     def to_json_dict(self) -> dict:
         return {

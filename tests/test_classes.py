@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import fields
-
 import pytest
 
 from visipoly import (
@@ -135,7 +133,7 @@ FAMILIES = {
 def test_family_table_row(spec_type):
     assert set(_FAMILIES) == set(FAMILIES) == set(_CLOSED_FORMS)
     name, constructor, least = FAMILIES[spec_type]
-    arity = len(fields(spec_type))
+    arity = len(spec_type._fields)
     for offset in range(5):
         for slot in range(arity):
             args = [least + 2] * arity
