@@ -51,11 +51,12 @@ POOL_CHUNKS_PER_WORKER = 8
 Analysed = Tuple[List[Tuple[int, ...]], List[Tuple[int, Union[FormatError, GuardrailError]]]]
 
 
-class BatchReport(_Record, frozen=False):
+class BatchReport(_Record):
     """Polynomial-collision summary for all processed graphs of one order."""
 
     __slots__ = ("order", "total_graphs", "group_count", "max_group_size",
                  "max_group_polynomials", "histogram")
+    __hash__ = None  # a list and a dict
 
     def __init__(self, order: int, total_graphs: int, group_count: int, max_group_size: int,
                  max_group_polynomials: List[str], histogram: Optional[Dict[str, int]] = None):

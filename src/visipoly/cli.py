@@ -15,6 +15,7 @@ import os
 import stat
 import sys
 import time
+from itertools import islice
 from typing import Callable, Optional
 
 from . import _native
@@ -65,7 +66,7 @@ def _load_graph(args) -> tuple[Graph, Optional[object]]:
     with open(args.input, "r", encoding="ascii", errors="surrogateescape") as handle:
         if args.format == "edgelist":
             return parse_edge_list(handle.read()), None
-        records = list(iter_graph6_lines(handle))
+        records = list(islice(iter_graph6_lines(handle), 2))  # a second one is refused
     if not records:
         raise FormatError(f"no graph6 record in {args.input}")
     if len(records) > 1:

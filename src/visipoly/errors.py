@@ -1,10 +1,10 @@
 """Leaf definitions: the package's exception types, and ``_Record``, the base of its values.
 
 A value class lists its fields in ``__slots__``, and ``_Record`` gives it its methods
-without generating code at import. ``_fields`` (by default ``__slots__``) are the
-constructor's arguments, which the repr, pickling and copies read; ``_compared`` (by
-default ``_fields``) are what equality, within one class only, and the hash read.
-Records are frozen unless made with ``frozen=False``, which also drops the hash.
+without generating code at import. Every record is frozen, and its fields ``_fields``
+(its ``__slots__``) are exactly the constructor's arguments, which the repr, pickling
+and copies read; ``_compared`` (by default ``_fields``) are what equality, within one
+class only, and the hash read. A class with an unhashable field sets ``__hash__ = None``.
 """
 
 from operator import attrgetter
@@ -44,17 +44,14 @@ class GuardrailError(VisipolyError):
 class _Record:
     __slots__ = ()
 
-    def __init_subclass__(cls, frozen=True):
+    def __init_subclass__(cls):
         if "__slots__" in vars(cls):  # a subclass that adds no fields keeps its parent's
-            cls._fields = cls.__match_args__ = vars(cls).get("_fields", cls.__slots__)
+            cls._fields = cls.__match_args__ = cls.__slots__
             # The class leads the key, so that a record without fields has one too.
             cls._key = attrgetter("__class__", *vars(cls).get("_compared", cls._fields))
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def _set(self, *values):
-        """Store ``values`` in ``__slots__`` order, past a frozen class's ``__setattr__``."""
+        """Store ``values`` in ``__slots__`` order, past the refusing ``__setattr__``."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 

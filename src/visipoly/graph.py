@@ -31,19 +31,21 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph(_Record):
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
-    ``adj[u]`` is the neighbourhood of u as a bitmask. The adjacency relation
-    is validated to be symmetric and irreflexive; ``edge_count`` is derived and not compared.
+    ``adj[u]`` is the neighbourhood of u as a bitmask. The masks are copied
+    into a tuple before they are checked, so the graph owns what it validated:
+    the relation is symmetric and irreflexive, and no mask reaches past n.
     """
 
-    __slots__ = ("n", "adj", "edge_count")
-    _fields = ("n", "adj")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
+    def __init__(self, n: int, adj: Iterable[int]):
+        adj = tuple(adj)
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
         if len(adj) != n:
             raise ParameterError(f"expected {n} adjacency masks, got {len(adj)}")
-        self._set(n, adj, _count_edges_checked(adj))
+        _check_adjacency(adj)
+        self._set(n, adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -73,6 +75,10 @@ class Graph(_Record):
         return out
 
     @property
+    def edge_count(self) -> int:
+        return sum([mask.bit_count() for mask in self.adj]) // 2
+
+    @property
     def is_complete(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
 
@@ -80,27 +86,24 @@ class Graph(_Record):
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _count_edges_checked(adj: Sequence[int]) -> int:
-    """The edge count, testing every edge from both ends in vertex order.
+def _check_adjacency(adj: Sequence[int]) -> None:
+    """Test every edge from both ends in vertex order.
 
     Raises ``ParameterError`` for the first fault: a mask out of range, a
     self-loop or an asymmetric pair.
     """
     n = len(adj)
-    degree_total = 0
     for u, mask in enumerate(adj):
         if mask >> n:
             raise ParameterError(f"adjacency mask of vertex {u} is out of range")
         if (mask >> u) & 1:
             raise ParameterError(f"self-loop at vertex {u}")
-        degree_total += mask.bit_count()
         while mask:
             low = mask & -mask
             v = low.bit_length() - 1
             if not (adj[v] >> u) & 1:
                 raise ParameterError(f"adjacency is not symmetric for ({u}, {v})")
             mask ^= low
-    return degree_total // 2
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:

@@ -30,7 +30,7 @@ from .graph import paw_graph
 from .polynomial import Polynomial
 
 
-class VerifyResult(_Record, frozen=False):
+class VerifyResult(_Record):
     __slots__ = ("label", "passed", "closed_form", "pruned", "bruteforce")
 
     def __init__(self, label: str, passed: bool, closed_form: Polynomial, pruned: Polynomial,

@@ -163,6 +163,7 @@ class VisStats(_Record):
     """
 
     __slots__ = ("mu", "r_mu", "theta", "cliques")
+    __hash__ = None  # two dicts
 
     def __init__(self, mu: int, r_mu: int, theta: Mapping[Tuple[int, int], int],
                  cliques: Mapping[int, int]):

@@ -81,6 +81,21 @@ def test_poly_and_stats_refuse_several_records(capsys, tmp_path):
         assert "line 2:" in err and "more than one graph6 record" in err
 
 
+def test_poly_input_reads_at_most_two_records(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "many.g6"
+    path.write_text("C~\nBW\nA_\n")
+
+    def two_records_then_fail(lines):
+        yield 1, "C~"
+        yield 4, "BW"
+        pytest.fail("a third record was read")
+
+    monkeypatch.setattr(cli, "iter_graph6_lines", two_records_then_fail)
+    code, out, err = run_cli(capsys, "poly", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 4: {path} holds more than one graph6 record; use batch for several\n"
+
+
 def test_poly_input_without_a_record_exits_2(capsys, tmp_path):
     path = tmp_path / "header-only.g6"
     path.write_text(">>graph6<<\n\n")

@@ -23,9 +23,11 @@ from visipoly import (
     paw_graph,
     star_graph,
 )
+from visipoly.enumeration import polynomial_bruteforce, polynomial_pruned
 from visipoly.errors import FormatError
 from visipoly.graph import MAX_ORDER
 
+from conftest import pin_python_walk
 from oracles import add_edge
 
 
@@ -80,6 +82,19 @@ def test_graph_validation_names_the_first_fault_in_vertex_order():
     with pytest.raises(ParameterError, match=r"^adjacency mask of vertex 1 is out of range$"):
         Graph(2, (0b00, 0b100))
     assert Graph(4, (0b0110, 0b0101, 0b0011, 0b0000)).edge_count == 3
+
+
+@pytest.mark.parametrize("walk", ["native", "python"])
+def test_graph_owns_its_masks(monkeypatch, walk):
+    if walk == "python":
+        pin_python_walk(monkeypatch)
+    a = [2, 1]
+    g = Graph(2, a)
+    a[0] = 2 | 1 << 40  # a later edit of the caller's list reaches no graph
+    assert g.adj == (2, 1) and type(g.adj) is tuple
+    assert hash(g) == hash(Graph(2, (2, 1)))
+    assert polynomial_pruned(g).coeffs == (1, 2, 1)
+    assert polynomial_bruteforce(g).coeffs == (1, 2, 1)
 
 
 @pytest.mark.parametrize(
