@@ -4,14 +4,16 @@ A class spec, a frozen value on ``errors._Record``, names a graph family
 instance (path, cycle, complete, star, complete bipartite) or composes specs
 by join and disjoint union; ``Raw`` wraps an explicit graph. Each family is
 one row of ``_FAMILIES``, and its spec's field tuple ``_fields`` lists its
-arguments, in the spec syntax and to its builder. Specs drive graph
+arguments, in the spec syntax and to its builder and size. Specs drive graph
 construction and the closed-form dispatch, with a small command-line syntax
-("cycle:7", "bipartite:3,4", "union:path:3+path:2", "paw").
+("cycle:7", "bipartite:3,4", "union:path:3+path:2", "join:paw*cycle:6",
+"paw"). ``spec_size`` gives a spec's order and edge count without building
+its graph.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import FormatError, ParameterError, _Record
 from .graph import (
@@ -38,7 +40,7 @@ class _Family(_Record):
         self._set(n)
 
     def _set(self, *args):
-        _, _, least, error = _FAMILIES[type(self)]
+        _, _, least, error, _ = _FAMILIES[type(self)]
         if min(args) < least:
             raise ParameterError(error)
         super()._set(*args)
@@ -74,15 +76,16 @@ class CompleteBipartite(_Family):
         self._set(m, n)
 
 
-# spec type -> (name in the spec syntax, builder, least legal argument, error text)
+# spec type -> (name in the spec syntax, builder, least legal argument, error text,
+#               (order, edge count) of the built graph)
 _FAMILIES = {
-    Path: ("path", path_graph, 1, "path order must be at least 1"),
-    Cycle: ("cycle", cycle_graph, 3, "cycle order must be at least 3"),
-    Complete: ("complete", complete_graph, 1, "complete graph order must be at least 1"),
-    Star: ("star", star_graph, 0, "star leaf count must be nonnegative"),
-    CompleteBipartite: (
-        "bipartite", complete_bipartite_graph, 1, "complete bipartite parts must be at least 1"
-    ),
+    Path: ("path", path_graph, 1, "path order must be at least 1", lambda n: (n, n - 1)),
+    Cycle: ("cycle", cycle_graph, 3, "cycle order must be at least 3", lambda n: (n, n)),
+    Complete: ("complete", complete_graph, 1, "complete graph order must be at least 1",
+               lambda n: (n, n * (n - 1) // 2)),
+    Star: ("star", star_graph, 0, "star leaf count must be nonnegative", lambda n: (n + 1, n)),
+    CompleteBipartite: ("bipartite", complete_bipartite_graph, 1,
+                        "complete bipartite parts must be at least 1", lambda m, n: (m + n, m * n)),
 }
 _FAMILY_BY_NAME = {row[0]: spec_type for spec_type, row in _FAMILIES.items()}
 _FAMILY_BY_NAME["complete_bipartite"] = CompleteBipartite
@@ -130,12 +133,25 @@ def build_class(spec: ClassSpec) -> Graph:
     return spec.graph
 
 
+def spec_size(spec: ClassSpec) -> Tuple[int, int]:
+    """The order and edge count of the spec's graph, read without building it."""
+    if type(spec) in _FAMILIES:
+        return _FAMILIES[type(spec)][4](*family_args(spec))
+    if isinstance(spec, Join):
+        (n, m), (n2, m2) = spec_size(spec.left), spec_size(spec.right)
+        return n + n2, m + m2 + n * n2
+    if isinstance(spec, DisjointUnion):
+        orders, edges = zip(*[spec_size(part) for part in spec.parts])
+        return sum(orders), sum(edges)
+    return spec.graph.n, spec.graph.edge_count
+
+
 def spec_label(spec: ClassSpec) -> str:
-    """Human-readable name used in reports."""
+    """Human-readable name used in reports; a parsed spec's label parses back to it."""
     if type(spec) in _FAMILIES:
         return _FAMILIES[type(spec)][0] + ":" + ",".join(map(str, family_args(spec)))
     if isinstance(spec, Join):
-        return f"join({spec_label(spec.left)}, {spec_label(spec.right)})"
+        return f"join:{spec_label(spec.left)}*{spec_label(spec.right)}"
     if isinstance(spec, DisjointUnion):
         return "union:" + "+".join(spec_label(p) for p in spec.parts)
     g = spec.graph
@@ -153,8 +169,9 @@ def parse_class_spec(text: str) -> ClassSpec:
 
     Accepted forms: ``path:N``, ``cycle:N``, ``complete:N``, ``star:N``,
     ``bipartite:M,N`` (alias ``complete_bipartite``), ``empty:N``, the named
-    graphs ``paw`` and ``diamond``, and ``union:SPEC+SPEC+...``. Names are
-    case-insensitive.
+    graphs ``paw`` and ``diamond``, ``union:SPEC+SPEC+...`` and
+    ``join:SPEC*SPEC``. ``+`` splits before ``*``, and a join has exactly
+    two operands, so joins do not nest. Names are case-insensitive.
     """
     text = text.strip()
     name, sep, args = text.partition(":")
@@ -170,6 +187,11 @@ def parse_class_spec(text: str) -> ClassSpec:
         if not parts:
             raise FormatError(f"empty union in class spec {text!r}")
         return DisjointUnion(parts)
+    if name == "join":
+        operands = args.split("*")
+        if len(operands) != 2 or not all(operand.strip() for operand in operands):
+            raise FormatError(f"join takes exactly two nonempty operands, A*B, got {text!r}")
+        return Join(*[parse_class_spec(operand) for operand in operands])
     try:
         values = [int(a) for a in args.split(",")] if args else []
     except ValueError:

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``poly`` (single-graph polynomial), ``stats`` (mu, r_mu, theta
-and clique tables), ``verify`` (closed forms against enumeration), ``batch``
-(group a graph6 stream by polynomial), and ``join`` (composition law, with
-optional enumeration cross-check). Exit codes: 0 success, 2 format or
-parameter error, 3 verification failure, 4 guardrail refusal.
+and clique tables), ``verify`` (closed forms against enumeration) and
+``batch`` (group a graph6 stream by polynomial). ``poly`` and ``stats`` read
+one class spec (``--g6`` and ``--input`` give a ``Raw`` one); ``poly`` builds
+no graph for a closed form. Exit codes: 0 success, 2 format or parameter
+error, 3 verification failure, 4 guardrail refusal.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ import stat
 import sys
 import time
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable
 
 from . import _native
 from .batch import run_batch_file
-from .classes import DisjointUnion, Join, Raw, build_class, parse_class_spec, spec_label
+from .classes import DisjointUnion, Join, Raw, build_class, parse_class_spec, spec_label, spec_size
 from .closed_forms import poly_for_class
 from .enumeration import polynomial_bruteforce, polynomial_pruned
 from .errors import FormatError, GuardrailError, ParameterError
-from .graph import Graph, parse_edge_list
+from .graph import parse_edge_list
 from .graph6 import iter_graph6_lines, parse_graph6
 from .polynomial import Polynomial
 from .verify import paper_suite, run_verify
@@ -53,19 +54,18 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_graph(args) -> tuple[Graph, Optional[object]]:
-    """Build the requested graph; returns (graph, class spec or None)."""
+def _load_graph(args):
+    """The requested input as one class spec: ``Raw`` for ``--g6`` and ``--input``."""
     if args.format is not None and args.input is None:
         raise ParameterError("--format applies only to --input")
     if args.g6 is not None:
-        return parse_graph6(args.g6), None
+        return Raw(parse_graph6(args.g6))
     if args.class_spec is not None:
-        spec = parse_class_spec(args.class_spec)
-        return build_class(spec), spec
+        return parse_class_spec(args.class_spec)
     # A non-ASCII byte reaches the parser as a surrogate, which refuses its line.
     with open(args.input, "r", encoding="ascii", errors="surrogateescape") as handle:
         if args.format == "edgelist":
-            return parse_edge_list(handle.read()), None
+            return Raw(parse_edge_list(handle.read()))
         records = list(islice(iter_graph6_lines(handle), 2))  # a second one is refused
     if not records:
         raise FormatError(f"no graph6 record in {args.input}")
@@ -76,57 +76,55 @@ def _load_graph(args) -> tuple[Graph, Optional[object]]:
         )
     lineno, record = records[0]
     try:
-        return parse_graph6(record), None
+        return Raw(parse_graph6(record))
     except FormatError as exc:
         raise exc.at_line(lineno) from exc
 
 
-def _polynomial_for(graph: Graph, spec, args) -> tuple[Callable[[], Polynomial], str]:
+def _polynomial_for(spec, args) -> tuple[Callable[[], Polynomial], str]:
     """The call that counts the polynomial, and the name of its engine."""
-    # A bare raw spec (paw, diamond, empty:N) has no closed form; the pruned engine counts it.
-    closed = spec is not None and not isinstance(spec, Raw)
-    if args.engine == "closed-form":
-        if spec is None:
-            raise ParameterError("--engine closed-form needs --class")
-        if not closed:
-            raise ParameterError(f"class {args.class_spec!r} has no closed form; use --engine pruned")
+    # A bare raw spec (paw, diamond, empty:N, --g6, --input) has no closed form.
+    if args.engine in ("auto", "closed-form") and not isinstance(spec, Raw):
         return lambda: poly_for_class(spec), "closed-form"
+    if args.engine == "closed-form":
+        if args.class_spec is None:
+            raise ParameterError("--engine closed-form needs --class")
+        raise ParameterError(f"class {args.class_spec!r} has no closed form; use --engine pruned")
+    graph = build_class(spec)  # only the enumeration engines build it, before the clock
     if args.engine == "bruteforce":
         return lambda: polynomial_bruteforce(graph), "bruteforce"
-    if closed and args.engine == "auto":
-        return lambda: poly_for_class(spec), "closed-form"
     return lambda: polynomial_pruned(graph), "pruned"
 
 
-def _walk_name() -> str:
-    """The counting walk the pruned engine runs: "native" (C) or "python"."""
-    return "python" if _native.load() is None else "native"
-
-
-def _holds_raw(spec) -> bool:
-    """True for a raw graph, or a union holding one at any depth: the closed form walks it."""
+def _walks(spec) -> bool:
+    """True when the closed form walks: a raw graph or a join's non-complete operand, at any depth."""
     if isinstance(spec, DisjointUnion):
-        return any(_holds_raw(part) for part in spec.parts)
+        return any(_walks(part) for part in spec.parts)
+    if isinstance(spec, Join):
+        return any(m < n * (n - 1) // 2 for n, m in map(spec_size, (spec.left, spec.right)))
     return isinstance(spec, Raw)
 
 
 def _cmd_poly(args) -> int:
-    graph, spec = _load_graph(args)
-    count, engine = _polynomial_for(graph, spec, args)
-    # Loaded before the clock whenever the count walks, so a cold cache's build is not timed.
-    walks = engine == "pruned" or (engine == "closed-form" and _holds_raw(spec))
-    walk = _walk_name() if walks else None
+    spec = _load_graph(args)
+    count, engine = _polynomial_for(spec, args)
+    # The counting walk, "native" (C) or "python", is loaded before the clock whenever
+    # the count walks, so a cold cache's build is not timed.
+    walk = None
+    if engine == "pruned" or (engine == "closed-form" and _walks(spec)):
+        walk = "python" if _native.load() is None else "native"
     start = time.perf_counter()
     poly = count()
     elapsed = time.perf_counter() - start
+    order, edges = spec_size(spec)
     mu = poly.degree
     r_mu = poly.coefficient(mu)
     if args.json:
         print(
             json.dumps(
                 {
-                    "order": graph.n,
-                    "edges": graph.edge_count,
+                    "order": order,
+                    "edges": edges,
                     "polynomial": poly.to_canonical_string(),
                     "pretty": poly.pretty(),
                     "mu": mu,
@@ -138,7 +136,7 @@ def _cmd_poly(args) -> int:
             )
         )
     else:
-        label = spec_label(spec) if spec is not None else f"n={graph.n} m={graph.edge_count}"
+        label = spec_label(spec) if args.class_spec is not None else f"n={order} m={edges}"
         print(f"graph: {label}")
         print(f"polynomial: {poly.to_canonical_string()}")
         print(f"pretty: {poly.pretty()}")
@@ -148,7 +146,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    graph, _ = _load_graph(args)
+    graph = build_class(_load_graph(args))
     k_max = args.kmax if args.kmax is not None else graph.n
     stats = compute_stats(graph, k_max=k_max)
     payload = {"order": graph.n, "edges": graph.edge_count}
@@ -221,22 +219,6 @@ def _cmd_batch(args) -> int:
     return EXIT_OK
 
 
-def _cmd_join(args) -> int:
-    spec = Join(parse_class_spec(args.left), parse_class_spec(args.right))
-    poly = poly_for_class(spec)
-    enumerated = polynomial_pruned(build_class(spec)) if args.check else None
-    print(spec_label(spec))
-    print(f"polynomial: {poly.to_canonical_string()}")
-    print(f"pretty: {poly.pretty()}")
-    if enumerated is None:
-        return EXIT_OK
-    if enumerated != poly:
-        print(f"check: FAIL (enumeration gives {enumerated.to_canonical_string()})")
-        return EXIT_VERIFY
-    print("check: PASS (matches enumeration)")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="visipoly",
@@ -278,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes, at least 1 (default: one per CPU)")
     batch.add_argument("--histogram", action="store_true", help="keep per-group counts")
     batch.set_defaults(func=_cmd_batch)
-
-    join = sub.add_parser("join", help="composition law for a join of two graphs")
-    join.add_argument("--left", required=True, metavar="NAME:ARGS")
-    join.add_argument("--right", required=True, metavar="NAME:ARGS")
-    join.add_argument("--check", action="store_true", help="cross-validate by enumeration")
-    join.set_defaults(func=_cmd_join)
 
     return parser
 

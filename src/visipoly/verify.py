@@ -16,17 +16,15 @@ from .classes import (
     CompleteBipartite,
     Cycle,
     DisjointUnion,
-    Join,
     Path,
-    Raw,
     Star,
     build_class,
+    parse_class_spec,
     spec_label,
 )
 from .closed_forms import poly_for_class
 from .enumeration import polynomial_bruteforce, polynomial_pruned
 from .errors import _Record
-from .graph import paw_graph
 from .polynomial import Polynomial
 
 
@@ -57,7 +55,7 @@ def paper_suite() -> List[ClassSpec]:
             DisjointUnion((Complete(4), Complete(4), Path(4))),
         ]
     )
-    specs.append(Join(Raw(paw_graph(), "paw"), Cycle(6)))
+    specs.append(parse_class_spec("join:paw*cycle:6"))
     return specs
 
 

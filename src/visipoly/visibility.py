@@ -113,25 +113,26 @@ class VisibilityContext:
     Building the context costs one ``_search``: ``layers[u]`` holds the BFS
     layer masks from u (index = distance), ``rows[u]`` the distances from
     u, with -1 marking unreachable vertices, and ``steps[u]`` what
-    ``_bad_subsets`` runs over from u. Instances are immutable and safe to
-    share between workers.
+    ``_bad_subsets`` runs over from u. Instances refuse assignment and
+    deletion, as records do, and are safe to share between workers.
     """
 
     __slots__ = ("n", "layers", "rows", "steps")
+    __setattr__, __delattr__, _set = _Record.__setattr__, _Record.__delattr__, _Record._set
 
     def __init__(self, graph: Graph):
-        self.n = n = graph.n
         layers, steps = _search(graph.adj)
-        self.layers = tuple([tuple(row) for row in layers])
-        self.steps = tuple(steps)
         rows = []
         for source in layers:
-            row = [-1] * n
+            row = [-1] * graph.n
             for d, layer in enumerate(source):
                 for w in iter_bits(layer):
                     row[w] = d
             rows.append(tuple(row))
-        self.rows = tuple(rows)
+        self._set(graph.n, tuple([tuple(row) for row in layers]), tuple(rows), tuple(steps))
+
+    def __setstate__(self, state):  # pickle and copy pass the slots' values here
+        self._set(*[state[1][name] for name in self.__slots__])
 
     def is_mv(self, x_mask: int, members: Sequence[int]) -> bool:
         """Membership test for the set x_mask (vertex list members), a one-bit slice."""

@@ -26,7 +26,7 @@ from visipoly import (
     spec_label,
     star_graph,
 )
-from visipoly.classes import _FAMILIES
+from visipoly.classes import _FAMILIES, spec_size
 from visipoly.closed_forms import _CLOSED_FORMS
 
 
@@ -76,6 +76,14 @@ def test_parse_class_spec():
     assert parse_class_spec("paw") == Raw(paw_graph())
     assert parse_class_spec("empty:4") == Raw(empty_graph(4))
     assert parse_class_spec("union:path:3+path:2") == DisjointUnion((Path(3), Path(2)))
+    assert parse_class_spec("join:paw*cycle:6") == Join(Raw(paw_graph()), Cycle(6))
+    # a union splits at + before its parts split at *
+    assert parse_class_spec("union:join:paw*cycle:6+path:3") == DisjointUnion(
+        (Join(Raw(paw_graph()), Cycle(6)), Path(3))
+    )
+    assert parse_class_spec("join:union:path:2+path:3*cycle:6") == Join(
+        DisjointUnion((Path(2), Path(3))), Cycle(6)
+    )
 
 
 def test_parse_class_spec_errors():
@@ -92,6 +100,14 @@ def test_parse_class_spec_errors():
         ("Diamond:", "diamond takes no arguments, got 'Diamond:'"),
         ("empty:1,2", "empty takes exactly one argument, got 'empty:1,2'"),
         ("empty:-1", "empty graph order must be nonnegative"),
+        ("join:paw", "join takes exactly two nonempty operands, A*B, got 'join:paw'"),
+        ("join:", "join takes exactly two nonempty operands, A*B, got 'join:'"),
+        ("join:paw*cycle:6*path:2",
+         "join takes exactly two nonempty operands, A*B, got 'join:paw*cycle:6*path:2'"),
+        ("join:join:paw*cycle:6*path:2",
+         "join takes exactly two nonempty operands, A*B, got 'join:join:paw*cycle:6*path:2'"),
+        ("join:*cycle:6", "join takes exactly two nonempty operands, A*B, got 'join:*cycle:6'"),
+        ("join:paw* ", "join takes exactly two nonempty operands, A*B, got 'join:paw*'"),
     ],
 )
 def test_parse_class_spec_names_the_fault(text, message):
@@ -104,7 +120,22 @@ def test_spec_labels():
     assert spec_label(Cycle(7)) == "cycle:7"
     assert spec_label(CompleteBipartite(3, 4)) == "bipartite:3,4"
     assert spec_label(DisjointUnion((Path(3), Path(2)))) == "union:path:3+path:2"
-    assert "join(" in spec_label(Join(Complete(2), Cycle(4)))
+    assert spec_label(Join(Complete(2), Cycle(4))) == "join:complete:2*cycle:4"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["cycle:7", " Cycle: 07 ", "bipartite:3,4", "complete_bipartite:3,4", "paw", "DIAMOND",
+     "empty:0", "union:path:3++path:2", "union:union:path:2+path:3", "join:paw*cycle:6",
+     "join: complete:2 * EMPTY:3", "union:join:paw*cycle:6+path:3",
+     "join:union:path:2+path:3*cycle:6", "join:cycle:6*union:path:2+path:3",
+     "union:join:paw*union:path:2+path:3", "union:join:paw*empty:1+join:star:2*path:2"],
+)
+def test_a_parsed_specs_label_parses_back_to_it(text):
+    spec = parse_class_spec(text)
+    label = spec_label(spec)
+    assert parse_class_spec(label) == spec
+    assert spec_label(parse_class_spec(label)) == label
 
 
 def test_raw_spec_keeps_the_name_it_was_parsed_from():
@@ -117,6 +148,19 @@ def test_raw_spec_keeps_the_name_it_was_parsed_from():
         assert parse_class_spec(text) == parse_class_spec(label)
     assert spec_label(Raw(paw_graph())) == "graph(n=4, m=4)"
     assert parse_class_spec("paw") == Raw(paw_graph())  # the name is not part of equality
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["empty:0", "paw", "union:path:3+empty:0+star:0", "union:cycle:5+complete:4",
+     "join:paw*cycle:6", "join:empty:0*empty:0", "join:empty:0*cycle:5", "join:complete:1*empty:4",
+     "join:empty:0*complete:3", "join:union:path:2+path:3*bipartite:2,3",
+     "union:join:paw*cycle:6+path:3"],
+)
+def test_spec_size_is_the_built_graphs(text):
+    spec = parse_class_spec(text)
+    g = build_class(spec)
+    assert spec_size(spec) == (g.n, g.edge_count)
 
 
 # Each family as the docs state it: syntax name, graph constructor, least argument.
@@ -144,8 +188,10 @@ def test_family_table_row(spec_type):
             assert parse_class_spec(label) == spec
             if spec_type is CompleteBipartite:
                 assert parse_class_spec("complete_bipartite" + label[len(name):]) == spec
-            assert build_class(spec) == constructor(*args)
-            assert poly_for_class(spec) == polynomial_pruned(build_class(spec)), label
+            g = build_class(spec)
+            assert g == constructor(*args)
+            assert spec_size(spec) == (g.n, g.edge_count), label
+            assert poly_for_class(spec) == polynomial_pruned(g), label
     for slot in range(arity):
         args = [least] * arity
         args[slot] = least - 1

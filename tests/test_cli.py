@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import visipoly._native as native
-from visipoly import Polynomial, cli, verify
+from visipoly import Complete, Polynomial, classes, cli, enumeration, verify
 from visipoly.cli import main
 
 from conftest import corpus_path, pin_python_walk
@@ -256,9 +256,70 @@ def test_poly_names_a_raw_class_as_given(capsys, text, lines):
 
 
 def test_join_names_a_raw_operand_as_given(capsys):
-    code, out, _ = run_cli(capsys, "join", "--left", "paw", "--right", "empty:2")
+    code, out, _ = run_cli(capsys, "poly", "--class", "join:paw*empty:2")
     assert code == 0
-    assert out.splitlines()[:2] == ["join(paw, empty:2)", "polynomial: [1,6,15,20,15,4]"]
+    assert out.splitlines()[:2] == ["graph: join:paw*empty:2", "polynomial: [1,6,15,20,15,4]"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("join:paw", "join takes exactly two nonempty operands, A*B, got 'join:paw'"),
+        ("join:paw*cycle:6*path:2",
+         "join takes exactly two nonempty operands, A*B, got 'join:paw*cycle:6*path:2'"),
+        ("join:*cycle:6", "join takes exactly two nonempty operands, A*B, got 'join:*cycle:6'"),
+    ],
+)
+def test_join_without_two_operands_exits_2(capsys, text, message):
+    for argv in (("poly", "--class", text), ("stats", "--class", text), ("verify", "--spec", text)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, walks",
+    [
+        ("join:cycle:3*complete:2", False),  # C_3 is K_3: no operand is walked
+        ("join:empty:0*complete:3", False),
+        ("join:paw*complete:2", True),
+        ("join:empty:0*cycle:5", True),
+        ("union:join:paw*complete:2+path:3", True),
+        ("join:union:complete:2*complete:3", False),
+        ("join:union:path:2+path:3*cycle:6", True),
+    ],
+)
+def test_a_join_names_the_walk_only_when_an_operand_is_walked(capsys, monkeypatch, text, walks):
+    """``walk`` is exact: it is named just when the closed form reaches the counting walk."""
+    calls = []
+    count_sets = enumeration._count_sets
+    monkeypatch.setattr(enumeration, "_count_sets",
+                        lambda *args, **kwargs: calls.append(args) or count_sets(*args, **kwargs))
+    code, out, _ = run_cli(capsys, "poly", "--class", text, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["engine"] == "closed-form"
+    assert payload["walk"] == (("python" if native.load() is None else "native") if walks else None)
+    assert bool(calls) == walks
+
+
+@pytest.mark.parametrize(
+    "text, order, edges",
+    [("complete:2000", 2000, 1999000), ("join:complete:2000*cycle:6", 2006, 1999000 + 6 + 12000)],
+)
+def test_poly_class_builds_no_graph_for_a_closed_form(capsys, monkeypatch, text, order, edges):
+    def refuse(n):
+        raise AssertionError(f"complete_graph({n}) was built")
+
+    row = classes._FAMILIES[Complete]
+    monkeypatch.setitem(classes._FAMILIES, Complete, row[:1] + (refuse,) + row[2:])
+    code, out, _ = run_cli(capsys, "poly", "--class", text, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["order"], payload["edges"], payload["engine"]) == (order, edges, "closed-form")
+    assert payload["polynomial"].startswith(f"[1,{order},")
+    with pytest.raises(AssertionError, match="was built"):
+        run_cli(capsys, "poly", "--class", "complete:3", "--engine", "pruned")
 
 
 def test_poly_bad_class_exit_code(capsys):
@@ -423,35 +484,27 @@ def test_batch_missing_file(capsys):
 
 
 def test_join_with_check(capsys):
-    code, out, _ = run_cli(
-        capsys, "join", "--left", "paw", "--right", "cycle:6", "--check"
-    )
+    code, out, _ = run_cli(capsys, "verify", "--spec", "join:paw*cycle:6")
     assert code == 0
-    assert "[1,10,45,120,210,252,207,102,30,2]" in out
-    assert "check: PASS" in out
+    assert out == ("PASS join:paw*cycle:6: [1,10,45,120,210,252,207,102,30,2]\n"
+                   "1/1 instances passed\n")
 
 
 def test_join_check_reports_a_mismatch_and_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "poly_for_class", lambda spec: Polynomial((1,)))
-    code, out, _ = run_cli(capsys, "join", "--left", "paw", "--right", "cycle:6", "--check")
+    monkeypatch.setattr(verify, "poly_for_class", lambda spec: Polynomial((1,)))
+    code, out, _ = run_cli(capsys, "verify", "--spec", "join:paw*cycle:6")
     assert code == 3
-    assert out.splitlines()[1:] == [
-        "polynomial: [1]",
-        "pretty: 1",
-        "check: FAIL (enumeration gives [1,10,45,120,210,252,207,102,30,2])",
-    ]
+    enumerated = "[1,10,45,120,210,252,207,102,30,2]"
+    assert out == (f"FAIL join:paw*cycle:6: [1] (pruned {enumerated}, brute {enumerated})\n"
+                   "0/1 instances passed\n")
 
 
 def test_join_beyond_the_guardrail(capsys):
-    # 70 vertices: the law walks only the cycle, while --check enumerates the join
-    code, out, _ = run_cli(
-        capsys, "join", "--left", "complete:10", "--right", "cycle:60"
-    )
+    # 70 vertices: the law walks only the cycle, while verify enumerates the join
+    code, out, _ = run_cli(capsys, "poly", "--class", "join:complete:10*cycle:60")
     assert code == 0
     assert "polynomial: [1,70," in out
-    code, out, err = run_cli(
-        capsys, "join", "--left", "complete:10", "--right", "cycle:60", "--check"
-    )
+    code, out, err = run_cli(capsys, "verify", "--spec", "join:complete:10*cycle:60")
     assert code == 4
     assert "64 vertices" in err
     assert out == ""  # a refused check prints no result

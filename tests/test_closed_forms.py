@@ -395,8 +395,8 @@ def test_join_reads_a_complete_spec_without_building_it(monkeypatch):
     def refuse(n):
         raise AssertionError(f"complete_graph({n}) was built")
 
-    name, _, least, error = classes._FAMILIES[Complete]
-    monkeypatch.setitem(classes._FAMILIES, Complete, (name, refuse, least, error))
+    name, _, least, error, size = classes._FAMILIES[Complete]
+    monkeypatch.setitem(classes._FAMILIES, Complete, (name, refuse, least, error, size))
     with pytest.raises(AssertionError):
         build_class(Complete(3))
     for (m, other), poly in expected.items():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -29,6 +31,22 @@ from oracles import check_certificates, oracle_is_mv, oracle_mv_sets, random_gra
 
 def mv(g, x):
     return is_mutual_visibility_set(VisibilityContext(g), x)
+
+
+def test_context_refuses_assignment_and_deletion():
+    ctx = VisibilityContext(paw_graph())
+    rows = ctx.rows
+    with pytest.raises(AttributeError, match="^cannot assign to field 'rows'$"):
+        ctx.rows = None
+    with pytest.raises(AttributeError, match="^cannot delete field 'steps'$"):
+        del ctx.steps
+    assert ctx.rows is rows
+    assert is_mutual_visibility_set(ctx, [0, 1, 3])
+    assert not is_mutual_visibility_set(ctx, [0, 2, 3])
+    for twin in (pickle.loads(pickle.dumps(ctx)), copy.copy(ctx), copy.deepcopy(ctx)):
+        assert (twin.n, twin.layers, twin.rows, twin.steps) == (ctx.n, ctx.layers, ctx.rows, ctx.steps)
+        with pytest.raises(AttributeError):
+            twin.n = 5
 
 
 def test_whole_complete_graph_is_mv():
