@@ -24,13 +24,12 @@ counts. Nothing here runs at package import.
 from __future__ import annotations
 
 import os
-import struct
 import sys
 from array import array
 from functools import cache
-from itertools import accumulate, takewhile
+from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 SOURCE = Path(__file__).with_name("_walk.c")
 COUNTER_NAMES = ("nodes", "closed", "propagations", "blocks", "hidden")
@@ -50,7 +49,7 @@ Walk = Callable[[Sequence[int], bool, Optional[dict]], Counts]
 def load() -> Optional[Walk]:
     """The native counting walk, built on first use; None when it cannot be built.
 
-    Its attribute ``graph6`` decodes and counts graph6 records in one call.
+    Its attribute ``graph6`` decodes, counts and keys graph6 records in one call.
     """
     try:
         return _bind(_library())
@@ -187,31 +186,36 @@ def _bind(path: Path) -> Walk:
 
     short = lib.visipoly_walk_graph6
     short.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
-                      ctypes.POINTER(ctypes.c_int), ctypes.POINTER(word), ctypes.POINTER(word)]
-    short.restype = ctypes.c_int
+                      ctypes.POINTER(ctypes.c_int), ctypes.c_char_p, ctypes.c_long,
+                      ctypes.POINTER(word)]
+    short.restype = ctypes.c_long
 
     def walk_graph6(
-        records: Sequence[bytes], counters: Optional[dict] = None
-    ) -> List[Optional[Tuple[int, ...]]]:
-        """Counts by size of each graph6 record's graph, decoded and counted in one C call.
+        text: bytes, lengths: Iterable[int], counters: Optional[dict] = None
+    ) -> List[Tuple[int, str]]:
+        """The order and key of each graph6 record, decoded, counted and keyed in one C call.
 
-        Per record, a tuple indexed by size (entry 0 is 1), or None when
-        the record is not a short-form record of order 0..62 that decodes in
-        full; ``parse_graph6`` then names its fault or decodes it. Counters
-        as for ``walk``, summed over the counted records.
+        ``text`` holds the records with no separator, ``lengths`` their
+        lengths. Per record, its order and the key that
+        ``polynomial._canonical_text`` gives its counts by size; or (-1, "")
+        when the record is not a short-form record of order 0..62 that
+        decodes in full, and ``parse_graph6`` then names its fault or decodes
+        it. Counters as for ``walk``, summed over the counted records.
         """
-        count = len(records)
-        orders = (ctypes.c_int * max(count, 1))()
-        out = (word * max((SHORT_MAX_ORDER + 1) * count, 1))()
+        lengths = array("i", lengths)
+        count = len(lengths)
+        orders = array("i", [0]) * count
+        # A counted record of order n has at least n - 2 bytes, so the C's
+        # KEY_MAX(n) = 24 + 21n bytes fit in 21 per byte and 66 per record.
+        capacity = 21 * len(text) + 66 * count
+        keys = ctypes.create_string_buffer(capacity)
         tally = (word * len(COUNTER_NAMES))()
-        lengths = (ctypes.c_int * count).from_buffer(array("i", map(len, records)))
-        if short(count, b"".join(records), lengths, orders, out, tally):
+        used = short(count, text, (ctypes.c_int * count).from_buffer(lengths),
+                     (ctypes.c_int * count).from_buffer(orders), keys, capacity, tally)
+        if used < 0:
             raise MemoryError("the native walk could not allocate its tables")
         _add_counters(counters, tally)
-        # A record of order n owns the next n + 1 entries, a declined one (order -1) none.
-        ends = list(accumulate(map((1).__add__, orders[:count]), initial=0))
-        flat = struct.unpack_from(f"{ends[-1]}Q", out)
-        return [flat[start:end] if start < end else None for start, end in zip(ends, ends[1:])]
+        return list(zip(orders, ctypes.string_at(keys, used).decode("ascii").splitlines()))
 
     walk.graph6 = walk_graph6
     return walk

@@ -110,22 +110,26 @@
  * only one), so the caller reads no row past k; or -1 when the order is out
  * of range or memory runs out, and then nothing is counted.
  *
- * One call per chunk of graph6 records, decoded and counted by size:
- * visipoly_walk_graph6(count, text, lengths, orders, out, counters).
+ * One call per chunk of graph6 records, decoded, counted and keyed by size:
+ * visipoly_walk_graph6(count, text, lengths, orders, keys, capacity, counters).
  *   count     number of records
  *   text      their bytes, concatenated with no separator
  *   lengths   their lengths in bytes
  *   orders    set per record: its order, or -1 when the record is declined
- *   out       zeroed by the caller, 63 entries per record suffice: a counted
- *             record of order n owns n + 1 entries, packed in turn, and entry
- *             k counts its sets of size k (entry 0 is 1)
+ *   keys      one line per record, in turn: a counted record's key
+ *             "[c0,c1,...,ck]", entry k counting its sets of size k, trailing
+ *             zeros trimmed, as polynomial._canonical_text writes it; an empty
+ *             line for a declined one
+ *   capacity  the bytes keys holds; a record of order n may take KEY_MAX(n),
+ *             as an entry has at most 20 digits
  *   counters  as for visipoly_walk, summed over the counted records
  * Only a short-form record that decodes in full is counted: order 0..62
  * (first byte 63..125), every byte 63..126, exactly 1 + ceil(n(n - 1) / 12)
  * bytes and zero padding bits. Its masks get both bits of every edge, so they
  * are symmetric and loop-free. Every other record, long-form ones included,
  * is declined and left to the caller's parser, which names the fault.
- * Returns 0, or -1 when memory runs out; then nothing is counted.
+ * Returns the number of bytes written to keys, or -1 when memory runs out or
+ * the next record's KEY_MAX would pass capacity; nothing is written past it.
  */
 
 #include <stdint.h>
@@ -136,6 +140,7 @@
 #define BLOCK_MAX 9                /* a leaf block's 2^p sets fit WORDS_MAX uint64_t */
 #define WORDS_MAX (1 << (BLOCK_MAX - 6))
 #define SHORT_MAX 62               /* the largest order of a one-byte graph6 order field */
+#define KEY_MAX(n) (2 + 21 * ((n) + 1) + 1) /* brackets, n + 1 entries with commas, newline */
 
 /* Bit s of PATTERNS[i] is set when bit i of s is: the sets of a block holding candidate i. */
 static const uint64_t PATTERNS[6] = {
@@ -834,22 +839,53 @@ static int decode_graph6(const unsigned char *s, int length, uint64_t *adj)
     return n;
 }
 
-int visipoly_walk_graph6(int count, const char *text, const int *lengths, int *orders,
-                         uint64_t *out, uint64_t *counters)
+/* Write the key of counts[0..n], trailing zeros trimmed, and a newline at key; return its length. */
+static long write_key(char *key, const uint64_t *counts, int n)
+{
+    while (n >= 0 && !counts[n])
+        n--;
+    char *at = key, digits[20];
+    *at++ = '[';
+    for (int k = 0; k <= n; k++) {
+        int len = 0;
+        uint64_t c = counts[k];
+        do
+            digits[len++] = (char)('0' + c % 10);
+        while (c /= 10);
+        if (k)
+            *at++ = ',';
+        while (len)
+            *at++ = digits[--len];
+    }
+    *at++ = ']';
+    *at++ = '\n';
+    return at - key;
+}
+
+long visipoly_walk_graph6(int count, const char *text, const int *lengths, int *orders,
+                          char *keys, long capacity, uint64_t *counters)
 {
     Walk *w = new_walk(0, SHORT_MAX);
     if (!w)
         return -1;
-    uint64_t adj[SHORT_MAX];
+    uint64_t adj[SHORT_MAX], counts[SHORT_MAX + 1];
     const unsigned char *s = (const unsigned char *)text;
+    long used = 0;
+    w->out = counts;
     for (int g = 0; g < count; s += lengths[g++]) {
         int n = orders[g] = decode_graph6(s, lengths[g], adj);
-        if (n < 0)
+        if (capacity - used < (n < 0 ? 1 : KEY_MAX(n))) {
+            used = -1;
+            break;
+        }
+        if (n < 0) {
+            keys[used++] = '\n';
             continue;
-        w->out = out;
+        }
+        memset(counts, 0, sizeof counts);
         walk_graph(w, n, adj);
-        out += n + 1;
+        used += write_key(keys + used, counts, n);
     }
     end_walk(w, counters);
-    return 0;
+    return used;
 }

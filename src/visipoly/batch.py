@@ -1,22 +1,25 @@
 """Batch analysis of graph6 streams: group graphs by visibility polynomial.
 
-The input is read in chunks of ``CHUNK_RECORDS`` records. With the native
-walk, one call decodes and counts the short-form records of a chunk that it
-can decode in full: order at most 62, every byte in 63..126, the exact length
-and zero padding bits. Every other record takes the fallback: long-form and
-malformed records, non-ASCII ones, and all records when there is no
-compiler. The fallback parses each of them with ``parse_graph6``, which
-names a malformed record's fault, and counts it with one call of the
-counting walk. Chunks run in this process until the input ends or
-``SERIAL_SLICE_S`` seconds have passed; only then, only with more than one
-worker, and only once the records so far took ``POOL_MIN_RECORD_S`` each,
-does a worker pool take the chunks that are left. On corpus-like records the
-pool would cost more than the walks it hands out, so the choice rests on the
-time the batch has taken, not on a record count. Chunks return a count
-tuple per counted record (entry 0 is 1 on both paths) and their refusals,
-merged in input order, so the first bad record decides the error.
-``run_batch`` tallies the tuples and builds one key, the canonical string,
-per distinct tuple, so reports do not depend on input order or worker count.
+The input is read in chunks of ``CHUNK_RECORDS`` lines, each stripped once
+and each chunk encoded once. With the native walk, one call decodes, counts
+and keys the short-form records of a chunk that it can decode in full: order
+at most 62, every byte in 63..126, the exact length and zero padding bits.
+Its C writes each one's key, the canonical string of which
+``polynomial._canonical_text`` is the reference. Every other line takes the
+fallback: blank and header lines, long-form, malformed and non-ASCII
+records, and all lines when there is no compiler. The fallback reads a line
+by ``iter_graph6_lines``'s rule, parses its record with ``parse_graph6``,
+which names a malformed record's fault, counts it with one call of the
+counting walk and keys it with ``_canonical_text``. Chunks run in this
+process until the input ends or ``SERIAL_SLICE_S`` seconds have passed;
+only then, only with more than one worker, and only once the records so far
+took ``POOL_MIN_RECORD_S`` each, does a worker pool take the chunks that are
+left. On corpus-like records the pool would cost more than the walks it
+hands out, so the choice rests on the time the batch has taken, not on a
+record count. Chunks return an (order, key) pair per counted record and
+their refusals, merged in input order, so the first bad record decides the
+error. ``run_batch`` tallies the pairs, so reports do not depend on input
+order or worker count.
 """
 
 from __future__ import annotations
@@ -47,8 +50,10 @@ POOL_MIN_RECORD_S = 2e-5
 # process merges results, few enough that the input is read as it is used.
 POOL_CHUNKS_PER_WORKER = 8
 
-# A chunk's count tuples, and its refusals: (line, the error its record raised)
-Analysed = Tuple[List[Tuple[int, ...]], List[Tuple[int, Union[FormatError, GuardrailError]]]]
+# A chunk: its first line's number and its lines
+Chunk = Tuple[int, List[str]]
+# A chunk's (order, key) pairs, and its refusals: (line, the error its record raised)
+Analysed = Tuple[List[Tuple[int, str]], List[Tuple[int, Union[FormatError, GuardrailError]]]]
 
 
 class BatchReport(_Record):
@@ -80,8 +85,8 @@ def effective_workers(requested: Optional[int] = None) -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _analyse_chunk(chunk: List[Tuple[int, str]]) -> Analysed:
-    """The count tuples of (line, record) pairs and their refusals, each in input order.
+def _analyse_chunk(chunk: Chunk) -> Analysed:
+    """The (order, key) pairs of a chunk's records and their refusals, each in input order.
 
     The fallback's ``_count_sets`` applies the guardrail, so a refusal keeps
     its text. Each refusal comes back with its line, so one bad record cannot
@@ -90,29 +95,44 @@ def _analyse_chunk(chunk: List[Tuple[int, str]]) -> Analysed:
     """
     from . import _native  # not at package import, as in _count_sets
 
+    first, lines = chunk
+    records = [line.strip() for line in lines]
     walk = _native.load()
-    # A non-ASCII record encodes to bytes over 127, which the decoder declines for parse_graph6.
-    counts = (walk.graph6([record.encode("utf-8", "surrogatepass") for _, record in chunk])
-              if walk is not None else [None] * len(chunk))
-    if None not in counts:
-        return counts, []
+    if walk is None:
+        pairs = [(-1, "")] * len(records)
+    else:
+        # One encode per chunk; its bytes over 127 make the decoder decline a non-ASCII record.
+        text = "".join(records).encode("utf-8", "surrogatepass")
+        sized = records if text.isascii() else [r.encode("utf-8", "surrogatepass") for r in records]
+        pairs = walk.graph6(text, map(len, sized))
+        if (-1, "") not in pairs:
+            return pairs, []
     refusals: list = []
-    for i, (lineno, record) in enumerate(chunk):
-        if counts[i] is None:
-            try:
-                counts[i] = tuple(_count_sets(parse_graph6(record), theta=False))
-            except (FormatError, GuardrailError) as exc:
-                refusals.append((lineno, exc))
-    return [c for c in counts if c is not None], refusals
+    for i, line in enumerate(lines):
+        if pairs[i][0] < 0:
+            for _, record in iter_graph6_lines((line,)):  # none for a blank or header-only line
+                try:
+                    g = parse_graph6(record)
+                    pairs[i] = g.n, _canonical_text(tuple(_count_sets(g, theta=False)))
+                except (FormatError, GuardrailError) as exc:
+                    refusals.append((first + i, exc))
+    return [pair for pair in pairs if pair[0] >= 0], refusals
 
 
-def _analysed_chunks(records: Iterator[Tuple[int, str]], workers: int) -> Iterator[Analysed]:
+def _chunks(lines: Iterable[str]) -> Iterator[Chunk]:
+    lines, first = iter(lines), 1
+    while chunk := list(islice(lines, CHUNK_RECORDS)):
+        yield first, chunk
+        first += len(chunk)
+
+
+def _analysed_chunks(lines: Iterable[str], workers: int) -> Iterator[Analysed]:
     """Chunk results in input order: in-process until the slice runs out, then pooled.
 
     Past the slice the pool starts only once the records so far took at least
     POOL_MIN_RECORD_S each; with none done yet, as with a zero slice, it starts at once.
     """
-    chunks = iter(lambda: list(islice(records, CHUNK_RECORDS)), [])
+    chunks = _chunks(lines)
     start, done = perf_counter(), 0
     for chunk in chunks:
         if workers > 1:
@@ -121,10 +141,10 @@ def _analysed_chunks(records: Iterator[Tuple[int, str]], workers: int) -> Iterat
                 yield from _pooled(chain([chunk], chunks), workers)
                 return
         yield _analyse_chunk(chunk)
-        done += len(chunk)
+        done += len(chunk[1])
 
 
-def _pooled(chunks: Iterator[List[Tuple[int, str]]], workers: int) -> Iterator[Analysed]:
+def _pooled(chunks: Iterator[Chunk], workers: int) -> Iterator[Analysed]:
     """Chunk results from a pool, reading at most POOL_CHUNKS_PER_WORKER chunks per worker ahead."""
     from multiprocessing import Pool
 
@@ -156,19 +176,16 @@ def run_batch(
     line. Reports come back sorted by order.
     """
     tallies: Counter = Counter()
-    for counts, refusals in _analysed_chunks(iter_graph6_lines(lines), effective_workers(workers)):
+    for pairs, refusals in _analysed_chunks(lines, effective_workers(workers)):
         for lineno, exc in refusals:
             if isinstance(exc, GuardrailError):
                 raise GuardrailError(f"line {lineno}: {exc}")
             if not skip_bad:
                 raise exc.at_line(lineno)
-        tallies.update(counts)
-    # One canonical string per distinct count tuple.
+        tallies.update(pairs)
     counters: Dict[int, Dict[str, int]] = {}
-    for counts, tally in tallies.items():
-        groups = counters.setdefault(len(counts) - 1, {})
-        key = _canonical_text(counts)
-        groups[key] = groups.get(key, 0) + tally
+    for (order, key), tally in tallies.items():
+        counters.setdefault(order, {})[key] = tally
     reports = []
     for order in sorted(counters):
         groups = counters[order]

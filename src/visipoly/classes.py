@@ -171,7 +171,9 @@ def parse_class_spec(text: str) -> ClassSpec:
     ``bipartite:M,N`` (alias ``complete_bipartite``), ``empty:N``, the named
     graphs ``paw`` and ``diamond``, ``union:SPEC+SPEC+...`` and
     ``join:SPEC*SPEC``. ``+`` splits before ``*``, and a join has exactly
-    two operands, so joins do not nest. Names are case-insensitive.
+    two operands, so joins do not nest; no union part or join operand may be
+    empty. Names are case-insensitive, and an integer argument is ASCII digits
+    with an optional leading minus; whitespace may surround any token.
     """
     text = text.strip()
     name, sep, args = text.partition(":")
@@ -183,19 +185,22 @@ def parse_class_spec(text: str) -> ClassSpec:
     if not sep:
         raise FormatError(f"class spec {text!r} needs arguments, e.g. 'cycle:7'")
     if name == "union":
-        parts = [parse_class_spec(part) for part in args.split("+") if part.strip()]
-        if not parts:
-            raise FormatError(f"empty union in class spec {text!r}")
-        return DisjointUnion(parts)
+        parts = args.split("+")
+        if not all(part.strip() for part in parts):
+            raise FormatError(f"union takes nonempty parts, A+B+..., got {text!r}")
+        return DisjointUnion([parse_class_spec(part) for part in parts])
     if name == "join":
         operands = args.split("*")
         if len(operands) != 2 or not all(operand.strip() for operand in operands):
             raise FormatError(f"join takes exactly two nonempty operands, A*B, got {text!r}")
         return Join(*[parse_class_spec(operand) for operand in operands])
-    try:
-        values = [int(a) for a in args.split(",")] if args else []
-    except ValueError:
-        raise FormatError(f"non-integer argument in class spec {text!r}") from None
+    values = []
+    for arg in args.split(",") if args else ():
+        # int() would also take "1_0", "+10" and non-ASCII digits such as "١٠".
+        arg = arg.strip()
+        if not (arg.isascii() and arg.removeprefix("-").isdigit()):
+            raise FormatError(f"argument {arg!r} of class spec {text!r} is not a decimal integer")
+        values.append(int(arg))
     if (spec_type := _FAMILY_BY_NAME.get(name)) is not None:
         arity = len(spec_type._fields)
         if len(values) != arity:

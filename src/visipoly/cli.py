@@ -23,7 +23,8 @@ from . import _native
 from .batch import run_batch_file
 from .classes import DisjointUnion, Join, Raw, build_class, parse_class_spec, spec_label, spec_size
 from .closed_forms import poly_for_class
-from .enumeration import polynomial_bruteforce, polynomial_pruned
+from .enumeration import (_check_bruteforce_guardrail, _check_pruned_guardrail,
+                          polynomial_bruteforce, polynomial_pruned)
 from .errors import FormatError, GuardrailError, ParameterError
 from .graph import parse_edge_list
 from .graph6 import iter_graph6_lines, parse_graph6
@@ -90,8 +91,11 @@ def _polynomial_for(spec, args) -> tuple[Callable[[], Polynomial], str]:
         if args.class_spec is None:
             raise ParameterError("--engine closed-form needs --class")
         raise ParameterError(f"class {args.class_spec!r} has no closed form; use --engine pruned")
+    bruteforce = args.engine == "bruteforce"
+    # The engine's guardrail refuses from the spec's order, before a build it would waste.
+    (_check_bruteforce_guardrail if bruteforce else _check_pruned_guardrail)(spec_size(spec)[0])
     graph = build_class(spec)  # only the enumeration engines build it, before the clock
-    if args.engine == "bruteforce":
+    if bruteforce:
         return lambda: polynomial_bruteforce(graph), "bruteforce"
     return lambda: polynomial_pruned(graph), "pruned"
 

@@ -57,11 +57,7 @@ def polynomial_bruteforce(g: Graph) -> Polynomial:
     subset with a pair that does not see each other: still O(n (n+m) 2^n)
     bit operations, with no heredity and no pruning.
     """
-    if g.n > BRUTEFORCE_MAX_VERTICES:
-        raise GuardrailError(
-            f"brute force over 2^{g.n} subsets refused (limit {BRUTEFORCE_MAX_VERTICES} vertices); "
-            "use polynomial_pruned or a closed form"
-        )
+    _check_bruteforce_guardrail(g.n)
     return Polynomial(tuple(_bruteforce_counts(g, theta=False)))
 
 
@@ -171,6 +167,14 @@ def iter_mv_sets(g: Graph) -> Iterator[Tuple[Tuple[int, ...], int]]:
         for i, v in reversed(list(enumerate(passed))):
             child_diam = max([diam] + [ctx.rows[v][u] for u in members])
             stack.append((members + (v,), child_diam, passed[i + 1:]))
+
+
+def _check_bruteforce_guardrail(n: int) -> None:
+    if n > BRUTEFORCE_MAX_VERTICES:
+        raise GuardrailError(
+            f"brute force over 2^{n} subsets refused (limit {BRUTEFORCE_MAX_VERTICES} vertices); "
+            "use polynomial_pruned or a closed form"
+        )
 
 
 def _check_pruned_guardrail(n: int) -> None:

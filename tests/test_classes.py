@@ -108,6 +108,17 @@ def test_parse_class_spec_errors():
          "join takes exactly two nonempty operands, A*B, got 'join:join:paw*cycle:6*path:2'"),
         ("join:*cycle:6", "join takes exactly two nonempty operands, A*B, got 'join:*cycle:6'"),
         ("join:paw* ", "join takes exactly two nonempty operands, A*B, got 'join:paw*'"),
+        ("union:path:3++path:2", "union takes nonempty parts, A+B+..., got 'union:path:3++path:2'"),
+        ("union:path:2+ ", "union takes nonempty parts, A+B+..., got 'union:path:2+'"),
+        ("union:", "union takes nonempty parts, A+B+..., got 'union:'"),
+        ("cycle:1_0", "argument '1_0' of class spec 'cycle:1_0' is not a decimal integer"),
+        ("cycle:+10", "argument '+10' of class spec 'cycle:+10' is not a decimal integer"),
+        ("cycle:\u0661\u0660",
+         "argument '\u0661\u0660' of class spec 'cycle:\u0661\u0660' is not a decimal integer"),
+        ("cycle:1 0", "argument '1 0' of class spec 'cycle:1 0' is not a decimal integer"),
+        ("bipartite:3,", "argument '' of class spec 'bipartite:3,' is not a decimal integer"),
+        ("empty:--1", "argument '--1' of class spec 'empty:--1' is not a decimal integer"),
+        ("path:x", "argument 'x' of class spec 'path:x' is not a decimal integer"),
     ],
 )
 def test_parse_class_spec_names_the_fault(text, message):
@@ -126,7 +137,7 @@ def test_spec_labels():
 @pytest.mark.parametrize(
     "text",
     ["cycle:7", " Cycle: 07 ", "bipartite:3,4", "complete_bipartite:3,4", "paw", "DIAMOND",
-     "empty:0", "union:path:3++path:2", "union:union:path:2+path:3", "join:paw*cycle:6",
+     "empty:0", "union:union:path:2+path:3", "join:paw*cycle:6",
      "join: complete:2 * EMPTY:3", "union:join:paw*cycle:6+path:3",
      "join:union:path:2+path:3*cycle:6", "join:cycle:6*union:path:2+path:3",
      "union:join:paw*union:path:2+path:3", "union:join:paw*empty:1+join:star:2*path:2"],

@@ -322,6 +322,40 @@ def test_poly_class_builds_no_graph_for_a_closed_form(capsys, monkeypatch, text,
         run_cli(capsys, "poly", "--class", "complete:3", "--engine", "pruned")
 
 
+BRUTE_REFUSAL = ("brute force over 2^{} subsets refused (limit 25 vertices); "
+                 "use polynomial_pruned or a closed form")
+PRUNED_REFUSAL = "enumeration is limited to 64 vertices, got {}; use a closed form"
+
+
+@pytest.mark.parametrize(
+    "engine, text, message",
+    [("bruteforce", "complete:26", BRUTE_REFUSAL.format(26)),
+     ("bruteforce", "join:complete:3000*cycle:6", BRUTE_REFUSAL.format(3006)),
+     ("pruned", "complete:65", PRUNED_REFUSAL.format(65)),
+     ("pruned", "union:complete:3000+path:2", PRUNED_REFUSAL.format(3002))],
+)
+def test_poly_engine_refuses_from_the_order_before_building(capsys, monkeypatch, engine, text,
+                                                            message):
+    """An enumeration engine's guardrail refuses from the spec's order, before any build,
+    with the message and exit code that the engine gives a built graph."""
+    from visipoly import complete_graph
+
+    count, refusal, least = ((enumeration.polynomial_bruteforce, BRUTE_REFUSAL, 26)
+                             if engine == "bruteforce" else
+                             (enumeration.polynomial_pruned, PRUNED_REFUSAL, 65))
+    with pytest.raises(enumeration.GuardrailError) as raised:
+        count(complete_graph(least))
+    assert str(raised.value) == refusal.format(least)
+
+    def refuse(n):
+        raise AssertionError(f"complete_graph({n}) was built")
+
+    row = classes._FAMILIES[Complete]
+    monkeypatch.setitem(classes._FAMILIES, Complete, row[:1] + (refuse,) + row[2:])
+    code, out, err = run_cli(capsys, "poly", "--class", text, "--engine", engine)
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_poly_bad_class_exit_code(capsys):
     code, _, _ = run_cli(capsys, "poly", "--class", "cycle:2")
     assert code == 2
