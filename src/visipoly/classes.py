@@ -18,6 +18,7 @@ from typing import Optional, Tuple, Union
 from .errors import FormatError, ParameterError, _Record
 from .graph import (
     Graph,
+    _decimal,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -196,11 +197,10 @@ def parse_class_spec(text: str) -> ClassSpec:
         return Join(*[parse_class_spec(operand) for operand in operands])
     values = []
     for arg in args.split(",") if args else ():
-        # int() would also take "1_0", "+10" and non-ASCII digits such as "١٠".
-        arg = arg.strip()
-        if not (arg.isascii() and arg.removeprefix("-").isdigit()):
-            raise FormatError(f"argument {arg!r} of class spec {text!r} is not a decimal integer")
-        values.append(int(arg))
+        if (value := _decimal(arg.strip())) is None:
+            raise FormatError(f"argument {arg.strip()!r} of class spec {text!r}"
+                              " is not a decimal integer")
+        values.append(value)
     if (spec_type := _FAMILY_BY_NAME.get(name)) is not None:
         arity = len(spec_type._fields)
         if len(values) != arity:

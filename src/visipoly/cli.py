@@ -4,8 +4,9 @@ Subcommands: ``poly`` (single-graph polynomial), ``stats`` (mu, r_mu, theta
 and clique tables), ``verify`` (closed forms against enumeration) and
 ``batch`` (group a graph6 stream by polynomial). ``poly`` and ``stats`` read
 one class spec (``--g6`` and ``--input`` give a ``Raw`` one); ``poly`` builds
-no graph for a closed form. Exit codes: 0 success, 2 format or parameter
-error, 3 verification failure, 4 guardrail refusal.
+no graph for a closed form, and no command builds one that a guardrail refuses
+by the spec's order. Exit codes: 0 success, 2 format or parameter error,
+3 verification failure, 4 guardrail refusal.
 """
 
 from __future__ import annotations
@@ -150,20 +151,20 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    graph = build_class(_load_graph(args))
-    k_max = args.kmax if args.kmax is not None else graph.n
-    stats = compute_stats(graph, k_max=k_max)
-    payload = {"order": graph.n, "edges": graph.edge_count}
-    payload.update(stats.to_json_dict())
+    spec = _load_graph(args)
+    order, edges = spec_size(spec)
+    _check_pruned_guardrail(order)  # the walk's own refusal, before a build it would waste
+    stats = compute_stats(build_class(spec), k_max=args.kmax)
+    payload = {"order": order, "edges": edges, **stats.to_json_dict()}
     print(json.dumps(payload))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    if args.spec:
-        specs = [parse_class_spec(text) for text in args.spec]
-    else:
-        specs = paper_suite()
+    specs = [parse_class_spec(text) for text in args.spec] if args.spec else paper_suite()
+    for order, _ in map(spec_size, specs):  # run_verify's refusals, in its order, before any walk
+        _check_pruned_guardrail(order)
+        _check_bruteforce_guardrail(order)
     results = run_verify(specs)
     failures = 0
     for result in results:

@@ -4,8 +4,9 @@ Every family of ``classes._FAMILIES`` has one closed form here, valid on the
 family's whole domain. A closed form checks its arguments by building the
 family's spec, so each domain and its error text live in one row of that
 table. No family spec is walked: the dispatcher enumerates only raw specs,
-and the join law only the non-complete operands of a join. All coefficients
-are exact integers.
+and the join law only the non-complete operands of a join. The law reads
+completeness from ``spec_size``, so it builds no complete operand. All
+coefficients are exact integers.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from .classes import (
     DisjointUnion,
     Join,
     Path,
+    Raw,
     Star,
     build_class,
     family_args,
+    spec_size,
 )
 from .enumeration import count_by_size_and_diameter, polynomial_pruned
 from .errors import ParameterError
@@ -118,26 +121,28 @@ def poly_disconnected(polys: Sequence[Polynomial]) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _join_rows(operand: Union[Graph, Complete]) -> Tuple[List[int], List[int]]:
+def _join_rows(spec: ClassSpec) -> Tuple[List[int], List[int]]:
     """C(|G|, k) and q_k(G) for k = 0..|G|, the two rows the join law reads of G.
 
     q_k counts the k-sets whose nonadjacent pairs share an outside neighbour:
     the cliques and the mutual-visibility sets of diameter 2, so q_0 = 1 and
-    q_k = Theta(k, 0) + Theta(k, 1) + Theta(k, 2). A complete operand, graph
-    or ``Complete`` spec, has q_k = C(|G|, k) and is not walked.
+    q_k = Theta(k, 0) + Theta(k, 1) + Theta(k, 2). A spec whose ``spec_size``
+    is complete, of any family, has q_k = C(|G|, k) and is neither built nor
+    walked.
     """
-    binomials = [comb(operand.n, k) for k in range(operand.n + 1)]
-    if isinstance(operand, Complete) or operand.is_complete:
+    n, m = spec_size(spec)
+    binomials = [comb(n, k) for k in range(n + 1)]
+    if m == n * (n - 1) // 2:
         return binomials, binomials
-    q = [1] + [0] * operand.n
-    for (k, d), c in count_by_size_and_diameter(operand).items():
+    q = [1] + [0] * n
+    for (k, d), c in count_by_size_and_diameter(build_class(spec)).items():
         if d <= 2:
             q[k] += c
     return binomials, q
 
 
-def poly_join(g: Union[Graph, Complete], h: Union[Graph, Complete]) -> Polynomial:
-    """Visibility polynomial of the join of two graphs, for every operand pair.
+def poly_join(g: Union[Graph, ClassSpec], h: Union[Graph, ClassSpec]) -> Polynomial:
+    """Visibility polynomial of the join of two graphs or specs, for every operand pair.
 
     Take a set A + B with A in G and B in H. Pairs across the join are
     adjacent, and a nonadjacent pair inside A sees through any vertex of H
@@ -145,20 +150,19 @@ def poly_join(g: Union[Graph, Complete], h: Union[Graph, Complete]) -> Polynomia
     A must be a q-set of G; the same holds for B. Summing over the split,
     r_i(G+H) = sum over k + l = i of
     (q_k(G) if l = |H| else C(|G|, k)) * (q_l(H) if k = |G| else C(|H|, l)).
-    The joined graph is never built: only non-complete operands are walked,
-    each under the 64-vertex guardrail of ``count_by_size_and_diameter``. A
-    complete operand may be its ``Complete`` spec, so K_m is not built
-    either. A join with the order-0 graph is the other operand itself.
+    A graph operand is read as ``Raw(graph)``. The joined graph is never
+    built: only non-complete operands are built and walked, each under the
+    64-vertex guardrail of ``count_by_size_and_diameter``. A join with the
+    order-0 graph is the other operand itself: the law gives its binomials
+    when it is complete, and any other is walked whole.
     """
-    if g.n == 0 or h.n == 0:
-        other = h if g.n == 0 else g
-        if other.n == 0:
-            return Polynomial((1,))
-        if isinstance(other, Complete) or other.is_complete:
-            return poly_complete(other.n)
-        return polynomial_pruned(other)
-    m, n = g.n, h.n
+    g, h = [Raw(o) if isinstance(o, Graph) else o for o in (g, h)]
+    for empty, other in (g, h), (h, g):
+        n, m = spec_size(other)
+        if spec_size(empty)[0] == 0 and m < n * (n - 1) // 2:
+            return polynomial_pruned(build_class(other))
     (cg, qg), (ch, qh) = _join_rows(g), _join_rows(h)
+    m, n = len(cg) - 1, len(ch) - 1
     coeffs = [0] * (m + n + 1)
     for k in range(m + 1):
         for l in range(n + 1):
@@ -180,14 +184,12 @@ def poly_for_class(spec: ClassSpec) -> Polynomial:
     """Dispatch a class spec to its closed form or composition law.
 
     The result is always the true visibility polynomial. Only ``Raw`` specs
-    and the non-complete operands of a ``Join`` are enumerated, and a
-    ``Complete`` operand of a ``Join`` is not built.
+    and the non-complete operands of a ``Join`` are built and enumerated.
     """
     if type(spec) in _CLOSED_FORMS:
         return _CLOSED_FORMS[type(spec)](*family_args(spec))
     if isinstance(spec, Join):
-        parts = spec.left, spec.right
-        return poly_join(*[p if isinstance(p, Complete) else build_class(p) for p in parts])
+        return poly_join(spec.left, spec.right)
     if isinstance(spec, DisjointUnion):
         return poly_disconnected([poly_for_class(part) for part in spec.parts])
     return polynomial_pruned(build_class(spec))

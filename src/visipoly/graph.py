@@ -12,12 +12,17 @@ lives in ``visibility``; the C walk runs its own.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FormatError, ParameterError, _Record
 
 # The largest order a graph file may announce: graph6's 18-bit order field.
 MAX_ORDER = (1 << 18) - 1
+
+
+def _decimal(field: str) -> Optional[int]:
+    """int(field) for ASCII digits with an optional leading minus; None for "+3", "1_0", "٣"."""
+    return int(field) if field.isascii() and field.removeprefix("-").isdigit() else None
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -63,9 +68,6 @@ class Graph(_Record):
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
         out = []
@@ -77,10 +79,6 @@ class Graph(_Record):
     @property
     def edge_count(self) -> int:
         return sum([mask.bit_count() for mask in self.adj]) // 2
-
-    @property
-    def is_complete(self) -> bool:
-        return self.edge_count == self.n * (self.n - 1) // 2
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -218,7 +216,8 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: header line "n m", then m lines "u v".
 
-    Blank lines and lines starting with "#" are ignored. 0-based endpoints.
+    Blank lines and lines starting with "#" are ignored. 0-based endpoints;
+    every field is ASCII digits with an optional leading minus, as in a class spec.
     An order above ``MAX_ORDER``, an endpoint out of range, a self-loop or a
     repeated edge is refused with its line number.
     """
@@ -231,10 +230,9 @@ def parse_edge_list(text: str) -> Graph:
         fields = line.split()
         if len(fields) != 2:
             raise FormatError(f"expected two integers, got {raw!r}", line=lineno)
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise FormatError(f"non-integer field in {raw!r}", line=lineno) from None
+        a, b = _decimal(fields[0]), _decimal(fields[1])
+        if a is None or b is None:
+            raise FormatError(f"non-integer field in {raw!r}", line=lineno)
         if header is None:
             if a < 0 or b < 0:
                 raise FormatError("header counts must be nonnegative", line=lineno)

@@ -337,7 +337,9 @@ PRUNED_REFUSAL = "enumeration is limited to 64 vertices, got {}; use a closed fo
 def test_poly_engine_refuses_from_the_order_before_building(capsys, monkeypatch, engine, text,
                                                             message):
     """An enumeration engine's guardrail refuses from the spec's order, before any build,
-    with the message and exit code that the engine gives a built graph."""
+    with the message and exit code that the engine gives a built graph. ``stats`` walks as
+    the pruned engine does, and ``verify`` meets the pruned guardrail first, then brute
+    force's, so each refuses with that engine's message too."""
     from visipoly import complete_graph
 
     count, refusal, least = ((enumeration.polynomial_bruteforce, BRUTE_REFUSAL, 26)
@@ -354,6 +356,11 @@ def test_poly_engine_refuses_from_the_order_before_building(capsys, monkeypatch,
     monkeypatch.setitem(classes._FAMILIES, Complete, row[:1] + (refuse,) + row[2:])
     code, out, err = run_cli(capsys, "poly", "--class", text, "--engine", engine)
     assert (code, out, err) == (4, "", f"error: {message}\n")
+    if engine == "pruned":
+        assert run_cli(capsys, "stats", "--class", text) == (4, "", f"error: {message}\n")
+    order = classes.spec_size(classes.parse_class_spec(text))[0]
+    refusal = PRUNED_REFUSAL if order > 64 else BRUTE_REFUSAL
+    assert run_cli(capsys, "verify", "--spec", text) == (4, "", f"error: {refusal.format(order)}\n")
 
 
 def test_poly_bad_class_exit_code(capsys):

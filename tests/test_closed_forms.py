@@ -384,24 +384,32 @@ def test_poly_for_class_dispatch():
 
 
 def test_join_reads_a_complete_spec_without_building_it(monkeypatch):
+    """A complete operand of any family is read from its size: its builder never runs."""
     others = [Cycle(6), Path(4), Star(3), Complete(2), Raw(paw_graph()), Raw(empty_graph(0))]
-    others.append(DisjointUnion((Path(2), Raw(empty_graph(3)))))
+    others.append(DisjointUnion((Path(3), Raw(empty_graph(2)))))
+    completes = [Complete(m) for m in range(1, 6)]
+    completes += [Cycle(3), Path(1), Path(2), Star(1), CompleteBipartite(1, 1)]
+    completes.append(DisjointUnion((Complete(1),)))
     expected = {
-        (m, other): poly_join(complete_graph(m), build_class(other))
-        for m in range(1, 6)
+        (complete, other): polynomial_pruned(join(build_class(complete), build_class(other)))
+        for complete in completes
         for other in others
     }
+    for (complete, other), poly in expected.items():
+        family = complete.parts[0] if isinstance(complete, DisjointUnion) else complete
+        row = classes._FAMILIES[type(family)]
 
-    def refuse(n):
-        raise AssertionError(f"complete_graph({n}) was built")
+        def refuse(*args, build=row[1], family=family):
+            if args == classes.family_args(family):
+                raise AssertionError(f"{family!r} was built")
+            return build(*args)
 
-    name, _, least, error, size = classes._FAMILIES[Complete]
-    monkeypatch.setitem(classes._FAMILIES, Complete, (name, refuse, least, error, size))
-    with pytest.raises(AssertionError):
-        build_class(Complete(3))
-    for (m, other), poly in expected.items():
-        assert poly_for_class(Join(Complete(m), other)) == poly, (m, other)
-        assert poly_for_class(Join(other, Complete(m))) == poly, (m, other)
+        with monkeypatch.context() as patch:
+            patch.setitem(classes._FAMILIES, type(family), row[:1] + (refuse,) + row[2:])
+            with pytest.raises(AssertionError, match="was built"):
+                build_class(complete)
+            assert poly_for_class(Join(complete, other)) == poly, (complete, other)
+            assert poly_for_class(Join(other, complete)) == poly, (complete, other)
 
 
 def test_poly_for_class_bipartite_small_parts():
