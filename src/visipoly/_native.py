@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import os
 import sys
-from array import array
 from functools import cache
 from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 SOURCE = Path(__file__).with_name("_walk.c")
 COUNTER_NAMES = ("nodes", "closed", "propagations", "blocks", "hidden")
@@ -185,37 +184,28 @@ def _bind(path: Path) -> Walk:
         return {divmod(i, width): c for i, c in enumerate(out[width:(top + 1) * width], width) if c}
 
     short = lib.visipoly_walk_graph6
-    short.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
-                      ctypes.POINTER(ctypes.c_int), ctypes.c_char_p, ctypes.c_long,
+    short.argtypes = [ctypes.c_char_p, ctypes.c_long, ctypes.c_char_p, ctypes.c_long,
                       ctypes.POINTER(word)]
     short.restype = ctypes.c_long
 
-    def walk_graph6(
-        text: bytes, lengths: Iterable[int], counters: Optional[dict] = None
-    ) -> List[Tuple[int, str]]:
-        """The order and key of each graph6 record, decoded, counted and keyed in one C call.
+    def walk_graph6(text: bytes, counters: Optional[dict] = None) -> List[str]:
+        """The key of each graph6 record, one a line of ``text``, decoded, counted and keyed in one C call.
 
-        ``text`` holds the records with no separator, ``lengths`` their
-        lengths. Per record, its order and the key that
-        ``polynomial._canonical_text`` gives its counts by size; or (-1, "")
-        when the record is not a short-form record of order 0..62 that
-        decodes in full, and ``parse_graph6`` then names its fault or decodes
-        it. Counters as for ``walk``, summed over the counted records.
+        Per record, the key that ``polynomial._canonical_text`` gives its
+        counts by size; or "" when the record is not a short-form record of
+        order 0..62 that decodes in full, and ``parse_graph6`` then names its
+        fault or decodes it. Counters as for ``walk``, summed over the counted records.
         """
-        lengths = array("i", lengths)
-        count = len(lengths)
-        orders = array("i", [0]) * count
-        # A counted record of order n has at least n - 2 bytes, so the C's
-        # KEY_MAX(n) = 24 + 21n bytes fit in 21 per byte and 66 per record.
-        capacity = 21 * len(text) + 66 * count
+        # A record of order n and its line break take at least KEY_MAX(n) / 36
+        # bytes of text, C's KEY_MAX(n) = 24 + 21n: order 4 has 108 for 2 + 1.
+        capacity = 36 * (len(text) + 1)
         keys = ctypes.create_string_buffer(capacity)
         tally = (word * len(COUNTER_NAMES))()
-        used = short(count, text, (ctypes.c_int * count).from_buffer(lengths),
-                     (ctypes.c_int * count).from_buffer(orders), keys, capacity, tally)
+        used = short(text, len(text), keys, capacity, tally)
         if used < 0:
             raise MemoryError("the native walk could not allocate its tables")
         _add_counters(counters, tally)
-        return list(zip(orders, ctypes.string_at(keys, used).decode("ascii").splitlines()))
+        return ctypes.string_at(keys, used).decode("ascii").splitlines()
 
     walk.graph6 = walk_graph6
     return walk

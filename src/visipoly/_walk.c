@@ -111,11 +111,9 @@
  * of range or memory runs out, and then nothing is counted.
  *
  * One call per chunk of graph6 records, decoded, counted and keyed by size:
- * visipoly_walk_graph6(count, text, lengths, orders, keys, capacity, counters).
- *   count     number of records
- *   text      their bytes, concatenated with no separator
- *   lengths   their lengths in bytes
- *   orders    set per record: its order, or -1 when the record is declined
+ * visipoly_walk_graph6(text, length, keys, capacity, counters).
+ *   text      length bytes: the records, one a line, separated by '\n', so k
+ *             line breaks separate k + 1 records
  *   keys      one line per record, in turn: a counted record's key
  *             "[c0,c1,...,ck]", entry k counting its sets of size k, trailing
  *             zeros trimmed, as polynomial._canonical_text writes it; an empty
@@ -127,7 +125,11 @@
  * (first byte 63..125), every byte 63..126, exactly 1 + ceil(n(n - 1) / 12)
  * bytes and zero padding bits. Its masks get both bits of every edge, so they
  * are symmetric and loop-free. Every other record, long-form ones included,
- * is declined and left to the caller's parser, which names the fault.
+ * is declined and left to the caller's parser, which names the fault; a line
+ * of another length is declined by its first byte and its length alone, so
+ * no line longer than order 62's 317 bytes is read. Every vertex is a
+ * mutual-visibility set, so a key's entry 1 is its record's order, and "[1]"
+ * is order 0.
  * Returns the number of bytes written to keys, or -1 when memory runs out or
  * the next record's KEY_MAX would pass capacity; nothing is written past it.
  */
@@ -815,7 +817,7 @@ int visipoly_walk(int n, const uint64_t *adj, int theta, uint64_t *out, uint64_t
  * The order of a short-form graph6 record of length bytes, its symmetric masks
  * written to adj; -1, with adj untouched, unless the record is one in full.
  */
-static int decode_graph6(const unsigned char *s, int length, uint64_t *adj)
+static int decode_graph6(const unsigned char *s, long length, uint64_t *adj)
 {
     if (length < 1 || s[0] < 63 || s[0] > 63 + SHORT_MAX)
         return -1;
@@ -862,29 +864,34 @@ static long write_key(char *key, const uint64_t *counts, int n)
     return at - key;
 }
 
-long visipoly_walk_graph6(int count, const char *text, const int *lengths, int *orders,
-                          char *keys, long capacity, uint64_t *counters)
+long visipoly_walk_graph6(const char *text, long length, char *keys, long capacity,
+                          uint64_t *counters)
 {
     Walk *w = new_walk(0, SHORT_MAX);
     if (!w)
         return -1;
     uint64_t adj[SHORT_MAX], counts[SHORT_MAX + 1];
-    const unsigned char *s = (const unsigned char *)text;
+    const char *end = text + length, *stop;
     long used = 0;
     w->out = counts;
-    for (int g = 0; g < count; s += lengths[g++]) {
-        int n = orders[g] = decode_graph6(s, lengths[g], adj);
+    for (const char *s = text;; s = stop + 1) {
+        stop = memchr(s, '\n', (size_t)(end - s));
+        if (!stop)
+            stop = end;
+        int n = decode_graph6((const unsigned char *)s, stop - s, adj);
         if (capacity - used < (n < 0 ? 1 : KEY_MAX(n))) {
             used = -1;
             break;
         }
         if (n < 0) {
             keys[used++] = '\n';
-            continue;
+        } else {
+            memset(counts, 0, sizeof counts);
+            walk_graph(w, n, adj);
+            used += write_key(keys + used, counts, n);
         }
-        memset(counts, 0, sizeof counts);
-        walk_graph(w, n, adj);
-        used += write_key(keys + used, counts, n);
+        if (stop == end)
+            break;
     }
     end_walk(w, counters);
     return used;

@@ -1,31 +1,33 @@
 """Batch analysis of graph6 streams: group graphs by visibility polynomial.
 
-The input is read in chunks of ``CHUNK_RECORDS`` lines, each stripped once
-and each chunk encoded once. With the native walk, one call decodes, counts
-and keys the short-form records of a chunk that it can decode in full: order
-at most 62, every byte in 63..126, the exact length and zero padding bits.
-Its C writes each one's key, the canonical string of which
-``polynomial._canonical_text`` is the reference. Every other line takes the
-fallback: blank and header lines, long-form, malformed and non-ASCII
-records, and all lines when there is no compiler. The fallback reads a line
-by ``iter_graph6_lines``'s rule, parses its record with ``parse_graph6``,
-which names a malformed record's fault, counts it with one call of the
-counting walk and keys it with ``_canonical_text``. Chunks run in this
-process until the input ends or ``SERIAL_SLICE_S`` seconds have passed;
-only then, only with more than one worker, and only once the records so far
-took ``POOL_MIN_RECORD_S`` each, does a worker pool take the chunks that are
-left. On corpus-like records the pool would cost more than the walks it
-hands out, so the choice rests on the time the batch has taken, not on a
-record count. Chunks return an (order, key) pair per counted record and
-their refusals, merged in input order, so the first bad record decides the
-error. ``run_batch`` tallies the pairs, so reports do not depend on input
+The input is read in chunks of ``CHUNK_RECORDS`` lines. With the native
+walk, one call takes a chunk's stripped lines joined by line breaks and
+gives back one key line per line: the canonical string, of which
+``polynomial._canonical_text`` is the reference, of each short-form record
+it decodes in full (order at most 62, every byte in 63..126, the exact
+length and zero padding bits), and an empty line for any other. Those take
+the fallback: blank and header lines, long-form, malformed and non-ASCII
+records; all lines of a chunk in which a line holds a line break of its own,
+which would shift the keys after it; and all lines when there is no
+compiler. The fallback reads a line by ``iter_graph6_lines``'s rule, parses
+its record with ``parse_graph6``, which names a malformed record's fault,
+counts it with one call of the counting walk and keys it with
+``_canonical_text``. Chunks run in this process until the input ends or
+``SERIAL_SLICE_S`` seconds have passed; only then, only with more than one
+worker, and only once the records so far took ``POOL_MIN_RECORD_S`` each,
+does a worker pool take the chunks that are left. On corpus-like records the
+pool would cost more than the walks it hands out, so the choice rests on the
+time the batch has taken, not on a record count. Chunks return the key of
+each counted record and their refusals, merged in input order, so the first
+bad record decides the error. ``run_batch`` tallies the keys and reads each
+key's order from its entry 1, r_1 = n, so reports do not depend on input
 order or worker count.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from itertools import chain, islice
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -52,8 +54,8 @@ POOL_CHUNKS_PER_WORKER = 8
 
 # A chunk: its first line's number and its lines
 Chunk = Tuple[int, List[str]]
-# A chunk's (order, key) pairs, and its refusals: (line, the error its record raised)
-Analysed = Tuple[List[Tuple[int, str]], List[Tuple[int, Union[FormatError, GuardrailError]]]]
+# A chunk's keys, and its refusals: (line, the error its record raised)
+Analysed = Tuple[List[str], List[Tuple[int, Union[FormatError, GuardrailError]]]]
 
 
 class BatchReport(_Record):
@@ -86,7 +88,7 @@ def effective_workers(requested: Optional[int] = None) -> int:
 
 
 def _analyse_chunk(chunk: Chunk) -> Analysed:
-    """The (order, key) pairs of a chunk's records and their refusals, each in input order.
+    """The keys of a chunk's records and their refusals, each in input order.
 
     The fallback's ``_count_sets`` applies the guardrail, so a refusal keeps
     its text. Each refusal comes back with its line, so one bad record cannot
@@ -96,27 +98,24 @@ def _analyse_chunk(chunk: Chunk) -> Analysed:
     from . import _native  # not at package import, as in _count_sets
 
     first, lines = chunk
-    records = [line.strip() for line in lines]
+    keys = [""] * len(lines)
     walk = _native.load()
-    if walk is None:
-        pairs = [(-1, "")] * len(records)
-    else:
+    if walk is not None:
         # One encode per chunk; its bytes over 127 make the decoder decline a non-ASCII record.
-        text = "".join(records).encode("utf-8", "surrogatepass")
-        sized = records if text.isascii() else [r.encode("utf-8", "surrogatepass") for r in records]
-        pairs = walk.graph6(text, map(len, sized))
-        if (-1, "") not in pairs:
-            return pairs, []
+        text = "\n".join([line.strip() for line in lines]).encode("utf-8", "surrogatepass")
+        if text.count(b"\n") < len(lines):
+            keys = walk.graph6(text)
+            if "" not in keys:
+                return keys, []
     refusals: list = []
     for i, line in enumerate(lines):
-        if pairs[i][0] < 0:
+        if not keys[i]:
             for _, record in iter_graph6_lines((line,)):  # none for a blank or header-only line
                 try:
-                    g = parse_graph6(record)
-                    pairs[i] = g.n, _canonical_text(tuple(_count_sets(g, theta=False)))
+                    keys[i] = _canonical_text(tuple(_count_sets(parse_graph6(record), theta=False)))
                 except (FormatError, GuardrailError) as exc:
                     refusals.append((first + i, exc))
-    return [pair for pair in pairs if pair[0] >= 0], refusals
+    return [key for key in keys if key], refusals
 
 
 def _chunks(lines: Iterable[str]) -> Iterator[Chunk]:
@@ -176,16 +175,19 @@ def run_batch(
     line. Reports come back sorted by order.
     """
     tallies: Counter = Counter()
-    for pairs, refusals in _analysed_chunks(lines, effective_workers(workers)):
+    for keys, refusals in _analysed_chunks(lines, effective_workers(workers)):
         for lineno, exc in refusals:
             if isinstance(exc, GuardrailError):
                 raise GuardrailError(f"line {lineno}: {exc}")
             if not skip_bad:
                 raise exc.at_line(lineno)
-        tallies.update(pairs)
-    counters: Dict[int, Dict[str, int]] = {}
-    for (order, key), tally in tallies.items():
-        counters.setdefault(order, {})[key] = tally
+        tallies.update(keys)
+    # Every vertex is a mutual-visibility set, so r_1 = n: a key reads "[1,n,...]" or "[1,n]",
+    # n running from index 3 to the next comma or the "]", and "[1]" gives "", order 0.
+    by_order: Dict[str, Dict[str, int]] = defaultdict(dict)
+    for key, tally in tallies.items():
+        by_order[key[3:key.find(",", 3)]][key] = tally
+    counters = {int(n or 0): groups for n, groups in by_order.items()}
     reports = []
     for order in sorted(counters):
         groups = counters[order]

@@ -7,8 +7,6 @@ Equality and the grouping key are bit-exact by construction.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import ParameterError, _Record
 
 
@@ -60,11 +58,6 @@ class Polynomial(_Record):
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-@lru_cache(maxsize=None)
-def _array_format(length: int) -> str:
-    return "[" + ",".join(["%d"] * length) + "]"
-
-
 def _trimmed(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """The tuple without its trailing zeros, sliced once."""
     end = len(coeffs)
@@ -76,5 +69,4 @@ def _trimmed(coeffs: tuple[int, ...]) -> tuple[int, ...]:
 def _canonical_text(coeffs: tuple[int, ...]) -> str:
     """The key "[c0,c1,...,ck]" of a tuple of ints, trailing zeros trimmed: of a
     ``Polynomial``, and in ``run_batch`` of walk counts, which need no validation."""
-    coeffs = _trimmed(coeffs)
-    return _array_format(len(coeffs)) % coeffs
+    return "[" + ",".join(map(int.__repr__, _trimmed(coeffs))) + "]"  # a bool as 1 or 0

@@ -189,9 +189,10 @@ def compute_stats(g: Graph, k_max: int | None = None) -> VisStats:
     mutual-visibility set of diameter at most 1, so c_0 = 1, c_1 = n and
     c_k = Theta(k, 1) for k >= 2.
     """
-    from .enumeration import count_by_size_and_diameter
+    from .enumeration import _check_pruned_guardrail, count_by_size_and_diameter
 
     n = g.n
+    _check_pruned_guardrail(n)
     if k_max is None:
         k_max = n
     if not 0 <= k_max <= n:

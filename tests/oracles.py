@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from itertools import combinations, permutations
+from math import comb
 
 from visipoly import Graph, Polynomial, iter_bits
 from visipoly.visibility import _clique_counts
@@ -137,7 +138,12 @@ def check_certificates(g: Graph, table: dict[tuple[int, int], int]) -> None:
     bound k r_k <= (n - k + 1) r_{k-1}, since each k-set has k subsets of size
     k - 1, all mutual-visibility sets, and each (k - 1)-set lies in n - k + 1
     k-sets. On a tree of n >= 2 vertices the top row is checked whole
-    (``tree_top_row``).
+    (``tree_top_row``). Last, for each diameter bound D the sets of diameter
+    at most D are closed under subsets, as a subset's diameter is no larger,
+    so they form a simplicial complex, and its face counts f_k(D), the sum of
+    Theta(k, d) over d <= D with f_0 = 1, meet the Kruskal-Katona bound
+    f_{k-1}(D) >= ``shadow_bound``(f_k(D), k). This reads how the sets of one
+    size split by diameter, which no other certificate here does.
     """
     assert {key: count for key, count in table.items() if key[0] <= 3} == small_theta(g), g
     cliques = _clique_counts(g.adj, (1 << g.n) - 1, g.n)
@@ -152,6 +158,31 @@ def check_certificates(g: Graph, table: dict[tuple[int, int], int]) -> None:
         assert mu == leaves, ("a tree's mu is its number of leaves", g)
         if leaves >= 3:
             assert r[mu] == product, ("a tree's r_mu is the product of its pendant paths", g)
+    for bound in sorted({d for _, d in table}):
+        f = [1] + [0] * g.n
+        for (k, d), count in table.items():
+            if d <= bound:
+                f[k] += count
+        assert all(f[k - 1] >= shadow_bound(f[k], k) for k in range(1, g.n + 1)), (
+            "Kruskal-Katona fails at diameter bound", bound, g)
+
+
+def shadow_bound(m: int, k: int) -> int:
+    """The fewest (k - 1)-sets that m distinct k-sets can cover (Kruskal, 1963; Katona, 1968).
+
+    With m = C(a_k, k) + C(a_{k-1}, k - 1) + ... + C(a_j, j), a_k > ... > a_j >= j >= 1,
+    the greedy k-binomial representation of m, it is C(a_k, k - 1) + ... + C(a_j, j - 1).
+    """
+    shadow, a = 0, k
+    while m and comb(a + 1, k) <= m:
+        a += 1
+    while m:
+        while comb(a, k) > m:
+            a -= 1
+        m -= comb(a, k)
+        shadow += comb(a, k - 1)
+        k -= 1
+    return shadow
 
 
 def tree_top_row(g: Graph) -> tuple[int, int]:

@@ -309,7 +309,7 @@ def test_long_form_records_take_the_fallback_in_a_mixed_chunk(monkeypatch, poole
     walk = native.load()
     if walk is not None:
         records = [encode_graph6(g).encode("ascii") for g in long_form]
-        assert walk.graph6(b"".join(records), map(len, records)) == [(-1, "")] * 2
+        assert walk.graph6(b"\n".join(records)) == ["", ""]
     started = record_pools(monkeypatch)
     if pooled:
         force_pool(monkeypatch)
@@ -326,32 +326,43 @@ def test_long_form_records_take_the_fallback_in_a_mixed_chunk(monkeypatch, poole
 
 
 MIXED_CHUNK = ["A_", "", ">>graph6<<", ">>graph6<<Bw", "~??C~", "A=", "Bww", "C", "  C~  ",
-               TOO_LARGE, "B?"]
+               TOO_LARGE, "Bé", "B?"]
 
 
 @pytest.mark.parametrize("walk", ["native", "python"])
 def test_mixed_chunk_keeps_each_refusals_line_and_error(monkeypatch, walk):
-    """One chunk of short-form, long-form, bad-byte, wrong-length, header and blank lines.
+    """One chunk of short-form, long-form, bad-byte, wrong-length, non-ASCII, header and blank lines.
 
     The native decoder declines all but the short-form records; the fallback
     reads the rest by ``iter_graph6_lines``'s rule, so blank and header-only
-    lines count nothing, and each refusal keeps its line and its error.
+    lines count nothing, and each refusal keeps its line and its error. A
+    list item that holds a line break of its own sends its whole chunk to the
+    fallback, which refuses it by its line; it shifts no other key.
     """
     if walk == "python":
         pin_python_walk(monkeypatch)
-    pairs, refusals = batch._analyse_chunk((1, MIXED_CHUNK))
-    assert pairs == [(2, "[1,2,1]"), (3, "[1,3,3,1]"), (4, "[1,4,6,4,1]"), (4, "[1,4,6,4,1]"),
-                     (3, "[1,3]")]
+    keys, refusals = batch._analyse_chunk((1, MIXED_CHUNK))
+    assert keys == ["[1,2,1]", "[1,3,3,1]", "[1,4,6,4,1]", "[1,4,6,4,1]", "[1,3]"]
     assert [(line, type(exc), str(exc), getattr(exc, "offset", None)) for line, exc in refusals] == [
         (6, FormatError, "byte 61 outside graph6 range 63..126 (byte offset 1)", 1),
         (7, FormatError, "trailing bytes after adjacency section (byte offset 2)", 2),
         (8, FormatError, "truncated adjacency section: expected 1 bytes, got 0", None),
         (10, GuardrailError, "enumeration is limited to 64 vertices, got 65; use a closed form", None),
+        (11, FormatError, "graph6 record contains non-ASCII characters", None),
     ]
     with pytest.raises(FormatError, match="^line 6: byte 61 outside"):
         run_batch(MIXED_CHUNK, workers=1)
     with pytest.raises(GuardrailError, match="^line 10: enumeration is limited to 64"):
         run_batch(MIXED_CHUNK, workers=1, skip_bad=True)
+    split = ["A_", "A_\nB?", "B?"]
+    keys, refusals = batch._analyse_chunk((1, split))
+    assert keys == ["[1,2,1]", "[1,3]"]
+    assert [(line, str(exc), exc.offset) for line, exc in refusals] == [
+        (2, "byte 10 outside graph6 range 63..126 (byte offset 2)", 2)]
+    with pytest.raises(FormatError, match="^line 2: byte 10 outside graph6 range"):
+        run_batch(split, workers=1)
+    reports = run_batch(split, workers=1, skip_bad=True, keep_histogram=True)
+    assert [(r.order, r.histogram) for r in reports] == [(2, {"[1,2,1]": 1}), (3, {"[1,3]": 1})]
 
 
 @pytest.mark.parametrize("pooled", [False, True])

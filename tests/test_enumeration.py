@@ -101,6 +101,34 @@ def test_tree_top_row_certificate():
             check_certificates(g, short)
 
 
+def test_kruskal_katona_certificate():
+    """A Theta entry of size >= 4 moved whole to another diameter >= 2 keeps every row sum,
+    the sizes 1..3 and the cliques, which the other certificates read; so only the
+    Kruskal-Katona check per diameter bound, which runs last, can reject it. On the 4x5 grid
+    it rejects some of the moves, each naming its bound, and accepts the true table."""
+    rows, cols = 4, 5
+    grid = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    grid += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    g = Graph.from_edges(rows * cols, grid)
+    table = count_by_size_and_diameter(g)
+    check_certificates(g, table)
+    moves = caught = 0
+    widest = max(d for _, d in table)
+    for (k, d), count in table.items():
+        for other in range(2, widest + 1):
+            if k < 4 or d < 2 or other == d:
+                continue
+            moved = {key: c for key, c in table.items() if key != (k, d)}
+            moved[k, other] = moved.get((k, other), 0) + count
+            moves += 1
+            try:
+                check_certificates(g, moved)
+            except AssertionError as exc:
+                assert exc.args[0][0] == "Kruskal-Katona fails at diameter bound", exc
+                caught += 1
+    assert (caught, moves) == (81, 120)
+
+
 def test_bruteforce_guardrail():
     with pytest.raises(GuardrailError, match="pruned"):
         polynomial_bruteforce(empty_graph(26))

@@ -41,6 +41,7 @@ from visipoly import (
     poly_path,
     poly_star,
     polynomial_pruned,
+    run_batch,
     star_graph,
 )
 from visipoly.cli import main
@@ -73,8 +74,8 @@ def native_walk():
 
 
 def graph6_entry(walk, records, counters=None):
-    """The (order, key) pairs of the graph6 entry on records, a list of bytes, in one call."""
-    return walk.graph6(b"".join(records), map(len, records), counters)
+    """The keys of the graph6 entry on records, a list of bytes, one a line, in one call."""
+    return walk.graph6(b"\n".join(records), counters)
 
 
 def golden_records():
@@ -257,7 +258,7 @@ def test_shadow_filter_keeps_the_counts(native_walk):
     shadow row, interval memo or leaf-block pattern left over from an
     earlier graph would prune a later one; the shuffle of shadow_graphs()
     makes graphs above and below BLOCK_MAX alternate. That call must give the
-    orders, the keys of the counts and the summed counters of one call per graph.
+    keys of the counts and the summed counters of one call per graph.
     """
     cases = shadow_graphs()
     for theta in (False, True):
@@ -277,8 +278,7 @@ def test_shadow_filter_keeps_the_counts(native_walk):
     short = [g for g, _, _ in cases if g.n <= native.SHORT_MAX_ORDER]
     assert len(short) == len(cases) - 4  # P_63, P_64, C_63 and C_64
     one_counters, many_counters = {}, {}
-    per_graph = [(g.n, _canonical_text(tuple(native_walk(g.adj, False, one_counters))))
-                 for g in short]
+    per_graph = [_canonical_text(tuple(native_walk(g.adj, False, one_counters))) for g in short]
     records = [encode_graph6(g).encode("ascii") for g in short]
     assert graph6_entry(native_walk, records, many_counters) == per_graph
     assert many_counters == one_counters
@@ -489,8 +489,8 @@ def test_every_engine_counts_the_empty_set(monkeypatch):
             assert engine(g, False)[0] == 1, (g, engine)
             assert all(k for k, _ in engine(g, True)), (g, engine)
     if walk is not None:
-        pairs = graph6_entry(walk, [r.encode() for r in records])
-        assert {json.loads(key)[0] for _, key in pairs} == {1}
+        keys = graph6_entry(walk, [r.encode() for r in records])
+        assert {json.loads(key)[0] for key in keys} == {1}
     pin_python_walk(monkeypatch)
     for g in graphs:
         assert _count_sets(g, False)[0] == 1, g
@@ -500,9 +500,9 @@ def test_every_engine_counts_the_empty_set(monkeypatch):
 def test_graph6_entry_agrees_with_parse_graph6(native_walk):
     """The native decoder accepts a subset of what parse_graph6 accepts and counts the same graphs.
 
-    Every counted record, every corpus record among them, gets its graph's
-    order and the key that ``_canonical_text``, the key's reference, gives the
-    per-graph walk's counts; a declined one gets (-1, "").
+    Every counted record, every corpus record among them, gets the key that
+    ``_canonical_text``, the key's reference, gives the per-graph walk's
+    counts; a declined one gets "".
 
     A declined record must be malformed, or long-form: the native decoder
     reads only the one-byte order field of orders 0..62, while parse_graph6
@@ -510,42 +510,49 @@ def test_graph6_entry_agrees_with_parse_graph6(native_walk):
     """
     records = graph6_inputs()
     counted = graph6_entry(native_walk, records)
+    assert len(counted) == len(records)
     accepted, expected = [], []
-    for record, (order, key) in zip(records, counted):
-        if order >= 0:
+    for record, key in zip(records, counted):
+        if key:
             accepted.append(parse_graph6(record))
-            expected.append((order, key))
+            expected.append(key)
             continue
-        assert key == "", record
         try:
             g = parse_graph6(record)
         except FormatError:
             continue
         assert g.n >= 63 or record[0] == 126, record
-    assert all(order >= 0 for order, _ in counted[:996 + 63])
+    assert all(counted[:996 + 63])
     assert len(accepted) > 10000 and len(records) - len(accepted) > 30000
-    keys = [_canonical_text(tuple(_count_sets(g, theta=False))) for g in accepted]
-    assert [(g.n, key) for g, key in zip(accepted, keys)] == expected
+    assert [_canonical_text(tuple(_count_sets(g, theta=False))) for g in accepted] == expected
 
 
 def test_graph6_entry_keys_the_extremes(native_walk):
     """K_62's 63 entries reach C(62, 31), 18 digits; orders 0 and 1; empty:62 trims 61 zeros.
 
     A chunk of 64 K_62 records, each key 872 bytes and a newline, fits the wrapper's buffer.
+    In ``run_batch`` each lands in the report of the order its key's entry 1 names, as do
+    the long-form records of orders 63 and 64, which the fallback keys.
     """
     k62 = encode_graph6(complete_graph(62)).encode("ascii")
     cases = [(k62, poly_complete(62).to_canonical_string()), (b"?", "[1]"), (b"@", "[1,1]"),
              (encode_graph6(empty_graph(62)).encode("ascii"), "[1,62]")]
     assert len(str(poly_complete(62).coefficient(31))) == 18
-    pairs = graph6_entry(native_walk, [record for record, _ in cases])
-    assert pairs == [(record[0] - 63, key) for record, key in cases]
+    keys = graph6_entry(native_walk, [record for record, _ in cases])
+    assert keys == [key for _, key in cases]
     assert polynomial_pruned(empty_graph(62)).to_canonical_string() == "[1,62]"
-    assert graph6_entry(native_walk, [k62] * 64) == [pairs[0]] * 64
+    assert graph6_entry(native_walk, [k62] * 64) == [keys[0]] * 64
+    long_form = [path_graph(63), empty_graph(64)]
+    lines = [record.decode("ascii") for record, _ in cases] + [encode_graph6(g) for g in long_form]
+    expected = {0: {"[1]": 1}, 1: {"[1,1]": 1}, 62: {keys[0]: 1, "[1,62]": 1}}
+    expected.update({g.n: {polynomial_pruned(g).to_canonical_string(): 1} for g in long_form})
+    assert {r.order: r.histogram for r in run_batch(lines, workers=1, keep_histogram=True)} == expected
 
 
 def test_graph6_entry_writes_nothing_past_capacity(native_walk):
     """The C entry refuses a chunk whose next record's worst-case key, 24 + 21n bytes for
-    order n, would pass the capacity, and writes no byte past it; a declined record takes 1."""
+    order n, would pass the capacity, and writes no byte past it; a declined record takes 1,
+    an empty line and a line longer than K_62's 317 bytes among them."""
     import ctypes
 
     entry = ctypes.CDLL(str(native._library())).visipoly_walk_graph6
@@ -554,15 +561,13 @@ def test_graph6_entry_writes_nothing_past_capacity(native_walk):
     key = (poly_complete(62).to_canonical_string() + "\n").encode("ascii")
     worst = 24 + 21 * 62
     for records, need, written in (([k62], worst, key), ([b"", k62], 1 + worst, b"\n" + key),
-                                   ([b"~??C~", b"A_"], 1 + 24 + 21 * 2, b"\n[1,2,1]\n")):
-        count = len(records)
+                                   ([b"~??C~", b"A_"], 1 + 24 + 21 * 2, b"\n[1,2,1]\n"),
+                                   ([k62 + b"?", b"", b"A_"], 2 + 24 + 21 * 2, b"\n\n[1,2,1]\n")):
+        text = b"\n".join(records)
         for capacity in (need, need - 1):
             keys = ctypes.create_string_buffer(b"#" * (need + 8), need + 8)
-            orders = (ctypes.c_int * count)()
-            lengths = (ctypes.c_int * count)(*map(len, records))
             tally = (ctypes.c_uint64 * len(native.COUNTER_NAMES))()
-            used = entry(count, b"".join(records), lengths, orders, keys, ctypes.c_long(capacity),
-                         tally)
+            used = entry(text, ctypes.c_long(len(text)), keys, ctypes.c_long(capacity), tally)
             if capacity == need:
                 assert keys.raw[:used] == written and used <= capacity
             else:
@@ -605,7 +610,7 @@ ASAN_UBSAN = ["-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
 # Runs in a child process: count the graphs read from stdin with the library
 # named by argv[1], one call per graph and sink, writing the counts by size and
 # the (size, diameter) tables, then decode and count the graph6 records of the
-# file argv[2], one a line, in one call, into their orders and keys.
+# file argv[2], one a line, in one call, into their keys.
 SANITIZED_CHILD = """
 import json, sys
 from pathlib import Path
@@ -614,8 +619,7 @@ walk = _bind(Path(sys.argv[1]))
 adjs = json.load(sys.stdin)
 counts = [walk(adj, False) for adj in adjs]
 tables = [sorted(walk(adj, True).items()) for adj in adjs]
-records = Path(sys.argv[2]).read_bytes().split(b"\\n")
-json.dump([counts, tables, walk.graph6(b"".join(records), map(len, records))], sys.stdout)
+json.dump([counts, tables, walk.graph6(Path(sys.argv[2]).read_bytes())], sys.stdout)
 """
 
 
@@ -709,9 +713,8 @@ def test_walk_is_clean_under_ubsan_and_warnings(native_walk, tmp_path):
     assert counts[len(records):] == [native_walk(g.adj, False) for g in rest]
     assert tables[len(records):] == [native_walk(g.adj, True) for g in rest]
     golden = [line.split(" ") for line in GOLDEN.read_text("ascii").splitlines()]
-    assert [key for _, key in decoded[:len(records)]] == [poly for _, poly, _ in golden]
-    assert [order for order, _ in decoded[:len(records)]] == [g.n for g in graphs[:len(records)]]
-    assert [tuple(pair) for pair in decoded] == graph6_entry(native_walk, inputs)
+    assert decoded[:len(records)] == [poly for _, poly, _ in golden]
+    assert decoded == graph6_entry(native_walk, inputs)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import pytest
 
 import visipoly.visibility as visibility
 from visipoly import (
+    GuardrailError,
     ParameterError,
     VisibilityContext,
     clique_count,
@@ -206,6 +207,9 @@ def test_stats_kmax_bounds():
     assert stats.mu == 3
     with pytest.raises(ParameterError):
         compute_stats(g, k_max=9)
+    # The guardrail comes first, as in `stats --class path:70 --kmax 100`.
+    with pytest.raises(GuardrailError, match="^enumeration is limited to 64 vertices, got 70;"):
+        compute_stats(path_graph(70), k_max=100)
 
 
 def test_stats_kmax_when_the_root_closes():
