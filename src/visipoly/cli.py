@@ -20,9 +20,9 @@ import time
 from itertools import islice
 from typing import Callable
 
-from . import _native
+from . import enumeration
 from .batch import run_batch_file
-from .classes import DisjointUnion, Join, Raw, build_class, parse_class_spec, spec_label, spec_size
+from .classes import Raw, build_class, parse_class_spec, spec_label, spec_size
 from .closed_forms import poly_for_class
 from .enumeration import (_check_bruteforce_guardrail, _check_pruned_guardrail,
                           polynomial_bruteforce, polynomial_pruned)
@@ -101,26 +101,17 @@ def _polynomial_for(spec, args) -> tuple[Callable[[], Polynomial], str]:
     return lambda: polynomial_pruned(graph), "pruned"
 
 
-def _walks(spec) -> bool:
-    """True when the closed form walks: a raw graph or a join's non-complete operand, at any depth."""
-    if isinstance(spec, DisjointUnion):
-        return any(_walks(part) for part in spec.parts)
-    if isinstance(spec, Join):
-        return any(m < n * (n - 1) // 2 for n, m in map(spec_size, (spec.left, spec.right)))
-    return isinstance(spec, Raw)
-
-
 def _cmd_poly(args) -> int:
     spec = _load_graph(args)
     count, engine = _polynomial_for(spec, args)
-    # The counting walk, "native" (C) or "python", is loaded before the clock whenever
-    # the count walks, so a cold cache's build is not timed.
-    walk = None
-    if engine == "pruned" or (engine == "closed-form" and _walks(spec)):
-        walk = "python" if _native.load() is None else "native"
-    start = time.perf_counter()
-    poly = count()
-    elapsed = time.perf_counter() - start
+    # The count names its walk, if any, and the seconds spent loading it, a build included.
+    enumeration._recorder = recorder = {"walk": None, "load_s": 0.0}
+    try:
+        start = time.perf_counter()
+        poly = count()
+        elapsed = time.perf_counter() - start - recorder["load_s"]
+    finally:
+        enumeration._recorder = None
     order, edges = spec_size(spec)
     mu = poly.degree
     r_mu = poly.coefficient(mu)
@@ -135,7 +126,7 @@ def _cmd_poly(args) -> int:
                     "mu": mu,
                     "r_mu": r_mu,
                     "engine": engine,
-                    "walk": walk,
+                    "walk": recorder["walk"],
                     "seconds": elapsed,
                 }
             )
@@ -162,9 +153,6 @@ def _cmd_stats(args) -> int:
 
 def _cmd_verify(args) -> int:
     specs = [parse_class_spec(text) for text in args.spec] if args.spec else paper_suite()
-    for order, _ in map(spec_size, specs):  # run_verify's refusals, in its order, before any walk
-        _check_pruned_guardrail(order)
-        _check_bruteforce_guardrail(order)
     results = run_verify(specs)
     failures = 0
     for result in results:

@@ -28,7 +28,7 @@ from .classes import (
     family_args,
     spec_size,
 )
-from .enumeration import count_by_size_and_diameter, polynomial_pruned
+from .enumeration import _check_pruned_guardrail, count_by_size_and_diameter, polynomial_pruned
 from .errors import ParameterError
 from .graph import Graph
 from .polynomial import Polynomial
@@ -151,16 +151,18 @@ def poly_join(g: Union[Graph, ClassSpec], h: Union[Graph, ClassSpec]) -> Polynom
     r_i(G+H) = sum over k + l = i of
     (q_k(G) if l = |H| else C(|G|, k)) * (q_l(H) if k = |G| else C(|H|, l)).
     A graph operand is read as ``Raw(graph)``. The joined graph is never
-    built: only non-complete operands are built and walked, each under the
-    64-vertex guardrail of ``count_by_size_and_diameter``. A join with the
-    order-0 graph is the other operand itself: the law gives its binomials
-    when it is complete, and any other is walked whole.
+    built: only non-complete operands are built and walked, and the walk's
+    64-vertex guardrail refuses them, left first, before any binomial. A
+    join with the order-0 graph is the other operand itself: the law gives
+    its binomials when it is complete, and any other is walked whole.
     """
     g, h = [Raw(o) if isinstance(o, Graph) else o for o in (g, h)]
-    for empty, other in (g, h), (h, g):
+    for other, empty in (g, h), (h, g):
         n, m = spec_size(other)
-        if spec_size(empty)[0] == 0 and m < n * (n - 1) // 2:
-            return polynomial_pruned(build_class(other))
+        if m < n * (n - 1) // 2:
+            _check_pruned_guardrail(n)  # the walk's refusal, before any binomial or build
+            if spec_size(empty)[0] == 0:
+                return polynomial_pruned(build_class(other))
     (cg, qg), (ch, qh) = _join_rows(g), _join_rows(h)
     m, n = len(cg) - 1, len(ch) - 1
     coeffs = [0] * (m + n + 1)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from time import perf_counter
 from typing import Dict, Iterator, List, Tuple, Union
 
 from .errors import GuardrailError
@@ -44,6 +45,7 @@ from .visibility import VisibilityContext, _bad_subsets, _search
 BRUTEFORCE_MAX_VERTICES = 25
 SLICE_VERTICES = 14  # brute force tests the 2^14 subsets of one block at once
 PRUNED_MAX_VERTICES = 64
+_recorder = None  # or a dict: _count_sets sets the "walk" it ran, adds its load seconds to "load_s"
 
 def polynomial_bruteforce(g: Graph) -> Polynomial:
     """Visibility polynomial by testing all subsets, a block of 2^14 at a time.
@@ -197,7 +199,13 @@ def _count_sets(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int],
     from . import _native  # here, so that `import visipoly` does not load _native too
 
     _check_pruned_guardrail(g.n)
-    walk = _native.load()
+    if _recorder is None:
+        walk = _native.load()
+    else:
+        start = perf_counter()
+        walk = _native.load()
+        _recorder["load_s"] += perf_counter() - start
+        _recorder["walk"] = "python" if walk is None else "native"
     if walk is not None:
         return walk(g.adj, theta)
     if g.n <= BRUTEFORCE_MAX_VERTICES:

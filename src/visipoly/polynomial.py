@@ -21,7 +21,7 @@ class Polynomial(_Record):
     def __init__(self, coeffs: tuple[int, ...] = ()):
         coeffs = tuple(coeffs)
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:  # a bool or another int subclass too
                 raise ParameterError(f"coefficient {c!r} is not an exact integer")
             if c < 0:
                 raise ParameterError(f"coefficient {c} is negative")

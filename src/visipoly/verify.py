@@ -21,9 +21,11 @@ from .classes import (
     build_class,
     parse_class_spec,
     spec_label,
+    spec_size,
 )
 from .closed_forms import poly_for_class
-from .enumeration import polynomial_bruteforce, polynomial_pruned
+from .enumeration import (_check_bruteforce_guardrail, _check_pruned_guardrail,
+                          polynomial_bruteforce, polynomial_pruned)
 from .errors import _Record
 from .polynomial import Polynomial
 
@@ -61,6 +63,10 @@ def paper_suite() -> List[ClassSpec]:
 
 def run_verify(specs: Sequence[ClassSpec]) -> List[VerifyResult]:
     """Compare closed form, pruned, and brute force on each instance."""
+    specs = list(specs)  # read twice, so an iterator of specs is verified too
+    for order, _ in map(spec_size, specs):  # both engines' refusals, before any build or count
+        _check_pruned_guardrail(order)
+        _check_bruteforce_guardrail(order)
     results = []
     for spec in specs:
         closed = poly_for_class(spec)

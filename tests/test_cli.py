@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import visipoly._native as native
-from visipoly import Complete, Polynomial, classes, cli, enumeration, verify
+from visipoly import Complete, Polynomial, classes, cli, closed_forms, enumeration, verify
 from visipoly.cli import main
 
 from conftest import corpus_path, pin_python_walk
@@ -61,6 +61,9 @@ def test_poly_g6_record(capsys):
     code, out, _ = run_cli(capsys, "poly", "--g6", "C~", "--engine", "bruteforce")
     assert code == 0
     assert "[1,4,6,4,1]" in out
+    code, out, _ = run_cli(capsys, "poly", "--g6", "C~", "--engine", "bruteforce", "--json")
+    assert code == 0
+    assert [json.loads(out)[key] for key in ("engine", "walk")] == ["bruteforce", None]
 
 
 def test_poly_g6_file_with_header(capsys, tmp_path):
@@ -361,6 +364,40 @@ def test_poly_engine_refuses_from_the_order_before_building(capsys, monkeypatch,
     order = classes.spec_size(classes.parse_class_spec(text))[0]
     refusal = PRUNED_REFUSAL if order > 64 else BRUTE_REFUSAL
     assert run_cli(capsys, "verify", "--spec", text) == (4, "", f"error: {refusal.format(order)}\n")
+
+
+def test_run_verify_refuses_from_the_orders_before_building_or_counting(monkeypatch):
+    """``run_verify`` meets each spec's order with the pruned guardrail, then brute force's,
+    before it builds or counts any spec; it reads an iterator of specs whole."""
+    results = verify.run_verify(iter([classes.Path(3), Complete(3)]))
+    assert [(result.label, result.passed) for result in results] == [("path:3", True),
+                                                                      ("complete:3", True)]
+
+    def refuse(n):
+        raise AssertionError(f"complete_graph({n}) was built")
+
+    row = classes._FAMILIES[Complete]
+    monkeypatch.setitem(classes._FAMILIES, Complete, row[:1] + (refuse,) + row[2:])
+    calls = []
+    monkeypatch.setattr(enumeration, "_count_sets", lambda *args: calls.append(args))
+    for specs, message in (([Complete(3000)], PRUNED_REFUSAL.format(3000)),
+                           ([classes.Path(3), Complete(30)], BRUTE_REFUSAL.format(30))):
+        with pytest.raises(enumeration.GuardrailError) as raised:
+            verify.run_verify(specs)
+        assert str(raised.value) == message
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, order",
+                         [("join:cycle:100*path:1", 100), ("join:complete:3*cycle:100", 100),
+                          ("join:cycle:100*cycle:200", 100), ("join:empty:0*cycle:70", 70)])
+def test_join_law_refuses_an_operand_before_any_binomial(capsys, monkeypatch, text, order):
+    """A join's non-complete operand meets the walk's guardrail, the left one first, before
+    the law computes a binomial; the recorder is unset again after the refusal."""
+    monkeypatch.setattr(closed_forms, "comb", lambda *args: pytest.fail("computed a binomial"))
+    message = f"error: {PRUNED_REFUSAL.format(order)}\n"
+    assert run_cli(capsys, "poly", "--class", text) == (4, "", message)
+    assert enumeration._recorder is None
 
 
 def test_poly_bad_class_exit_code(capsys):

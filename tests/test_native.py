@@ -846,7 +846,7 @@ def test_poly_json_of_a_closed_form_builds_nothing(empty_cache, monkeypatch, cap
 
 
 def test_poly_json_times_a_raw_union_part_not_the_build(empty_cache, monkeypatch, capsys):
-    """The closed form of a union counts its raw parts by the walk, so the walk loads before the clock."""
+    """A union's closed form counts its raw parts by the walk; ``seconds`` leaves out its build."""
     build = native._build
 
     def slow_build(*args):

@@ -39,6 +39,8 @@ def test_rejects_bad_coefficients():
         Polynomial((1, -2))
     with pytest.raises(ParameterError):
         Polynomial((1.0, 2))
+    with pytest.raises(ParameterError, match="^coefficient True is not an exact integer$"):
+        Polynomial((True, 2))
 
 
 def test_disconnected_composition_example():
