@@ -33,7 +33,7 @@ from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .enumeration import _count_sets
-from .errors import FormatError, GuardrailError, _Record
+from .errors import FormatError, GuardrailError, ParameterError, _Record
 from .graph6 import iter_graph6_lines, parse_graph6
 from .polynomial import _canonical_text
 
@@ -80,8 +80,10 @@ class BatchReport(_Record):
 
 
 def effective_workers(requested: Optional[int] = None) -> int:
-    """The requested worker count; by default, the CPUs this process may use."""
-    if requested and requested > 0:
+    """The requested worker count, at least 1; by default, the CPUs this process may use."""
+    if requested is not None:
+        if requested < 1:
+            raise ParameterError(f"worker count must be at least 1, got {requested}")
         return requested
     affinity = getattr(os, "sched_getaffinity", None)  # narrowed by containers and taskset
     return len(affinity(0)) if affinity else os.cpu_count() or 1

@@ -47,11 +47,6 @@ class _Family(_Record):
         super()._set(*args)
 
 
-def family_args(spec: _Family) -> tuple:
-    """The fields of a family spec in order: its builder's and closed form's arguments."""
-    return tuple([getattr(spec, name) for name in spec._fields])
-
-
 class Path(_Family):
     __slots__ = ("n",)
 
@@ -124,7 +119,7 @@ ClassSpec = Union[Path, Cycle, Complete, Star, CompleteBipartite, Join, Disjoint
 def build_class(spec: ClassSpec) -> Graph:
     """Build the canonical labeled graph for a class spec."""
     if type(spec) in _FAMILIES:
-        return _FAMILIES[type(spec)][1](*family_args(spec))
+        return _FAMILIES[type(spec)][1](*spec._values(spec))
     if isinstance(spec, Join):
         return graph_join(build_class(spec.left), build_class(spec.right))
     if isinstance(spec, DisjointUnion):
@@ -137,7 +132,7 @@ def build_class(spec: ClassSpec) -> Graph:
 def spec_size(spec: ClassSpec) -> Tuple[int, int]:
     """The order and edge count of the spec's graph, read without building it."""
     if type(spec) in _FAMILIES:
-        return _FAMILIES[type(spec)][4](*family_args(spec))
+        return _FAMILIES[type(spec)][4](*spec._values(spec))
     if isinstance(spec, Join):
         (n, m), (n2, m2) = spec_size(spec.left), spec_size(spec.right)
         return n + n2, m + m2 + n * n2
@@ -150,7 +145,7 @@ def spec_size(spec: ClassSpec) -> Tuple[int, int]:
 def spec_label(spec: ClassSpec) -> str:
     """Human-readable name used in reports; a parsed spec's label parses back to it."""
     if type(spec) in _FAMILIES:
-        return _FAMILIES[type(spec)][0] + ":" + ",".join(map(str, family_args(spec)))
+        return _FAMILIES[type(spec)][0] + ":" + ",".join(map(str, spec._values(spec)))
     if isinstance(spec, Join):
         return f"join:{spec_label(spec.left)}*{spec_label(spec.right)}"
     if isinstance(spec, DisjointUnion):

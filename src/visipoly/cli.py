@@ -3,10 +3,10 @@
 Subcommands: ``poly`` (single-graph polynomial), ``stats`` (mu, r_mu, theta
 and clique tables), ``verify`` (closed forms against enumeration) and
 ``batch`` (group a graph6 stream by polynomial). ``poly`` and ``stats`` read
-one class spec (``--g6`` and ``--input`` give a ``Raw`` one); ``poly`` builds
-no graph for a closed form, and no command builds one that a guardrail refuses
-by the spec's order. Exit codes: 0 success, 2 format or parameter error,
-3 verification failure, 4 guardrail refusal.
+one class spec (``--g6`` and ``--input`` give a ``Raw`` one) and hand it to
+the library as it is: the counts build what they walk, and refuse a spec by
+its order before building it. Exit codes: 0 success, 2 format or parameter
+error, 3 verification failure, 4 guardrail refusal.
 """
 
 from __future__ import annotations
@@ -18,18 +18,15 @@ import stat
 import sys
 import time
 from itertools import islice
-from typing import Callable
 
 from . import enumeration
-from .batch import run_batch_file
-from .classes import Raw, build_class, parse_class_spec, spec_label, spec_size
+from .batch import effective_workers, run_batch_file
+from .classes import Raw, parse_class_spec, spec_label, spec_size
 from .closed_forms import poly_for_class
-from .enumeration import (_check_bruteforce_guardrail, _check_pruned_guardrail,
-                          polynomial_bruteforce, polynomial_pruned)
+from .enumeration import polynomial_bruteforce, polynomial_pruned
 from .errors import FormatError, GuardrailError, ParameterError
 from .graph import parse_edge_list
 from .graph6 import iter_graph6_lines, parse_graph6
-from .polynomial import Polynomial
 from .verify import paper_suite, run_verify
 from .visibility import compute_stats
 
@@ -83,32 +80,25 @@ def _load_graph(args):
         raise exc.at_line(lineno) from exc
 
 
-def _polynomial_for(spec, args) -> tuple[Callable[[], Polynomial], str]:
-    """The call that counts the polynomial, and the name of its engine."""
-    # A bare raw spec (paw, diamond, empty:N, --g6, --input) has no closed form.
-    if args.engine in ("auto", "closed-form") and not isinstance(spec, Raw):
-        return lambda: poly_for_class(spec), "closed-form"
-    if args.engine == "closed-form":
-        if args.class_spec is None:
-            raise ParameterError("--engine closed-form needs --class")
-        raise ParameterError(f"class {args.class_spec!r} has no closed form; use --engine pruned")
-    bruteforce = args.engine == "bruteforce"
-    # The engine's guardrail refuses from the spec's order, before a build it would waste.
-    (_check_bruteforce_guardrail if bruteforce else _check_pruned_guardrail)(spec_size(spec)[0])
-    graph = build_class(spec)  # only the enumeration engines build it, before the clock
-    if bruteforce:
-        return lambda: polynomial_bruteforce(graph), "bruteforce"
-    return lambda: polynomial_pruned(graph), "pruned"
+_ENGINES = {"closed-form": poly_for_class, "pruned": polynomial_pruned,
+            "bruteforce": polynomial_bruteforce}
 
 
 def _cmd_poly(args) -> int:
     spec = _load_graph(args)
-    count, engine = _polynomial_for(spec, args)
-    # The count names its walk, if any, and the seconds spent loading it, a build included.
+    engine = args.engine
+    # A bare raw spec (paw, diamond, empty:N, --g6, --input) has no closed form.
+    if engine == "auto":
+        engine = "pruned" if isinstance(spec, Raw) else "closed-form"
+    elif engine == "closed-form" and isinstance(spec, Raw):
+        if args.class_spec is None:
+            raise ParameterError("--engine closed-form needs --class")
+        raise ParameterError(f"class {args.class_spec!r} has no closed form; use --engine pruned")
+    # The count names its walk, if any, and the seconds spent loading it, a cold compile included.
     enumeration._recorder = recorder = {"walk": None, "load_s": 0.0}
     try:
         start = time.perf_counter()
-        poly = count()
+        poly = _ENGINES[engine](spec)
         elapsed = time.perf_counter() - start - recorder["load_s"]
     finally:
         enumeration._recorder = None
@@ -143,9 +133,8 @@ def _cmd_poly(args) -> int:
 
 def _cmd_stats(args) -> int:
     spec = _load_graph(args)
+    stats = compute_stats(spec, k_max=args.kmax)
     order, edges = spec_size(spec)
-    _check_pruned_guardrail(order)  # the walk's own refusal, before a build it would waste
-    stats = compute_stats(build_class(spec), k_max=args.kmax)
     payload = {"order": order, "edges": edges, **stats.to_json_dict()}
     print(json.dumps(payload))
     return EXIT_OK
@@ -170,8 +159,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise ParameterError(f"--workers must be at least 1, got {args.workers}")
+    effective_workers(args.workers)  # refuses a count below 1 before OUT is probed
     created = False
     if args.json and args.json != "-":
         # OUT is opened for append before counting, so an unwritable OUT exits 2

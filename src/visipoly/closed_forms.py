@@ -24,8 +24,6 @@ from .classes import (
     Path,
     Raw,
     Star,
-    build_class,
-    family_args,
     spec_size,
 )
 from .enumeration import _check_pruned_guardrail, count_by_size_and_diameter, polynomial_pruned
@@ -135,7 +133,7 @@ def _join_rows(spec: ClassSpec) -> Tuple[List[int], List[int]]:
     if m == n * (n - 1) // 2:
         return binomials, binomials
     q = [1] + [0] * n
-    for (k, d), c in count_by_size_and_diameter(build_class(spec)).items():
+    for (k, d), c in count_by_size_and_diameter(spec).items():
         if d <= 2:
             q[k] += c
     return binomials, q
@@ -162,7 +160,7 @@ def poly_join(g: Union[Graph, ClassSpec], h: Union[Graph, ClassSpec]) -> Polynom
         if m < n * (n - 1) // 2:
             _check_pruned_guardrail(n)  # the walk's refusal, before any binomial or build
             if spec_size(empty)[0] == 0:
-                return polynomial_pruned(build_class(other))
+                return polynomial_pruned(other)
     (cg, qg), (ch, qh) = _join_rows(g), _join_rows(h)
     m, n = len(cg) - 1, len(ch) - 1
     coeffs = [0] * (m + n + 1)
@@ -189,9 +187,9 @@ def poly_for_class(spec: ClassSpec) -> Polynomial:
     and the non-complete operands of a ``Join`` are built and enumerated.
     """
     if type(spec) in _CLOSED_FORMS:
-        return _CLOSED_FORMS[type(spec)](*family_args(spec))
+        return _CLOSED_FORMS[type(spec)](*spec._values(spec))
     if isinstance(spec, Join):
         return poly_join(spec.left, spec.right)
     if isinstance(spec, DisjointUnion):
         return poly_disconnected([poly_for_class(part) for part in spec.parts])
-    return polynomial_pruned(build_class(spec))
+    return polynomial_pruned(spec)

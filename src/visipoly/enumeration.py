@@ -19,15 +19,15 @@ is one, so no failing set has a passing superset. The plain walk of
 ``iter_mv_sets`` tests all children of a node with one run of the same
 propagation, one child per bit.
 
-The counting calls (``polynomial_pruned``, ``count_by_size_and_diameter``,
-``run_batch``) run that walk in C, with the candidate filters and the
-closure shortcut that ``_walk.c`` specifies, one call per graph (``run_batch``
-hands a chunk's short-form records to the native graph6 decoder in one call
-and counts each other record on its own); ``_native`` builds it with the
-system C compiler on first use. Without a compiler they count a graph of up
-to ``BRUTEFORCE_MAX_VERTICES`` vertices by brute force and a larger one with
-the plain walk of ``iter_mv_sets``, which has neither the filters nor the
-shortcut.
+The counting calls (``polynomial_pruned`` and ``count_by_size_and_diameter``,
+on a ``Graph`` or a spec, see ``_graph``, and ``run_batch``) run that walk in
+C, with the candidate filters and the closure shortcut that ``_walk.c``
+specifies, one call per graph (``run_batch`` hands a chunk's short-form records
+to the native graph6 decoder in one call and counts each other record on its
+own); ``_native`` builds it with the system C compiler on first use. Without a
+compiler they count a graph of up to ``BRUTEFORCE_MAX_VERTICES`` vertices by
+brute force and a larger one with the plain walk of ``iter_mv_sets``, which has
+neither the filters nor the shortcut.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from functools import lru_cache
 from time import perf_counter
 from typing import Dict, Iterator, List, Tuple, Union
 
+from .classes import ClassSpec, build_class, spec_size
 from .errors import GuardrailError
 from .graph import Graph, iter_bits
 from .polynomial import Polynomial
@@ -47,7 +48,7 @@ SLICE_VERTICES = 14  # brute force tests the 2^14 subsets of one block at once
 PRUNED_MAX_VERTICES = 64
 _recorder = None  # or a dict: _count_sets sets the "walk" it ran, adds its load seconds to "load_s"
 
-def polynomial_bruteforce(g: Graph) -> Polynomial:
+def polynomial_bruteforce(g: Graph | ClassSpec) -> Polynomial:
     """Visibility polynomial by testing all subsets, a block of 2^14 at a time.
 
     Coefficient k is the number of mutual-visibility sets of cardinality k;
@@ -59,7 +60,7 @@ def polynomial_bruteforce(g: Graph) -> Polynomial:
     subset with a pair that does not see each other: still O(n (n+m) 2^n)
     bit operations, with no heredity and no pruning.
     """
-    _check_bruteforce_guardrail(g.n)
+    g = _graph(g, _check_bruteforce_guardrail)
     return Polynomial(tuple(_bruteforce_counts(g, theta=False)))
 
 
@@ -187,8 +188,15 @@ def _check_pruned_guardrail(n: int) -> None:
         )
 
 
-def _count_sets(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int], int]]:
-    """Counts of the mutual-visibility sets of g, by size or by (size, diameter).
+def _graph(g: Graph | ClassSpec, check) -> Graph:
+    """g itself, or spec g built once its order, read with ``spec_size``, passes ``check``."""
+    built = isinstance(g, Graph)
+    check(g.n if built else spec_size(g)[0])
+    return g if built else build_class(g)
+
+
+def _count_sets(g: Graph | ClassSpec, theta: bool) -> Union[List[int], Dict[Tuple[int, int], int]]:
+    """Counts of the mutual-visibility sets of graph or spec g, by size or by (size, diameter).
 
     A list indexed by size (entry 0 is 1, the empty set) or a dict keyed by
     (size, diameter) of the nonempty sets. The native walk counts the graph
@@ -198,7 +206,7 @@ def _count_sets(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int],
     """
     from . import _native  # here, so that `import visipoly` does not load _native too
 
-    _check_pruned_guardrail(g.n)
+    g = _graph(g, _check_pruned_guardrail)
     if _recorder is None:
         walk = _native.load()
     else:
@@ -216,7 +224,7 @@ def _count_sets(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int],
     return [1] + [sizes[k] for k in range(1, g.n + 1)]
 
 
-def polynomial_pruned(g: Graph) -> Polynomial:
+def polynomial_pruned(g: Graph | ClassSpec) -> Polynomial:
     """Visibility polynomial via the pruned set-enumeration tree (see ``_count_sets``).
 
     Output contract is identical to polynomial_bruteforce.
@@ -224,7 +232,7 @@ def polynomial_pruned(g: Graph) -> Polynomial:
     return Polynomial(tuple(_count_sets(g, theta=False)))
 
 
-def count_by_size_and_diameter(g: Graph) -> Dict[Tuple[int, int], int]:
+def count_by_size_and_diameter(g: Graph | ClassSpec) -> Dict[Tuple[int, int], int]:
     """Map (size, diameter) -> number of mutual-visibility sets of that shape.
 
     Same enumeration as polynomial_pruned; the empty set is not classified.

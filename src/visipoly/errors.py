@@ -49,6 +49,13 @@ class _Record:
             cls._fields = cls.__match_args__ = cls.__slots__
             # The class leads the key, so that a record without fields has one too.
             cls._key = attrgetter("__class__", *vars(cls).get("_compared", cls._fields))
+            if len(cls._fields) > 1:  # attrgetter of one name gives its value bare
+                cls._values = attrgetter(*cls._fields)
+
+    @staticmethod
+    def _values(record) -> tuple:
+        """The fields' values as one tuple, for pickling and the family specs."""
+        return (getattr(record, record._fields[0]),) if record._fields else ()
 
     def _set(self, *values):
         """Store ``values`` in ``__slots__`` order, past the refusing ``__setattr__``."""
@@ -74,4 +81,4 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple([getattr(self, name) for name in self._fields])
+        return type(self), self._values(self)

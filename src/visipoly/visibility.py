@@ -16,6 +16,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
+from .classes import ClassSpec
 from .errors import ParameterError, _Record
 from .graph import Graph, iter_bits
 
@@ -179,20 +180,20 @@ class VisStats(_Record):
         }
 
 
-def compute_stats(g: Graph, k_max: int | None = None) -> VisStats:
-    """Exact theta and clique tables for sizes up to k_max, plus mu and r_mu.
+def compute_stats(g: Graph | ClassSpec, k_max: int | None = None) -> VisStats:
+    """Exact theta and clique tables for sizes up to k_max, plus mu and r_mu, of a graph or spec.
 
     A view over the (size, diameter) table of ``count_by_size_and_diameter``,
-    so the same pruned walk and the same 64-vertex guardrail apply. mu and
-    r_mu come from the table's per-size sums over all sizes, independent of
-    k_max; theta and cliques stop at k_max. A clique is exactly a
-    mutual-visibility set of diameter at most 1, so c_0 = 1, c_1 = n and
-    c_k = Theta(k, 1) for k >= 2.
+    so the same pruned walk and the same 64-vertex guardrail apply, to a spec's
+    order before its build and k_max. mu and r_mu come from the table's
+    per-size sums over all sizes, independent of k_max; theta and cliques stop
+    at k_max. A clique is exactly a mutual-visibility set of diameter at most
+    1, so c_0 = 1, c_1 = n and c_k = Theta(k, 1) for k >= 2.
     """
-    from .enumeration import _check_pruned_guardrail, count_by_size_and_diameter
+    from .enumeration import _check_pruned_guardrail, _graph, count_by_size_and_diameter
 
+    g = _graph(g, _check_pruned_guardrail)
     n = g.n
-    _check_pruned_guardrail(n)
     if k_max is None:
         k_max = n
     if not 0 <= k_max <= n:

@@ -17,6 +17,7 @@ import visipoly.batch as batch
 from visipoly import (
     FormatError,
     GuardrailError,
+    ParameterError,
     cycle_graph,
     diamond_graph,
     empty_graph,
@@ -176,6 +177,11 @@ def test_default_workers_count_the_cpus_the_process_may_use(monkeypatch):
     assert effective_workers(3) == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert effective_workers() == 8
+    for workers in 0, -3:  # refused, not read as the default
+        message = f"^worker count must be at least 1, got {workers}$"
+        for call in effective_workers, lambda workers: run_batch(["A_"], workers=workers):
+            with pytest.raises(ParameterError, match=message):
+                call(workers)
 
 
 TOO_LARGE = encode_graph6(path_graph(65))

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import visipoly._native as native
-from visipoly import Complete, Polynomial, classes, cli, closed_forms, enumeration, verify
+from visipoly import (Complete, Polynomial, classes, cli, closed_forms, compute_stats,
+                      enumeration, verify)
 from visipoly.cli import main
 
 from conftest import corpus_path, pin_python_walk
@@ -333,16 +334,21 @@ PRUNED_REFUSAL = "enumeration is limited to 64 vertices, got {}; use a closed fo
 @pytest.mark.parametrize(
     "engine, text, message",
     [("bruteforce", "complete:26", BRUTE_REFUSAL.format(26)),
+     ("bruteforce", "star:25", BRUTE_REFUSAL.format(26)),
      ("bruteforce", "join:complete:3000*cycle:6", BRUTE_REFUSAL.format(3006)),
      ("pruned", "complete:65", PRUNED_REFUSAL.format(65)),
+     ("pruned", "star:64", PRUNED_REFUSAL.format(65)),
+     ("pruned", "complete:3000", PRUNED_REFUSAL.format(3000)),
      ("pruned", "union:complete:3000+path:2", PRUNED_REFUSAL.format(3002))],
 )
 def test_poly_engine_refuses_from_the_order_before_building(capsys, monkeypatch, engine, text,
                                                             message):
     """An enumeration engine's guardrail refuses from the spec's order, before any build,
-    with the message and exit code that the engine gives a built graph. ``stats`` walks as
-    the pruned engine does, and ``verify`` meets the pruned guardrail first, then brute
-    force's, so each refuses with that engine's message too."""
+    with the message and exit code that the engine gives a built graph. The library's
+    counts take the spec itself and refuse it the same way; a star's order is one more
+    than its field ``n``. ``stats`` walks as the pruned engine does, and ``verify`` meets
+    the pruned guardrail first, then brute force's, so each refuses with that engine's
+    message too."""
     from visipoly import complete_graph
 
     count, refusal, least = ((enumeration.polynomial_bruteforce, BRUTE_REFUSAL, 26)
@@ -352,11 +358,18 @@ def test_poly_engine_refuses_from_the_order_before_building(capsys, monkeypatch,
         count(complete_graph(least))
     assert str(raised.value) == refusal.format(least)
 
-    def refuse(n):
-        raise AssertionError(f"complete_graph({n}) was built")
+    def refuse(*args):
+        raise AssertionError(f"a family graph of {args} was built")
 
-    row = classes._FAMILIES[Complete]
-    monkeypatch.setitem(classes._FAMILIES, Complete, row[:1] + (refuse,) + row[2:])
+    for family, row in list(classes._FAMILIES.items()):
+        monkeypatch.setitem(classes._FAMILIES, family, row[:1] + (refuse,) + row[2:])
+    entries = ((enumeration.polynomial_bruteforce,) if engine == "bruteforce" else
+               (enumeration.polynomial_pruned, enumeration.count_by_size_and_diameter,
+                compute_stats))
+    for entry in entries:
+        with pytest.raises(enumeration.GuardrailError) as raised:
+            entry(classes.parse_class_spec(text))
+        assert str(raised.value) == message
     code, out, err = run_cli(capsys, "poly", "--class", text, "--engine", engine)
     assert (code, out, err) == (4, "", f"error: {message}\n")
     if engine == "pruned":
@@ -543,7 +556,7 @@ def test_batch_refuses_fewer_than_one_worker(capsys, workers):
     code, out, err = run_cli(capsys, "batch", "--input", str(corpus_path(4)), "--workers", workers)
     assert code == 2
     assert out == ""
-    assert err == f"error: --workers must be at least 1, got {workers}\n"
+    assert err == f"error: worker count must be at least 1, got {workers}\n"
 
 
 def test_batch_json_to_stdout_is_only_json(capsys):

@@ -12,6 +12,8 @@ import visipoly.visibility as visibility
 from visipoly import (
     GuardrailError,
     ParameterError,
+    Path,
+    Star,
     VisibilityContext,
     clique_count,
     complete_graph,
@@ -207,9 +209,11 @@ def test_stats_kmax_bounds():
     assert stats.mu == 3
     with pytest.raises(ParameterError):
         compute_stats(g, k_max=9)
-    # The guardrail comes first, as in `stats --class path:70 --kmax 100`.
-    with pytest.raises(GuardrailError, match="^enumeration is limited to 64 vertices, got 70;"):
-        compute_stats(path_graph(70), k_max=100)
+    # The guardrail comes first, as in `stats --class path:70 --kmax 100`, on a graph or a
+    # spec, and it reads a spec's order: the star of 69 leaves has 70 vertices.
+    for g in path_graph(70), Path(70), Star(69):
+        with pytest.raises(GuardrailError, match="^enumeration is limited to 64 vertices, got 70;"):
+            compute_stats(g, k_max=100)
 
 
 def test_stats_kmax_when_the_root_closes():
