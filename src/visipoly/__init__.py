@@ -34,6 +34,8 @@ from .closed_forms import (
     r_mu_cycle,
 )
 from .enumeration import (
+    VisStats,
+    compute_stats,
     count_by_size_and_diameter,
     iter_mv_sets,
     polynomial_bruteforce,
@@ -62,13 +64,7 @@ from .graph6 import encode_graph6, load_graph6_file, parse_graph6
 from .polynomial import Polynomial
 from .batch import BatchReport, run_batch, run_batch_file
 from .verify import paper_suite, run_verify
-from .visibility import (
-    VisStats,
-    VisibilityContext,
-    clique_count,
-    compute_stats,
-    is_mutual_visibility_set,
-)
+from .visibility import VisibilityContext, clique_count, is_mutual_visibility_set
 
 __version__ = "0.1.0"
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 import os
 import sys
 from functools import cache
+from collections.abc import Callable, Sequence
 from itertools import takewhile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 SOURCE = Path(__file__).with_name("_walk.c")
 COUNTER_NAMES = ("nodes", "closed", "propagations", "blocks", "hidden")
@@ -40,12 +40,12 @@ CPUINFO = Path("/proc/cpuinfo")
 # last two. Lines that change while the machine runs, such as "cpu MHz", stay out.
 CPU_FIELDS = ("vendor_id", "model name", "flags", "Features", "CPU part")
 
-Counts = Union[List[int], Dict[Tuple[int, int], int]]
-Walk = Callable[[Sequence[int], bool, Optional[dict]], Counts]
+Counts = list[int] | dict[tuple[int, int], int]
+Walk = Callable[[Sequence[int], bool, dict | None], Counts]
 
 
 @cache
-def load() -> Optional[Walk]:
+def load() -> Walk | None:
     """The native counting walk, built on first use; None when it cannot be built.
 
     Its attribute ``graph6`` decodes, counts and keys graph6 records in one call.
@@ -56,7 +56,7 @@ def load() -> Optional[Walk]:
         return None
 
 
-def _compiler() -> Optional[str]:
+def _compiler() -> str | None:
     from shutil import which
 
     return which("cc") or which("gcc") or which("clang")
@@ -67,7 +67,7 @@ def cache_dir() -> Path:
     return Path(base) / "visipoly"
 
 
-def _cpu() -> Optional[str]:
+def _cpu() -> str | None:
     """The host CPU's identity: the ``CPU_FIELDS`` lines of the first processor
     block of ``CPUINFO``; None when it is unreadable or has none of them."""
     try:
@@ -142,7 +142,7 @@ def _build(compiler: str, flags: Sequence[str], target: Path) -> None:
             os.unlink(tmp)
 
 
-def _add_counters(counters: Optional[dict], tally) -> None:
+def _add_counters(counters: dict | None, tally) -> None:
     if counters is not None:
         for name, value in zip(COUNTER_NAMES, tally):
             counters[name] = counters.get(name, 0) + value
@@ -158,7 +158,7 @@ def _bind(path: Path) -> Walk:
                       ctypes.POINTER(word), ctypes.POINTER(word)]
     entry.restype = ctypes.c_int
 
-    def walk(adj: Sequence[int], theta: bool, counters: Optional[dict] = None) -> Counts:
+    def walk(adj: Sequence[int], theta: bool, counters: dict | None = None) -> Counts:
         """Counts of the mutual-visibility sets of one graph, in one C call.
 
         ``adj`` holds the graph's neighbourhood masks. A list indexed by size
@@ -188,7 +188,7 @@ def _bind(path: Path) -> Walk:
                       ctypes.POINTER(word)]
     short.restype = ctypes.c_long
 
-    def walk_graph6(text: bytes, counters: Optional[dict] = None) -> List[str]:
+    def walk_graph6(text: bytes, counters: dict | None = None) -> list[str]:
         """The key of each graph6 record, one a line of ``text``, decoded, counted and keyed in one C call.
 
         Per record, the key that ``polynomial._canonical_text`` gives its

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict, deque
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .enumeration import _count_sets
-from .errors import FormatError, GuardrailError, ParameterError, _Record
+from .errors import FormatError, GuardrailError, ParameterError, _integer, _Record
 from .graph6 import iter_graph6_lines, parse_graph6
 from .polynomial import _canonical_text
 
@@ -53,9 +53,9 @@ POOL_MIN_RECORD_S = 2e-5
 POOL_CHUNKS_PER_WORKER = 8
 
 # A chunk: its first line's number and its lines
-Chunk = Tuple[int, List[str]]
+Chunk = tuple[int, list[str]]
 # A chunk's keys, and its refusals: (line, the error its record raised)
-Analysed = Tuple[List[str], List[Tuple[int, Union[FormatError, GuardrailError]]]]
+Analysed = tuple[list[str], list[tuple[int, FormatError | GuardrailError]]]
 
 
 class BatchReport(_Record):
@@ -66,7 +66,7 @@ class BatchReport(_Record):
     __hash__ = None  # a list and a dict
 
     def __init__(self, order: int, total_graphs: int, group_count: int, max_group_size: int,
-                 max_group_polynomials: List[str], histogram: Optional[Dict[str, int]] = None):
+                 max_group_polynomials: list[str], histogram: dict[str, int] | None = None):
         self._set(order, total_graphs, group_count, max_group_size, max_group_polynomials,
                   histogram)
 
@@ -79,9 +79,10 @@ class BatchReport(_Record):
         return out
 
 
-def effective_workers(requested: Optional[int] = None) -> int:
+def effective_workers(requested: int | None = None) -> int:
     """The requested worker count, at least 1; by default, the CPUs this process may use."""
     if requested is not None:
+        _integer(requested, "worker count")
         if requested < 1:
             raise ParameterError(f"worker count must be at least 1, got {requested}")
         return requested
@@ -165,10 +166,10 @@ def _pooled(chunks: Iterator[Chunk], workers: int) -> Iterator[Analysed]:
 
 def run_batch(
     lines: Iterable[str],
-    workers: Optional[int] = None,
+    workers: int | None = None,
     skip_bad: bool = False,
     keep_histogram: bool = False,
-) -> List[BatchReport]:
+) -> list[BatchReport]:
     """Group a graph6 stream by visibility polynomial, one report per order.
 
     Lines are read as the chunks need them. A malformed record aborts with
@@ -186,7 +187,7 @@ def run_batch(
         tallies.update(keys)
     # Every vertex is a mutual-visibility set, so r_1 = n: a key reads "[1,n,...]" or "[1,n]",
     # n running from index 3 to the next comma or the "]", and "[1]" gives "", order 0.
-    by_order: Dict[str, Dict[str, int]] = defaultdict(dict)
+    by_order: dict[str, dict[str, int]] = defaultdict(dict)
     for key, tally in tallies.items():
         by_order[key[3:key.find(",", 3)]][key] = tally
     counters = {int(n or 0): groups for n, groups in by_order.items()}
@@ -208,7 +209,7 @@ def run_batch(
     return reports
 
 
-def run_batch_file(path, **kwargs) -> List[BatchReport]:
+def run_batch_file(path, **kwargs) -> list[BatchReport]:
     # A non-ASCII byte reaches parse_graph6 as a surrogate, which refuses its record by line.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         return run_batch(handle, **kwargs)

@@ -13,9 +13,7 @@ its graph.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
-
-from .errors import FormatError, ParameterError, _Record
+from .errors import FormatError, ParameterError, _integer, _Record
 from .graph import (
     Graph,
     _decimal,
@@ -41,7 +39,9 @@ class _Family(_Record):
         self._set(n)
 
     def _set(self, *args):
-        _, _, least, error, _ = _FAMILIES[type(self)]
+        name, _, least, error, _ = _FAMILIES[type(self)]
+        for arg in args:
+            _integer(arg, f"{name} argument")
         if min(args) < least:
             raise ParameterError(error)
         super()._set(*args)
@@ -90,7 +90,7 @@ _FAMILY_BY_NAME["complete_bipartite"] = CompleteBipartite
 class Join(_Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: "ClassSpec", right: "ClassSpec"):
+    def __init__(self, left: ClassSpec, right: ClassSpec):
         self._set(left, right)
 
 
@@ -109,11 +109,11 @@ class Raw(_Record):
     __slots__ = ("graph", "name")
     _compared = ("graph",)
 
-    def __init__(self, graph: Graph, name: Optional[str] = None):
+    def __init__(self, graph: Graph, name: str | None = None):
         self._set(graph, name)
 
 
-ClassSpec = Union[Path, Cycle, Complete, Star, CompleteBipartite, Join, DisjointUnion, Raw]
+ClassSpec = Path | Cycle | Complete | Star | CompleteBipartite | Join | DisjointUnion | Raw
 
 
 def build_class(spec: ClassSpec) -> Graph:
@@ -129,7 +129,7 @@ def build_class(spec: ClassSpec) -> Graph:
     return spec.graph
 
 
-def spec_size(spec: ClassSpec) -> Tuple[int, int]:
+def spec_size(spec: ClassSpec) -> tuple[int, int]:
     """The order and edge count of the spec's graph, read without building it."""
     if type(spec) in _FAMILIES:
         return _FAMILIES[type(spec)][4](*spec._values(spec))

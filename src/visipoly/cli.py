@@ -23,12 +23,11 @@ from . import enumeration
 from .batch import effective_workers, run_batch_file
 from .classes import Raw, parse_class_spec, spec_label, spec_size
 from .closed_forms import poly_for_class
-from .enumeration import polynomial_bruteforce, polynomial_pruned
+from .enumeration import compute_stats, polynomial_bruteforce, polynomial_pruned
 from .errors import FormatError, GuardrailError, ParameterError
 from .graph import parse_edge_list
 from .graph6 import iter_graph6_lines, parse_graph6
 from .verify import paper_suite, run_verify
-from .visibility import compute_stats
 
 EXIT_OK = 0
 EXIT_FORMAT = 2

@@ -12,7 +12,7 @@ coefficients are exact integers.
 from __future__ import annotations
 
 from math import comb
-from typing import List, Sequence, Tuple, Union
+from collections.abc import Sequence
 
 from .classes import (
     ClassSpec,
@@ -119,7 +119,7 @@ def poly_disconnected(polys: Sequence[Polynomial]) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _join_rows(spec: ClassSpec) -> Tuple[List[int], List[int]]:
+def _join_rows(spec: ClassSpec) -> tuple[list[int], list[int]]:
     """C(|G|, k) and q_k(G) for k = 0..|G|, the two rows the join law reads of G.
 
     q_k counts the k-sets whose nonadjacent pairs share an outside neighbour:
@@ -139,7 +139,7 @@ def _join_rows(spec: ClassSpec) -> Tuple[List[int], List[int]]:
     return binomials, q
 
 
-def poly_join(g: Union[Graph, ClassSpec], h: Union[Graph, ClassSpec]) -> Polynomial:
+def poly_join(g: Graph | ClassSpec, h: Graph | ClassSpec) -> Polynomial:
     """Visibility polynomial of the join of two graphs or specs, for every operand pair.
 
     Take a set A + B with A in G and B in H. Pairs across the join are

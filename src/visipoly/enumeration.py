@@ -28,17 +28,20 @@ own); ``_native`` builds it with the system C compiler on first use. Without a
 compiler they count a graph of up to ``BRUTEFORCE_MAX_VERTICES`` vertices by
 brute force and a larger one with the plain walk of ``iter_mv_sets``, which has
 neither the filters nor the shortcut.
+
+``compute_stats`` and its record ``VisStats`` are the per-graph statistics, a
+view over the (size, diameter) table that ``count_by_size_and_diameter`` counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator, Mapping
 from functools import lru_cache
 from time import perf_counter
-from typing import Dict, Iterator, List, Tuple, Union
 
 from .classes import ClassSpec, build_class, spec_size
-from .errors import GuardrailError
+from .errors import GuardrailError, ParameterError, _integer, _Record
 from .graph import Graph, iter_bits
 from .polynomial import Polynomial
 from .visibility import VisibilityContext, _bad_subsets, _search
@@ -65,7 +68,7 @@ def polynomial_bruteforce(g: Graph | ClassSpec) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _patterns(low: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def _patterns(low: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The membership pattern of each of ``low`` vertices and the pattern of each size.
 
     Over the 2^low subsets of the low vertices, bit s of member[w] says w is
@@ -81,7 +84,7 @@ def _patterns(low: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return member, size
 
 
-def _bruteforce_counts(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int, int], int]]:
+def _bruteforce_counts(g: Graph, theta: bool) -> list[int] | dict[tuple[int, int], int]:
     """Brute-force counts of the mutual-visibility sets, one entry of ``_count_sets``.
 
     A list indexed by size (entry 0 is 1, the empty set), or with ``theta``
@@ -99,7 +102,7 @@ def _bruteforce_counts(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int
     # With theta, per source u and distance d from u, the low later vertices
     # as one pattern and the high ones as block-index bits.
     all_layers, steps = _search(g.adj)
-    rings: List[List[Tuple[int, int]]] = []
+    rings: list[list[tuple[int, int]]] = []
     for u, layers in enumerate(all_layers if theta else ()):
         ring = []
         for layer in layers[1:]:
@@ -138,7 +141,7 @@ def _bruteforce_counts(g: Graph, theta: bool) -> Union[List[int], Dict[Tuple[int
     return [row[0] for row in counts]
 
 
-def iter_mv_sets(g: Graph) -> Iterator[Tuple[Tuple[int, ...], int]]:
+def iter_mv_sets(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (vertices, diameter) for every nonempty mutual-visibility set.
 
     The plain walk of the set-enumeration tree. A node holds a set X and
@@ -195,7 +198,7 @@ def _graph(g: Graph | ClassSpec, check) -> Graph:
     return g if built else build_class(g)
 
 
-def _count_sets(g: Graph | ClassSpec, theta: bool) -> Union[List[int], Dict[Tuple[int, int], int]]:
+def _count_sets(g: Graph | ClassSpec, theta: bool) -> list[int] | dict[tuple[int, int], int]:
     """Counts of the mutual-visibility sets of graph or spec g, by size or by (size, diameter).
 
     A list indexed by size (entry 0 is 1, the empty set) or a dict keyed by
@@ -232,9 +235,59 @@ def polynomial_pruned(g: Graph | ClassSpec) -> Polynomial:
     return Polynomial(tuple(_count_sets(g, theta=False)))
 
 
-def count_by_size_and_diameter(g: Graph | ClassSpec) -> Dict[Tuple[int, int], int]:
+def count_by_size_and_diameter(g: Graph | ClassSpec) -> dict[tuple[int, int], int]:
     """Map (size, diameter) -> number of mutual-visibility sets of that shape.
 
     Same enumeration as polynomial_pruned; the empty set is not classified.
     """
     return _count_sets(g, theta=True)
+
+
+class VisStats(_Record):
+    """Per-graph mutual-visibility statistics.
+
+    ``theta`` maps (size, diameter) to the number of mutual-visibility sets
+    of that size whose maximum pairwise distance (measured in the whole
+    graph) is that diameter; zero entries are omitted. ``cliques`` maps k to
+    the k-clique count for every k up to the requested bound.
+    """
+
+    __slots__ = ("mu", "r_mu", "theta", "cliques")
+    __hash__ = None  # two dicts
+
+    def __init__(self, mu: int, r_mu: int, theta: Mapping[tuple[int, int], int],
+                 cliques: Mapping[int, int]):
+        self._set(mu, r_mu, theta, cliques)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "mu": self.mu,
+            "r_mu": self.r_mu,
+            "theta": [[k, d, c] for (k, d), c in sorted(self.theta.items())],
+            "cliques": [[k, c] for k, c in sorted(self.cliques.items())],
+        }
+
+
+def compute_stats(g: Graph | ClassSpec, k_max: int | None = None) -> VisStats:
+    """Exact theta and clique tables for sizes up to k_max, plus mu and r_mu, of a graph or spec.
+
+    A view over the (size, diameter) table of ``count_by_size_and_diameter``,
+    so the same pruned walk and the same 64-vertex guardrail apply, to a spec's
+    order before its build and before k_max, an exact integer, is read. mu and r_mu
+    come from the table's per-size sums over all sizes, independent of k_max; theta
+    and cliques stop at k_max. A clique is exactly a mutual-visibility set of
+    diameter at most 1, so c_0 = 1, c_1 = n and c_k = Theta(k, 1) for k >= 2.
+    """
+    g = _graph(g, _check_pruned_guardrail)
+    n = g.n
+    if k_max is None:
+        k_max = n
+    _integer(k_max, "k_max")
+    if not 0 <= k_max <= n:
+        raise ParameterError(f"k_max {k_max} out of range for order {n}")
+    table = _count_sets(g, theta=True)
+    mu = max((k for k, _ in table), default=0)
+    r_mu = sum(c for (k, _), c in table.items() if k == mu) if mu else 1
+    theta = {key: c for key, c in table.items() if key[0] <= k_max}
+    cliques = {k: table.get((k, 1), 0) if k > 1 else (1, n)[k] for k in range(k_max + 1)}
+    return VisStats(mu=mu, r_mu=r_mu, theta=theta, cliques=cliques)

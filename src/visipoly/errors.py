@@ -1,4 +1,4 @@
-"""Leaf definitions: the package's exception types, and ``_Record``, the base of its values.
+"""Leaf definitions: the exception types, the integer rule, and ``_Record``, the values' base.
 
 A value class lists its fields in ``__slots__``, and ``_Record`` gives it its methods
 without generating code at import. Every record is frozen, and its fields ``_fields``
@@ -39,6 +39,12 @@ class FormatError(VisipolyError, ValueError):
 
 class GuardrailError(VisipolyError):
     """An input exceeds the size guardrail of an exponential-time routine."""
+
+
+def _integer(value, what: str) -> None:
+    """Refuse a value that is not exactly an ``int``, a bool too, as ``Polynomial`` does."""
+    if type(value) is not int:
+        raise ParameterError(f"{what} {value!r} is not an exact integer")
 
 
 class _Record:

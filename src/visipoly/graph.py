@@ -12,15 +12,15 @@ lives in ``visibility``; the C walk runs its own.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import FormatError, ParameterError, _Record
+from .errors import FormatError, ParameterError, _integer, _Record
 
 # The largest order a graph file may announce: graph6's 18-bit order field.
 MAX_ORDER = (1 << 18) - 1
 
 
-def _decimal(field: str) -> Optional[int]:
+def _decimal(field: str) -> int | None:
     """int(field) for ASCII digits with an optional leading minus; None for "+3", "1_0", "٣"."""
     return int(field) if field.isascii() and field.removeprefix("-").isdigit() else None
 
@@ -45,6 +45,7 @@ class Graph(_Record):
 
     def __init__(self, n: int, adj: Iterable[int]):
         adj = tuple(adj)
+        _integer(n, "vertex count")
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
         if len(adj) != n:

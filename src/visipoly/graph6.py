@@ -9,7 +9,7 @@ orders use byte 126 followed by three bytes carrying n in 18 bits.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import FormatError
 from .graph import MAX_ORDER, Graph

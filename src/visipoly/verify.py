@@ -8,7 +8,7 @@ and the brute-force enumerator.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from collections.abc import Sequence
 
 from .classes import (
     ClassSpec,
@@ -38,9 +38,9 @@ class VerifyResult(_Record):
         self._set(label, passed, closed_form, pruned, bruteforce)
 
 
-def paper_suite() -> List[ClassSpec]:
+def paper_suite() -> list[ClassSpec]:
     """Every class instance the closed forms are validated on."""
-    specs: List[ClassSpec] = []
+    specs: list[ClassSpec] = []
     specs.extend(Complete(n) for n in range(1, 11))
     specs.extend(Star(n) for n in range(0, 10))
     specs.extend(Path(n) for n in range(1, 13))
@@ -61,7 +61,7 @@ def paper_suite() -> List[ClassSpec]:
     return specs
 
 
-def run_verify(specs: Sequence[ClassSpec]) -> List[VerifyResult]:
+def run_verify(specs: Sequence[ClassSpec]) -> list[VerifyResult]:
     """Compare closed form, pruned, and brute force on each instance."""
     specs = list(specs)  # read twice, so an iterator of specs is verified too
     for order, _ in map(spec_size, specs):  # both engines' refusals, before any build or count

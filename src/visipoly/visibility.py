@@ -1,4 +1,4 @@
-"""Mutual-visibility membership testing and per-graph statistics.
+"""Mutual-visibility membership testing, and the Python reference clique counter.
 
 A set X is a mutual-visibility set when every pair u, v in X has some
 shortest u-v path whose internal vertices all avoid X. ``_bad_subsets`` is
@@ -8,22 +8,22 @@ package's one breadth-first search. Brute force tests the subsets of 14
 vertices in one slice, the plain walk all children of a node, and
 ``VisibilityContext.is_mv`` a single set. ``VisibilityContext`` is the
 per-graph table of the searches, with the distance rows that diameters and
-intervals are read from.
+intervals are read from. The per-graph statistics, ``compute_stats``, view the
+(size, diameter) table, so they live beside it in ``enumeration``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import comb
-from typing import Iterable, List, Mapping, Sequence, Tuple
 
-from .classes import ClassSpec
-from .errors import ParameterError, _Record
+from .errors import ParameterError, _integer, _Record
 from .graph import Graph, iter_bits
 
-Steps = Tuple[List[Tuple[int, int, Sequence[int]]], List[int]]
+Steps = tuple[list[tuple[int, int, Sequence[int]]], list[int]]
 
 
-def _search(adj: Sequence[int]) -> Tuple[List[List[int]], List[Steps]]:
+def _search(adj: Sequence[int]) -> tuple[list[list[int]], list[Steps]]:
     """One breadth-first search from each source: its layer masks and its steps.
 
     ``layers[u][d]`` holds the vertices at distance d from u. ``steps[u]``
@@ -155,57 +155,6 @@ def is_mutual_visibility_set(ctx: VisibilityContext, x: Iterable[int]) -> bool:
     return ctx.is_mv(x_mask, members)
 
 
-class VisStats(_Record):
-    """Per-graph mutual-visibility statistics.
-
-    ``theta`` maps (size, diameter) to the number of mutual-visibility sets
-    of that size whose maximum pairwise distance (measured in the whole
-    graph) is that diameter; zero entries are omitted. ``cliques`` maps k to
-    the k-clique count for every k up to the requested bound.
-    """
-
-    __slots__ = ("mu", "r_mu", "theta", "cliques")
-    __hash__ = None  # two dicts
-
-    def __init__(self, mu: int, r_mu: int, theta: Mapping[Tuple[int, int], int],
-                 cliques: Mapping[int, int]):
-        self._set(mu, r_mu, theta, cliques)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "r_mu": self.r_mu,
-            "theta": [[k, d, c] for (k, d), c in sorted(self.theta.items())],
-            "cliques": [[k, c] for k, c in sorted(self.cliques.items())],
-        }
-
-
-def compute_stats(g: Graph | ClassSpec, k_max: int | None = None) -> VisStats:
-    """Exact theta and clique tables for sizes up to k_max, plus mu and r_mu, of a graph or spec.
-
-    A view over the (size, diameter) table of ``count_by_size_and_diameter``,
-    so the same pruned walk and the same 64-vertex guardrail apply, to a spec's
-    order before its build and k_max. mu and r_mu come from the table's
-    per-size sums over all sizes, independent of k_max; theta and cliques stop
-    at k_max. A clique is exactly a mutual-visibility set of diameter at most
-    1, so c_0 = 1, c_1 = n and c_k = Theta(k, 1) for k >= 2.
-    """
-    from .enumeration import _check_pruned_guardrail, _graph, count_by_size_and_diameter
-
-    g = _graph(g, _check_pruned_guardrail)
-    n = g.n
-    if k_max is None:
-        k_max = n
-    if not 0 <= k_max <= n:
-        raise ParameterError(f"k_max {k_max} out of range for order {n}")
-    table = count_by_size_and_diameter(g)
-    mu = max((k for k, _ in table), default=0)
-    r_mu = sum(c for (k, _), c in table.items() if k == mu) if mu else 1
-    theta = {key: c for key, c in table.items() if key[0] <= k_max}
-    cliques = {k: table.get((k, 1), 0) if k > 1 else (1, n)[k] for k in range(k_max + 1)}
-    return VisStats(mu=mu, r_mu=r_mu, theta=theta, cliques=cliques)
-
-
 def _clique_counts(adj: Sequence[int], cand: int, k_max: int) -> list[int]:
     """Counts of the k-cliques inside the mask cand for k = 0..k_max.
 
@@ -247,6 +196,7 @@ def _clique_counts(adj: Sequence[int], cand: int, k_max: int) -> list[int]:
 
 def clique_count(g: Graph, k: int) -> int:
     """Number of k-subsets inducing complete subgraphs; c_0 = 1 by convention."""
+    _integer(k, "clique size")
     if not 0 <= k <= g.n:
         raise ParameterError(f"clique size {k} out of range for order {g.n}")
     return _clique_counts(g.adj, (1 << g.n) - 1, k)[k]

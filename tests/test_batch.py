@@ -177,8 +177,9 @@ def test_default_workers_count_the_cpus_the_process_may_use(monkeypatch):
     assert effective_workers(3) == 3
     monkeypatch.delattr(os, "sched_getaffinity")
     assert effective_workers() == 8
-    for workers in 0, -3:  # refused, not read as the default
-        message = f"^worker count must be at least 1, got {workers}$"
+    for workers in 0, -3, 2.5, 2.0, True:  # refused, not read as the default or as a count
+        message = (f"^worker count must be at least 1, got {workers}$" if type(workers) is int
+                   else f"^worker count {workers!r} is not an exact integer$")
         for call in effective_workers, lambda workers: run_batch(["A_"], workers=workers):
             with pytest.raises(ParameterError, match=message):
                 call(workers)

@@ -208,3 +208,11 @@ def test_family_table_row(spec_type):
         args[slot] = least - 1
         with pytest.raises(ParameterError):
             spec_type(*args)
+        # An argument is an exact integer: a float, even a whole one, or a bool is refused
+        # by the spec and by its closed form, not read as a number.
+        for value in least + 0.5, float(least + 2), True:
+            args[slot] = value
+            for call in spec_type, _CLOSED_FORMS[spec_type]:
+                with pytest.raises(ParameterError,
+                                   match=f"^{name} argument {value!r} is not an exact integer$"):
+                    call(*args)

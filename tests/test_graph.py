@@ -110,6 +110,9 @@ def test_graph_owns_its_masks(monkeypatch, walk):
         (star_graph, (-1,), "leaf count must be nonnegative"),
         (complete_bipartite_graph, (0, 3), "both parts need at least one vertex"),
         (complete_bipartite_graph, (3, 0), "both parts need at least one vertex"),
+        # The order is an exact integer, as a coefficient of Polynomial is: no bool, no float.
+        (Graph, (True, (0,)), "vertex count True is not an exact integer"),
+        (Graph, (2.0, (0, 0)), "vertex count 2.0 is not an exact integer"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -19,6 +20,7 @@ from visipoly import (
     DisjointUnion,
     Graph,
     Join,
+    ParameterError,
     Path,
     Polynomial,
     Raw,
@@ -125,12 +127,41 @@ def test_subclasses_keep_the_fields_of_their_parent():
 
 
 def test_import_loads_no_code_generation():
-    """Importing the package and its command line loads neither dataclasses nor inspect."""
+    """Importing the package and its command line loads none of dataclasses, inspect and
+    typing: the records generate no code, and the annotations name builtin types."""
     code = ("import sys, visipoly, visipoly.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
-    # -S: no site-specific start-up files, which may import either module themselves.
+    # -S: no site-specific start-up files, which may import any of them themselves.
     child = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                            text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+
+
+REIMPORTS = """
+import gc, json, sys
+from collections import Counter
+for _ in range(21):
+    for name in [m for m in sys.modules if m == "visipoly" or m.startswith("visipoly.")]:
+        del sys.modules[name]
+    import visipoly, visipoly.cli
+gc.collect()
+print(json.dumps(Counter(f"{c.__module__}.{c.__qualname__}" for c in gc.get_objects()
+                         if isinstance(c, type) and c.__module__.startswith("visipoly"))))
+"""
+
+
+def test_a_reimport_frees_the_copy_it_replaced():
+    """After 21 rounds of dropping ``visipoly.*`` from ``sys.modules`` and importing it
+    again, as the benchmark's set-up does, one copy of each package class is alive: no
+    module-level object, such as a ``typing`` alias in its cache, holds an older copy. It
+    runs in a child process, so that no other test meets a second copy of the classes."""
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    child = subprocess.run([sys.executable, "-c", REIMPORTS], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    alive = json.loads(child.stdout)
+    classes = [Graph, Path, Raw, Polynomial, VisStats, BatchReport, VerifyResult, ParameterError]
+    assert {f"{cls.__module__}.{cls.__qualname__}" for cls in classes} <= set(alive)
+    assert {name: copies for name, copies in alive.items() if copies != 1} == {}

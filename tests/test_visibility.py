@@ -209,6 +209,12 @@ def test_stats_kmax_bounds():
     assert stats.mu == 3
     with pytest.raises(ParameterError):
         compute_stats(g, k_max=9)
+    # k_max and a clique size are exact integers: a float or a bool is refused, not read as 1.
+    for k in 2.5, 2.0, True:
+        with pytest.raises(ParameterError, match=f"^k_max {k!r} is not an exact integer$"):
+            compute_stats(g, k_max=k)
+        with pytest.raises(ParameterError, match=f"^clique size {k!r} is not an exact integer$"):
+            clique_count(g, k)
     # The guardrail comes first, as in `stats --class path:70 --kmax 100`, on a graph or a
     # spec, and it reads a spec's order: the star of 69 leaves has 70 vertices.
     for g in path_graph(70), Path(70), Star(69):
